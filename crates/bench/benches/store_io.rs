@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use shatter_core::{RewardTable, WindowSolution};
+use shatter_core::{RewardTable, SmtStats, WindowSolution};
 use shatter_dataset::HouseSpec;
 use shatter_engine::disk_schema_sig;
 use shatter_hvac::EnergyModel;
@@ -22,13 +22,16 @@ use shatter_store::{Blob, BlobStore};
 fn sample_window_solution() -> WindowSolution {
     WindowSolution {
         zones: Some((0..8).map(ZoneId).collect()),
-        theory_conflicts: 421,
-        sat_decisions: 9_310,
-        sat_propagations: 88_412,
-        sat_learned: 512,
-        float_pivots: 14_890,
+        effort: SmtStats {
+            theory_conflicts: 421,
+            sat_decisions: 9_310,
+            sat_propagations: 88_412,
+            sat_learned: 512,
+            float_pivots: 14_890,
+            ..SmtStats::default()
+        },
         objective: Some(123_456),
-        ..WindowSolution::default()
+        overflow: false,
     }
 }
 

@@ -8,7 +8,7 @@
 //!       [--days N] [--span N] [--seed N]
 //!       [--json] [--no-text] [--out DIR] [--no-csv]
 //!       [--baseline PATH] [--gate-against PATH]
-//!       [--inject PLAN] [--budget SPEC] [--portfolio N]
+//!       [--inject PLAN] [--budget SPEC]
 //!       [--fleet N] [--sample K] [--resume DIR] [--journal DIR]
 //!       [--house-budget SPEC] [--fleet-retries N]
 //!       [--store DIR] [--cache-mb N]
@@ -59,11 +59,6 @@
 //! `scenario/site/kind[@hit]`, comma-separated) and `--budget` caps
 //! solver effort per SMT window (`SHATTER_BUDGET` syntax:
 //! `conflicts=N,pivots=N,probes=N`) with anytime degradation.
-//!
-//! `--portfolio N` (`SHATTER_PORTFOLIO`) races N diversified solver
-//! configurations on hard SMT windows, first finisher wins with a
-//! deterministic tie-break — tables stay byte-identical to a serial
-//! `--portfolio 0` run; only wall-clock and effort columns change.
 
 use std::path::PathBuf;
 
@@ -91,7 +86,6 @@ struct Options {
     gate_against: Option<PathBuf>,
     inject: Option<String>,
     budget: Option<String>,
-    portfolio: Option<usize>,
     fail_fast: bool,
     fleet: Option<usize>,
     sample: Option<usize>,
@@ -144,7 +138,6 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
         gate_against: None,
         inject: None,
         budget: None,
-        portfolio: None,
         fail_fast: false,
         fleet: None,
         sample: None,
@@ -230,7 +223,6 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                     opts.budget = Some(spec);
                 }
             }
-            "--portfolio" => opts.portfolio = Some(next_num(&mut args, "--portfolio", &mut errors)),
             "--fleet" => opts.fleet = Some(next_num(&mut args, "--fleet", &mut errors)),
             "--sample" => opts.sample = Some(next_num(&mut args, "--sample", &mut errors)),
             "--store" => {
@@ -270,7 +262,7 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                     "usage: repro [--list] [--only ID[,ID...]] [--threads N] [--serial]\n\
                      \x20            [--days N] [--span N] [--seed N] [--json] [--no-text]\n\
                      \x20            [--out DIR] [--no-csv] [--baseline PATH]\n\
-                     \x20            [--inject PLAN] [--budget SPEC] [--portfolio N]\n\
+                     \x20            [--inject PLAN] [--budget SPEC]\n\
                      \x20            [--fleet N] [--sample K] [--resume DIR] [--journal DIR]\n\
                      \x20            [--house-budget SPEC] [--fleet-retries N]\n\
                      \x20            [--store DIR] [--cache-mb N]\n\
@@ -313,12 +305,6 @@ fn main() {
         // SmtScheduler::default reads SHATTER_BUDGET, so exporting the
         // (already-validated) spec reaches every window the run solves.
         std::env::set_var("SHATTER_BUDGET", spec);
-    }
-    if let Some(n) = opts.portfolio {
-        // Same route as --budget: SmtScheduler::default reads
-        // SHATTER_PORTFOLIO, so every scheduler the exhibits build
-        // races hard windows across n diversified configurations.
-        std::env::set_var("SHATTER_PORTFOLIO", n.to_string());
     }
 
     // Crash-safe fleet wiring. --resume reconstructs the interrupted

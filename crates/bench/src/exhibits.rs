@@ -681,6 +681,26 @@ pub fn tab5(cx: &ScenarioCtx<'_>) -> Table {
     t
 }
 
+/// The solver-effort columns shared by `strategies` and `fig11`, in
+/// header order (`theory_conflicts` … `bin_props`).
+fn effort_cells(stats: &SmtStats) -> Vec<String> {
+    [
+        stats.theory_conflicts,
+        stats.sat_decisions,
+        stats.sat_propagations,
+        stats.sat_learned,
+        stats.sat_restarts,
+        stats.sat_gc_clauses,
+        stats.sat_learnt_live,
+        stats.float_pivots,
+        stats.exact_fallbacks,
+        stats.bin_props,
+    ]
+    .iter()
+    .map(u64::to_string)
+    .collect()
+}
+
 /// `strategies` — one-day shootout across *every* registered attack
 /// strategy (including SMT, affordable at day scale): reward, divergence
 /// from actual behaviour, stealth validation, and detection rate.
@@ -714,8 +734,6 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
             "float_piv",
             "fb",
             "bin_props",
-            "phase_resets",
-            "pf_wins",
         ],
     );
     let registry = StrategyRegistry::builtin();
@@ -732,11 +750,8 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
             cells.push((ei, o));
         }
     }
-    // Hard SMT windows additionally race portfolio attempts through the
-    // same slot budget (nested fan-out; a zero surplus runs them inline).
-    let exec = cx.batch_executor();
     let rows = cx.par_map(&cells, |_, &(ei, o)| {
-        entries[ei].scheduler.schedule_occupant_zones_batched(
+        entries[ei].scheduler.schedule_occupant_zones_memo_stats(
             OccupantId(o),
             &table,
             &adm,
@@ -744,7 +759,6 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
             day,
             &memo,
             &prefix,
-            &exec,
         )
     });
     for (ei, entry) in entries.iter().enumerate() {
@@ -755,21 +769,7 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
         // memo replays them on cache hits, so they match a cold run.
         let mut stats = SmtStats::default();
         for o in 0..n_occupants {
-            let s = &rows[ei * n_occupants + o].1;
-            stats.theory_conflicts += s.theory_conflicts;
-            stats.sat_decisions += s.sat_decisions;
-            stats.sat_propagations += s.sat_propagations;
-            stats.sat_learned += s.sat_learned;
-            stats.sat_restarts += s.sat_restarts;
-            stats.sat_gc_clauses += s.sat_gc_clauses;
-            stats.sat_learnt_live = stats.sat_learnt_live.max(s.sat_learnt_live);
-            stats.float_pivots += s.float_pivots;
-            stats.exact_fallbacks += s.exact_fallbacks;
-            stats.degraded_windows += s.degraded_windows;
-            stats.retried_windows += s.retried_windows;
-            stats.bin_props += s.bin_props;
-            stats.phase_resets += s.phase_resets;
-            stats.portfolio_wins += s.portfolio_wins;
+            stats.merge(&rows[ei * n_occupants + o].1);
         }
         // Budget-degraded windows surface on the run status, not as a
         // table column — clean-run tables stay byte-identical.
@@ -781,26 +781,16 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
         }
         let sched = AttackSchedule::from_zone_rows(zones, &table);
         let stealthy = sched.validate(&adm, &cap, day).is_ok();
-        t.push(vec![
+        let mut row = vec![
             entry.key.into(),
             entry.scheduler.name().into(),
             fmt3(sched.reward(&table)),
             sched.divergence(day).to_string(),
             stealthy.to_string(),
             fmt2(detection_rate(&adm, &sched, day)),
-            stats.theory_conflicts.to_string(),
-            stats.sat_decisions.to_string(),
-            stats.sat_propagations.to_string(),
-            stats.sat_learned.to_string(),
-            stats.sat_restarts.to_string(),
-            stats.sat_gc_clauses.to_string(),
-            stats.sat_learnt_live.to_string(),
-            stats.float_pivots.to_string(),
-            stats.exact_fallbacks.to_string(),
-            stats.bin_props.to_string(),
-            stats.phase_resets.to_string(),
-            stats.portfolio_wins.to_string(),
-        ]);
+        ];
+        row.extend(effort_cells(&stats));
+        t.push(row);
     }
     t
 }
@@ -1060,8 +1050,6 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
             "float_piv",
             "fb",
             "bin_props",
-            "phase_resets",
-            "pf_wins",
         ],
     );
     /// One measurement of the span sweep: (a) a time-horizon point on an
@@ -1082,9 +1070,6 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
     let day_idx = 10;
     let adm_kind = AdmKind::default_kmeans();
     let memo = EngineWindowMemo(cx.cache);
-    // Hard windows inside a sweep point race portfolio attempts through
-    // the run's shared slot budget (nested under the point-level fan-out).
-    let exec = cx.batch_executor();
     // Every sweep point is an independent solver run; rows come back in
     // submission order. Window solutions flow through the fixture cache,
     // so re-solved spans (e.g. the horizon-10 House-A windows the
@@ -1109,7 +1094,7 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
             // isolates the per-window encoding blow-up (the paper's
             // lookback-time axis).
             let start = Instant::now();
-            let (_, stats) = sched.schedule_occupant_memo_exec(
+            let (_, stats) = sched.schedule_occupant_memo(
                 OccupantId(0),
                 &table,
                 &adm,
@@ -1117,7 +1102,6 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
                 day,
                 span,
                 Some((&memo, &prefix)),
-                &exec,
             );
             let elapsed = start.elapsed();
             let per_window_us = elapsed.as_micros() as f64 / stats.windows.max(1) as f64;
@@ -1127,25 +1111,15 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
                     kind.short, stats.degraded_windows
                 ));
             }
-            vec![
+            let mut row = vec![
                 "horizon".into(),
                 horizon.to_string(),
                 kind.short.clone(),
                 elapsed.as_millis().to_string(),
                 format!("{per_window_us:.0}"),
-                stats.theory_conflicts.to_string(),
-                stats.sat_decisions.to_string(),
-                stats.sat_propagations.to_string(),
-                stats.sat_learned.to_string(),
-                stats.sat_restarts.to_string(),
-                stats.sat_gc_clauses.to_string(),
-                stats.sat_learnt_live.to_string(),
-                stats.float_pivots.to_string(),
-                stats.exact_fallbacks.to_string(),
-                stats.bin_props.to_string(),
-                stats.phase_resets.to_string(),
-                stats.portfolio_wins.to_string(),
-            ]
+            ];
+            row.extend(effort_cells(&stats));
+            row
         }
         Sweep::Zones(n_zones) => {
             // (b) horizontal scaling: number of zones (lookback 10).
@@ -1166,7 +1140,7 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
                 day_idx,
             );
             let start = Instant::now();
-            let (_, stats) = sched.schedule_occupant_memo_exec(
+            let (_, stats) = sched.schedule_occupant_memo(
                 OccupantId(0),
                 &table,
                 &adm,
@@ -1174,7 +1148,6 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
                 day,
                 span,
                 Some((&memo, &prefix)),
-                &exec,
             );
             let elapsed = start.elapsed();
             let per_window_us = elapsed.as_micros() as f64 / stats.windows.max(1) as f64;
@@ -1184,25 +1157,15 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
                     stats.degraded_windows
                 ));
             }
-            vec![
+            let mut row = vec![
                 "zones".into(),
                 n_zones.to_string(),
                 "A".into(),
                 elapsed.as_millis().to_string(),
                 format!("{per_window_us:.0}"),
-                stats.theory_conflicts.to_string(),
-                stats.sat_decisions.to_string(),
-                stats.sat_propagations.to_string(),
-                stats.sat_learned.to_string(),
-                stats.sat_restarts.to_string(),
-                stats.sat_gc_clauses.to_string(),
-                stats.sat_learnt_live.to_string(),
-                stats.float_pivots.to_string(),
-                stats.exact_fallbacks.to_string(),
-                stats.bin_props.to_string(),
-                stats.phase_resets.to_string(),
-                stats.portfolio_wins.to_string(),
-            ]
+            ];
+            row.extend(effort_cells(&stats));
+            row
         }
     });
     for row in rows {

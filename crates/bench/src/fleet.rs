@@ -252,8 +252,7 @@ fn eval_house(cx: &ScenarioCtx<'_>, i: usize, budget: &Budget) -> (Vec<String>, 
     };
     let memo = EngineWindowMemo(cx.cache);
     let prefix = smt_prefix(&fx, &tag, "fleet", 0);
-    let exec = cx.batch_executor();
-    let (_, stats) = smt.schedule_occupant_memo_exec(
+    let (_, stats) = smt.schedule_occupant_memo(
         OccupantId(0),
         &table,
         &adm,
@@ -261,7 +260,6 @@ fn eval_house(cx: &ScenarioCtx<'_>, i: usize, budget: &Budget) -> (Vec<String>, 
         &fx.month.days[0],
         cx.span(),
         Some((&memo, &prefix)),
-        &exec,
     );
     if stats.degraded_windows > 0 {
         notes.push(format!(

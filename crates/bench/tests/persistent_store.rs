@@ -11,8 +11,11 @@
 use std::path::{Path, PathBuf};
 
 use shatter_bench::fleet::{run_fleet, FleetConfig, FleetPolicy};
+use shatter_core::{SmtStats, WindowSolution};
 use shatter_engine::scenario::scenario_seed;
 use shatter_engine::{disk_schema_sig, FixtureCache, HealthSink, RunParams, ScenarioCtx, WorkPool};
+use shatter_smarthome::ZoneId;
+use shatter_store::wire::Writer;
 use shatter_store::BlobStore;
 
 const N_HOUSES: usize = 4;
@@ -221,5 +224,59 @@ fn injected_read_fault_discards_and_recomputes() {
     assert_eq!(disk.discarded, 2, "each injected read fault discards once");
     assert_eq!(cache.stats().misses, 2, "each discarded blob recomputes");
     assert!(disk.writes >= 2, "recomputed blobs are re-persisted");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retired_window_solution_layout_is_discarded_and_recomputed() {
+    // A `window-solution/1` payload (zones, 14 loose effort counters,
+    // objective, degraded/retried/overflow flags) persisted by an older
+    // build under a live window memo key: the current build must never
+    // decode it into the new shape, only discard it and recompute.
+    let dir = store_dir("window-v1");
+    let key = "window-v1-test/o0/w0+10/b-";
+    {
+        let mut w = Writer::new();
+        w.str("window-solution/1");
+        w.bool(true);
+        w.usize(2);
+        w.u32(1);
+        w.u32(3);
+        for v in 1..=14u64 {
+            w.u64(v);
+        }
+        w.opt_i64(Some(-7));
+        w.bool(false);
+        w.bool(true);
+        w.bool(false);
+        open_store(&dir).put(key, &w.into_bytes()).unwrap();
+    }
+    let fresh = WindowSolution {
+        zones: Some(vec![ZoneId(2); 10]),
+        effort: SmtStats {
+            theory_conflicts: 5,
+            sat_decisions: 40,
+            ..SmtStats::default()
+        },
+        objective: Some(123),
+        overflow: false,
+    };
+
+    let cache = FixtureCache::new().with_disk(open_store(&dir));
+    let got = cache.memo_blob(key, || fresh.clone());
+    assert_eq!(*got, fresh, "the stale payload must not be decoded");
+    let stats = cache.stats();
+    assert_eq!((stats.disk_hits, stats.misses), (0, 1));
+    let disk = cache.disk().unwrap().stats();
+    assert_eq!(disk.discarded, 1, "the stale payload must be discarded");
+    assert_eq!(disk.writes, 1, "the recompute is re-persisted");
+
+    // The re-persisted blob is in the current layout: a fresh cache over
+    // the same store replays it from disk.
+    let warm = FixtureCache::new().with_disk(open_store(&dir));
+    let replayed =
+        warm.memo_blob::<WindowSolution, _>(key, || unreachable!("must replay from disk"));
+    assert_eq!(*replayed, fresh);
+    assert_eq!(warm.stats().disk_hits, 1);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -57,7 +57,6 @@ mod dp;
 mod greedy;
 pub mod impact;
 mod persist;
-pub mod realtime;
 mod reward;
 mod schedule;
 mod smt_sched;
@@ -69,10 +68,7 @@ pub use capability::AttackerCapability;
 pub use dp::WindowDpScheduler;
 pub use greedy::GreedyScheduler;
 pub use reward::{plausible_activities, RewardTable};
-pub use schedule::{
-    schedule_day_batched, AttackSchedule, BatchExecutor, ScheduleError, Scheduler, SerialExecutor,
-    WindowMemo, WindowSolution,
-};
+pub use schedule::{AttackSchedule, ScheduleError, Scheduler, WindowMemo, WindowSolution};
 pub use shatter_smt::Budget;
 pub use smt_sched::{SmtScheduler, SmtStats};
 pub use strategy::{SharedScheduler, StrategyEntry, StrategyRegistry};

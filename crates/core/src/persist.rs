@@ -13,9 +13,10 @@ use shatter_store::wire::{Reader, Writer};
 use shatter_store::Blob;
 
 use crate::schedule::{AttackSchedule, WindowSolution};
+use crate::SmtStats;
 
 impl Blob for WindowSolution {
-    const TAG: &'static str = "window-solution/1";
+    const TAG: &'static str = "window-solution/2";
 
     fn encode(&self, w: &mut Writer) {
         match &self.zones {
@@ -28,27 +29,26 @@ impl Blob for WindowSolution {
             }
             None => w.bool(false),
         }
+        let e = &self.effort;
         for v in [
-            self.theory_conflicts,
-            self.sat_decisions,
-            self.sat_propagations,
-            self.sat_learned,
-            self.sat_restarts,
-            self.sat_gc_clauses,
-            self.sat_carried,
-            self.sat_learnt_live,
-            self.float_pivots,
-            self.exact_fallbacks,
-            self.bin_props,
-            self.phase_resets,
-            self.portfolio_wins,
-            self.canonical_conflicts,
+            e.windows,
+            e.fallbacks,
+            e.theory_conflicts,
+            e.sat_decisions,
+            e.sat_propagations,
+            e.sat_learned,
+            e.sat_restarts,
+            e.sat_gc_clauses,
+            e.sat_learnt_live,
+            e.float_pivots,
+            e.exact_fallbacks,
+            e.degraded_windows,
+            e.retried_windows,
+            e.bin_props,
         ] {
             w.u64(v);
         }
         w.opt_i64(self.objective);
-        w.bool(self.degraded);
-        w.bool(self.retried);
         w.bool(self.overflow);
     }
 
@@ -63,25 +63,26 @@ impl Blob for WindowSolution {
         } else {
             None
         };
-        Some(WindowSolution {
-            zones,
+        let effort = SmtStats {
+            windows: r.u64()?,
+            fallbacks: r.u64()?,
             theory_conflicts: r.u64()?,
             sat_decisions: r.u64()?,
             sat_propagations: r.u64()?,
             sat_learned: r.u64()?,
             sat_restarts: r.u64()?,
             sat_gc_clauses: r.u64()?,
-            sat_carried: r.u64()?,
             sat_learnt_live: r.u64()?,
             float_pivots: r.u64()?,
             exact_fallbacks: r.u64()?,
+            degraded_windows: r.u64()?,
+            retried_windows: r.u64()?,
             bin_props: r.u64()?,
-            phase_resets: r.u64()?,
-            portfolio_wins: r.u64()?,
-            canonical_conflicts: r.u64()?,
+        };
+        Some(WindowSolution {
+            zones,
+            effort,
             objective: r.opt_i64()?,
-            degraded: r.bool()?,
-            retried: r.bool()?,
             overflow: r.bool()?,
         })
     }
@@ -140,23 +141,23 @@ mod tests {
     fn window_solution_roundtrip() {
         let sol = WindowSolution {
             zones: Some(vec![ZoneId(3), ZoneId(0), ZoneId(7)]),
-            theory_conflicts: 41,
-            sat_decisions: 1000,
-            sat_propagations: 123_456,
-            sat_learned: 17,
-            sat_restarts: 2,
-            sat_gc_clauses: 5,
-            sat_carried: 0,
-            sat_learnt_live: 9,
-            float_pivots: 88,
-            exact_fallbacks: 3,
-            bin_props: 404,
-            phase_resets: 1,
-            portfolio_wins: 1,
-            canonical_conflicts: 40,
+            effort: SmtStats {
+                windows: 0,
+                fallbacks: 0,
+                theory_conflicts: 41,
+                sat_decisions: 1000,
+                sat_propagations: 123_456,
+                sat_learned: 17,
+                sat_restarts: 2,
+                sat_gc_clauses: 5,
+                sat_learnt_live: 9,
+                float_pivots: 88,
+                exact_fallbacks: 3,
+                degraded_windows: 0,
+                retried_windows: 1,
+                bin_props: 404,
+            },
             objective: Some(-12_345),
-            degraded: false,
-            retried: true,
             overflow: false,
         };
         assert_eq!(WindowSolution::from_blob(&sol.to_blob()), Some(sol));

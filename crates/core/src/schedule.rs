@@ -231,67 +231,20 @@ impl AttackSchedule {
 /// One memoizable schedule fragment: a window's zone row (or `None` when
 /// the window had no stealthy solution) together with the solver effort
 /// it cost, so cached hits replay the effort statistics instead of
-/// reporting zero (the conflict and SAT-counter columns of fig11 and the
-/// strategy shootout must not depend on which exhibit solved a window
-/// first).
+/// reporting zero (the effort columns of fig11 and the strategy shootout
+/// must not depend on which exhibit solved a window first).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowSolution {
     /// The window's committed zone row; `None` marks infeasible.
     pub zones: Option<Vec<ZoneId>>,
-    /// Theory conflicts the original solve cost.
-    pub theory_conflicts: u64,
-    /// CDCL decisions the original solve cost.
-    pub sat_decisions: u64,
-    /// CDCL unit propagations the original solve cost.
-    pub sat_propagations: u64,
-    /// Learned clauses the CDCL core kept during the original solve.
-    pub sat_learned: u64,
-    /// CDCL restarts during the original solve.
-    pub sat_restarts: u64,
-    /// Learnt clauses garbage-collected by the clause-DB reduction
-    /// during the original solve.
-    pub sat_gc_clauses: u64,
-    /// Learnt clauses carried through the end-of-window pop (carry mode
-    /// only; zero in the default replay-exact mode).
-    pub sat_carried: u64,
-    /// Live learnt clauses at the end of the window solve, before the
-    /// pop (gauge).
-    pub sat_learnt_live: u64,
-    /// Simplex pivots the original solve ran through the certified f64
-    /// fast path.
-    pub float_pivots: u64,
-    /// Simplex comparisons that landed inside the float error margin and
-    /// fell back to exact rational arithmetic during the original solve.
-    pub exact_fallbacks: u64,
-    /// Literals implied through the SAT core's binary implication layer
-    /// (adjacency lists over two-literal clauses) during the original
-    /// solve.
-    pub bin_props: u64,
-    /// Saved-phase resets performed on restart during the original solve
-    /// (diversified portfolio configurations only; the default
-    /// configuration never resets).
-    pub phase_resets: u64,
-    /// 1 when this window was portfolio-raced and a non-default solver
-    /// configuration finished first at the winning effort level.
-    pub portfolio_wins: u64,
-    /// Conflicts of the window's *canonical* pass: the single solve for
-    /// normal windows, the canonical extraction solve for hard windows
-    /// (zero when the extraction was skipped because the window was
-    /// infeasible). Drives the next window's hardness classification, so
-    /// it is defined to be independent of portfolio mode and thread
-    /// count.
-    pub canonical_conflicts: u64,
+    /// Solver effort the original solve cost, including its
+    /// `degraded_windows`/`retried_windows` marks (`windows` and
+    /// `fallbacks` stay zero: the scheduler counts those).
+    pub effort: crate::SmtStats,
     /// Proven-optimal objective value in integer micro-dollars; `None`
     /// when the window was infeasible or degraded before the optimum was
     /// proven.
     pub objective: Option<i64>,
-    /// The window stopped early — a resource budget ran out (the zones,
-    /// when present, are the best verified so far rather than proven
-    /// optimal) or the tableau degraded and the fallback row was used.
-    pub degraded: bool,
-    /// The window was re-solved on the forced-exact pipeline after the
-    /// float fast path hit a rational overflow.
-    pub retried: bool,
     /// A rational overflow poisoned the window's tableau. Transient
     /// marker consumed by the scheduler's exact-retry logic; a memoized
     /// fragment never carries it (retries happen before caching).
@@ -305,95 +258,6 @@ pub trait WindowMemo: Sync {
     /// Returns the fragment cached under `key`, or computes, stores and
     /// returns it. `compute` is invoked at most once.
     fn window(&self, key: &str, compute: &mut dyn FnMut() -> WindowSolution) -> WindowSolution;
-}
-
-/// Executes batches of independent solver jobs — full occupant window
-/// chains and portfolio race attempts — possibly in parallel. Results
-/// always come back in submission order and every job is a pure function
-/// of its index, so scheduling through any executor (inline serial, the
-/// engine's `WorkPool`) leaves schedules and statistics byte-identical;
-/// only wall-clock time changes.
-pub trait BatchExecutor: Sync {
-    /// Runs the occupant-chain jobs `job(0), ..., job(n - 1)` and
-    /// returns their results in submission order.
-    fn run_chains(
-        &self,
-        n: usize,
-        job: &(dyn Fn(usize) -> (Vec<ZoneId>, crate::SmtStats) + Sync),
-    ) -> Vec<(Vec<ZoneId>, crate::SmtStats)>;
-
-    /// Runs the portfolio race attempts `job(0), ..., job(n - 1)` and
-    /// returns their results in submission order. All attempts run to
-    /// their (deterministic) effort budget — "first answer wins" is
-    /// decided by index among finishers, never by wall clock.
-    fn run_attempts(
-        &self,
-        n: usize,
-        job: &(dyn Fn(usize) -> WindowSolution + Sync),
-    ) -> Vec<WindowSolution>;
-}
-
-/// The reference executor: runs every job inline, in submission order.
-/// The parallel executors are checked byte-identical against it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
-
-impl BatchExecutor for SerialExecutor {
-    fn run_chains(
-        &self,
-        n: usize,
-        job: &(dyn Fn(usize) -> (Vec<ZoneId>, crate::SmtStats) + Sync),
-    ) -> Vec<(Vec<ZoneId>, crate::SmtStats)> {
-        (0..n).map(job).collect()
-    }
-
-    fn run_attempts(
-        &self,
-        n: usize,
-        job: &(dyn Fn(usize) -> WindowSolution + Sync),
-    ) -> Vec<WindowSolution> {
-        (0..n).map(job).collect()
-    }
-}
-
-/// Synthesizes a one-day attack schedule with the independent occupant
-/// window chains submitted through `exec` — batched across the engine's
-/// worker pool when one is behind the executor — and the per-occupant
-/// results merged in occupant order. Each chain builds its own solver
-/// instances (and, in carry mode, its own carried-learnt pool), so the
-/// assembled schedule and the merged statistics are byte-identical to
-/// the serial path regardless of executor parallelism.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_day_batched(
-    scheduler: &(dyn Scheduler + Sync),
-    table: &RewardTable,
-    adm: &HullAdm,
-    cap: &AttackerCapability,
-    actual: &DayTrace,
-    memo: &dyn WindowMemo,
-    prefix: &str,
-    exec: &dyn BatchExecutor,
-) -> (AttackSchedule, crate::SmtStats) {
-    let n_occupants = actual.minutes[0].occupants.len();
-    let results = exec.run_chains(n_occupants, &|o| {
-        scheduler.schedule_occupant_zones_batched(
-            OccupantId(o),
-            table,
-            adm,
-            cap,
-            actual,
-            memo,
-            prefix,
-            exec,
-        )
-    });
-    let mut stats = crate::SmtStats::default();
-    let mut zones = Vec::with_capacity(n_occupants);
-    for (row, chain_stats) in results {
-        stats.merge(&chain_stats);
-        zones.push(row);
-    }
-    (AttackSchedule::from_zone_rows(zones, table), stats)
 }
 
 /// An attack-schedule generator (DP, greedy, or SMT-backed).
@@ -457,28 +321,6 @@ pub trait Scheduler {
             self.schedule_occupant_zones_memo(o, table, adm, cap, actual, memo, prefix),
             crate::SmtStats::default(),
         )
-    }
-
-    /// Like [`Scheduler::schedule_occupant_zones_memo_stats`], with a
-    /// [`BatchExecutor`] for schedulers that can fan solver work out —
-    /// the SMT scheduler races diversified configurations on hard
-    /// windows through it. Results are defined to be byte-identical to
-    /// the serial path; the default implementation simply ignores the
-    /// executor.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_occupant_zones_batched(
-        &self,
-        o: OccupantId,
-        table: &RewardTable,
-        adm: &HullAdm,
-        cap: &AttackerCapability,
-        actual: &DayTrace,
-        memo: &dyn WindowMemo,
-        prefix: &str,
-        exec: &dyn BatchExecutor,
-    ) -> (Vec<ZoneId>, crate::SmtStats) {
-        let _ = exec;
-        self.schedule_occupant_zones_memo_stats(o, table, adm, cap, actual, memo, prefix)
     }
 
     /// Synthesizes a one-day attack schedule: every occupant's zone row

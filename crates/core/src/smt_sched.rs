@@ -6,9 +6,11 @@ use shatter_dataset::DayTrace;
 use shatter_faults::FaultKind;
 use shatter_smarthome::{Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
 use shatter_smt::ast::{BoolVar, Formula, LinExpr, RealVar};
-use shatter_smt::{Budget, HaltCause, NumericMode, OmtOutcome, Rat, SearchConfig, Solver};
+use shatter_smt::{
+    Budget, HaltCause, NumericMode, OmtOutcome, Rat, SatStats, SimplexStats, Solver,
+};
 
-use crate::schedule::{BatchExecutor, Scheduler, SerialExecutor, WindowMemo, WindowSolution};
+use crate::schedule::{Scheduler, WindowMemo, WindowSolution};
 use crate::{AttackerCapability, RewardTable};
 
 /// The formal window scheduler: encodes each optimization window
@@ -58,24 +60,6 @@ pub struct SmtScheduler {
     /// a fresh solver per window — the slow reference path kept for the
     /// incremental-vs-fresh equivalence tests.
     pub reuse_solver: bool,
-    /// Retain window-agnostic learnt clauses *across* windows: the CDCL
-    /// core tags every learnt with the push depth its derivation depends
-    /// on, and the end-of-window pop keeps lemmas derived purely from
-    /// the span template (or from the theory over template variables).
-    ///
-    /// # Determinism contract
-    ///
-    /// Default (`false`): every pop is replay-exact, so schedules are
-    /// byte-identical to the `reuse_solver: false` reference path and
-    /// across thread counts. With carry on, later windows see lemmas
-    /// earlier windows learned, so the *search* (and thus tie-breaking
-    /// among equal-objective schedules) may diverge from the fresh path;
-    /// runs remain deterministic for a fixed configuration, per-window
-    /// objectives are unchanged (property-tested: equal rewards within
-    /// the OMT tolerance, schedules still valid/stealthy), and window
-    /// memoization is bypassed because a window's solution is no longer
-    /// a pure function of the window key.
-    pub carry_learnts: bool,
     /// Run the simplex in forced-exact mode
     /// ([`NumericMode::ExactOnly`]) instead of the certified float fast
     /// path. Schedules are byte-identical either way (the fast path
@@ -97,33 +81,6 @@ pub struct SmtScheduler {
     /// --budget` exposes it. Budgeted runs key their window-memo entries
     /// separately from unbudgeted ones.
     pub budget: Option<Budget>,
-    /// Number of diversified solver configurations to race on *hard*
-    /// windows (see [`SmtScheduler::portfolio_hard_conflicts`]); `0` or
-    /// `1` disables racing. Racing is first-answer-wins over
-    /// deterministic effort levels: every configuration runs to the same
-    /// conflict budget per level and the winner is the lowest
-    /// configuration index among the finishers at the lowest finishing
-    /// level — never a wall-clock race — so the committed schedule is
-    /// byte-identical across thread counts *and* across portfolio
-    /// on/off (both modes commit the same canonical extraction model;
-    /// only the effort counters differ, and portfolio-mode windows key
-    /// their memo entries distinctly). The default honours the
-    /// `SHATTER_PORTFOLIO` environment variable, which is how `repro
-    /// --portfolio` exposes it. Racing is disabled in carry mode, under
-    /// a per-window budget, and while a fault scenario is armed.
-    pub portfolio: usize,
-    /// Hardness threshold for the deterministic effort heuristic: a
-    /// window is *hard* when the previous window's canonical solve cost
-    /// strictly more conflicts than this. Hard windows commit a
-    /// canonical extraction model (solve for the optimal objective
-    /// value, then re-extract under `objective >= v*` on a fresh
-    /// default-configuration encoder) whether or not racing is enabled —
-    /// that shared canonical pass is what makes portfolio on/off
-    /// byte-identical. The first window of a chain is never hard. The
-    /// default honours the `SHATTER_PORTFOLIO_HARD` environment
-    /// variable (CI's portfolio smoke pins it to `0` so racing
-    /// genuinely fires on small instances).
-    pub portfolio_hard_conflicts: u64,
 }
 
 impl Default for SmtScheduler {
@@ -132,11 +89,8 @@ impl Default for SmtScheduler {
             horizon: 10,
             tol_microusd: 1.0,
             reuse_solver: true,
-            carry_learnts: false,
             force_exact: exact_simplex_env(),
             budget: budget_env(),
-            portfolio: portfolio_env(),
-            portfolio_hard_conflicts: portfolio_hard_env(),
         }
     }
 }
@@ -163,44 +117,12 @@ fn budget_env() -> Option<Budget> {
     (!budget.is_unlimited()).then_some(budget)
 }
 
-/// Portfolio width from the `SHATTER_PORTFOLIO` environment variable,
-/// `0` (racing off) when unset or empty.
-///
-/// # Panics
-///
-/// Panics on a malformed spec — a silently ignored portfolio request
-/// would quietly fall back to the serial path.
-fn portfolio_env() -> usize {
-    match std::env::var("SHATTER_PORTFOLIO") {
-        Ok(v) if !v.is_empty() => v
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid SHATTER_PORTFOLIO {v:?}: {e}")),
-        _ => 0,
-    }
-}
-
-/// Hardness threshold from the `SHATTER_PORTFOLIO_HARD` environment
-/// variable, `300` conflicts when unset or empty.
-///
-/// # Panics
-///
-/// Panics on a malformed spec — a silently ignored threshold would
-/// quietly change which windows race.
-fn portfolio_hard_env() -> u64 {
-    match std::env::var("SHATTER_PORTFOLIO_HARD") {
-        Ok(v) if !v.is_empty() => v
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid SHATTER_PORTFOLIO_HARD {v:?}: {e}")),
-        _ => 300,
-    }
-}
-
-/// Statistics of one full-schedule synthesis, for the scalability study.
-/// The SAT-core counters mirror [`shatter_smt::SatStats`]; like
-/// `theory_conflicts` they are replayed from the [`WindowMemo`] fragment
-/// on cache hits, so exhibit tables do not depend on which scenario
-/// solved a window first.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Solver effort: the one counters type for a window solve, an occupant
+/// chain, or a whole exhibit. A [`WindowSolution`] embeds the effort its
+/// solve cost, so cache hits replay the original counters and exhibit
+/// tables do not depend on which scenario solved a window first; every
+/// aggregate is a fold of [`SmtStats::merge`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmtStats {
     /// Number of windows solved.
     pub windows: u64,
@@ -218,8 +140,6 @@ pub struct SmtStats {
     pub sat_restarts: u64,
     /// Learnt clauses removed by the clause-DB reduction (GC).
     pub sat_gc_clauses: u64,
-    /// Learnt clauses carried across window pops (carry mode only).
-    pub sat_carried: u64,
     /// Peak live learnt-clause count observed at any window's end.
     pub sat_learnt_live: u64,
     /// Simplex pivots run through the certified f64 fast path.
@@ -235,37 +155,39 @@ pub struct SmtStats {
     pub retried_windows: u64,
     /// Literals implied through the SAT core's binary implication layer.
     pub bin_props: u64,
-    /// Saved-phase resets performed on restart (diversified portfolio
-    /// configurations only).
-    pub phase_resets: u64,
-    /// Portfolio-raced windows won by a non-default solver configuration
-    /// (lowest finisher index at the winning effort level was > 0).
-    pub portfolio_wins: u64,
 }
 
 impl SmtStats {
-    fn absorb_window(&mut self, w: &WindowSolution) {
-        self.degraded_windows += u64::from(w.degraded);
-        self.retried_windows += u64::from(w.retried);
-        self.theory_conflicts += w.theory_conflicts;
-        self.sat_decisions += w.sat_decisions;
-        self.sat_propagations += w.sat_propagations;
-        self.sat_learned += w.sat_learned;
-        self.sat_restarts += w.sat_restarts;
-        self.sat_gc_clauses += w.sat_gc_clauses;
-        self.sat_carried += w.sat_carried;
-        self.sat_learnt_live = self.sat_learnt_live.max(w.sat_learnt_live);
-        self.float_pivots += w.float_pivots;
-        self.exact_fallbacks += w.exact_fallbacks;
-        self.bin_props += w.bin_props;
-        self.phase_resets += w.phase_resets;
-        self.portfolio_wins += w.portfolio_wins;
+    /// Converts the solver's native counters for one window solve — the
+    /// only place [`SatStats`]/[`SimplexStats`] become [`SmtStats`].
+    /// `windows` and `fallbacks` stay zero: the scheduler counts those.
+    fn of_window(
+        sat: SatStats,
+        spx: SimplexStats,
+        theory_conflicts: u64,
+        learnt_live: u64,
+        degraded: bool,
+    ) -> SmtStats {
+        SmtStats {
+            theory_conflicts,
+            sat_decisions: sat.decisions,
+            sat_propagations: sat.propagations,
+            sat_learned: sat.learned,
+            sat_restarts: sat.restarts,
+            sat_gc_clauses: sat.gc_clauses,
+            sat_learnt_live: learnt_live,
+            float_pivots: spx.float_pivots,
+            exact_fallbacks: spx.exact_fallbacks,
+            degraded_windows: u64::from(degraded),
+            bin_props: sat.bin_props,
+            ..SmtStats::default()
+        }
     }
 
-    /// Folds another chain's statistics into this one — the deterministic
-    /// merge behind [`crate::schedule::schedule_day_batched`]: callers
-    /// fold per-occupant results in occupant order, so the merged totals
-    /// are independent of which worker solved which chain.
+    /// Folds `other` into this one: counters add, the live-learnt gauge
+    /// keeps its peak. Callers fold in a fixed order (windows left to
+    /// right, occupants by index), so totals never depend on which worker
+    /// solved what.
     pub fn merge(&mut self, other: &SmtStats) {
         self.windows += other.windows;
         self.fallbacks += other.fallbacks;
@@ -275,15 +197,12 @@ impl SmtStats {
         self.sat_learned += other.sat_learned;
         self.sat_restarts += other.sat_restarts;
         self.sat_gc_clauses += other.sat_gc_clauses;
-        self.sat_carried += other.sat_carried;
         self.sat_learnt_live = self.sat_learnt_live.max(other.sat_learnt_live);
         self.float_pivots += other.float_pivots;
         self.exact_fallbacks += other.exact_fallbacks;
         self.degraded_windows += other.degraded_windows;
         self.retried_windows += other.retried_windows;
         self.bin_props += other.bin_props;
-        self.phase_resets += other.phase_resets;
-        self.portfolio_wins += other.portfolio_wins;
     }
 }
 
@@ -317,47 +236,14 @@ struct WindowProblem<'a> {
     tol_microusd: f64,
     /// Per-window resource budget, re-installed before the OMT search.
     budget: Option<Budget>,
-    /// Proven objective floor in micro-dollars: assert
-    /// `objective >= floor` and cap the OMT search at `floor + 1`, so the
-    /// solve reduces to the single canonical extraction check the hard-
-    /// window path commits (the floor is the already-proven optimum).
-    floor: Option<i64>,
     in_range: &'a (dyn Fn(ZoneId, u32, u32) -> bool + Sync),
     can_extend: &'a (dyn Fn(ZoneId, u32, u32) -> bool + Sync),
     has_future: &'a (dyn Fn(ZoneId, usize) -> bool + Sync),
 }
 
 impl WindowEncoder {
-    fn new(
-        horizon: usize,
-        n_zones: usize,
-        carry_learnts: bool,
-        force_exact: bool,
-    ) -> WindowEncoder {
-        WindowEncoder::with_config(
-            horizon,
-            n_zones,
-            carry_learnts,
-            force_exact,
-            SearchConfig::default(),
-        )
-    }
-
-    /// [`WindowEncoder::new`] with an explicit CDCL search configuration
-    /// — the portfolio race builds one fresh encoder per
-    /// [`SearchConfig::diversified`] entry. The configuration is applied
-    /// before any variable exists so the initial-phase knob covers the
-    /// whole template.
-    fn with_config(
-        horizon: usize,
-        n_zones: usize,
-        carry_learnts: bool,
-        force_exact: bool,
-        config: SearchConfig,
-    ) -> WindowEncoder {
+    fn new(horizon: usize, n_zones: usize, force_exact: bool) -> WindowEncoder {
         let mut solver = Solver::new();
-        solver.set_search_config(config);
-        solver.set_carry_learnts(carry_learnts);
         if force_exact {
             solver.set_numeric_mode(NumericMode::ExactOnly);
         }
@@ -384,20 +270,18 @@ impl WindowEncoder {
         if let Some(kind) = shatter_faults::hit("smt.window") {
             match kind {
                 FaultKind::Panic => shatter_faults::panic_now("smt.window"),
-                FaultKind::Overflow => {
+                kind => {
+                    // Every other kind degrades the window; an overflow
+                    // also marks it for the exact retry. A window solve
+                    // has no real I/O, so `io` degrades like `budget`.
                     return WindowSolution {
-                        degraded: true,
-                        overflow: true,
+                        effort: SmtStats {
+                            degraded_windows: 1,
+                            ..SmtStats::default()
+                        },
+                        overflow: kind == FaultKind::Overflow,
                         ..WindowSolution::default()
-                    }
-                }
-                // A window solve has no real I/O; `io` degrades like
-                // budget exhaustion.
-                FaultKind::Budget | FaultKind::Io => {
-                    return WindowSolution {
-                        degraded: true,
-                        ..WindowSolution::default()
-                    }
+                    };
                 }
             }
         }
@@ -516,17 +400,6 @@ impl WindowEncoder {
             objective = objective.plus(&LinExpr::var(y));
         }
 
-        // A proven floor turns the OMT search into one extraction check:
-        // the base model already satisfies `objective >= floor` and the
-        // `floor + 1` cap leaves the binary search nothing to bisect.
-        let (lo, hi) = match p.floor {
-            Some(f) => {
-                self.solver
-                    .assert_formula(objective.ge(Rat::int(f as i128)));
-                (f as f64, (f + 1) as f64)
-            }
-            None => (0.0, hi),
-        };
         // Fresh per-window allowance: the caps are absolute ceilings of
         // "cumulative counter now + max", so a reused solver never bills
         // this window for effort earlier windows spent.
@@ -536,7 +409,7 @@ impl WindowEncoder {
         let (model, value, degraded, overflow) =
             match self
                 .solver
-                .maximize_budgeted(&objective, lo, hi, p.tol_microusd)
+                .maximize_budgeted(&objective, 0.0, hi, p.tol_microusd)
             {
                 OmtOutcome::Optimal { model, value } => (Some(model), Some(value), false, false),
                 OmtOutcome::Degraded { model, cause, .. } => {
@@ -560,68 +433,23 @@ impl WindowEncoder {
         // clean tableau after an overflow poisoned this window's.
         self.solver.pop();
 
-        let sat = self.solver.sat_stats().since(sat_before);
-        let spx = self.solver.simplex_stats().since(simplex_before);
         WindowSolution {
             zones,
-            theory_conflicts: self.solver.theory_conflicts - conflicts_before,
-            sat_decisions: sat.decisions,
-            sat_propagations: sat.propagations,
-            sat_learned: sat.learned,
-            sat_restarts: sat.restarts,
-            sat_gc_clauses: sat.gc_clauses,
-            sat_carried: sat.carried,
-            sat_learnt_live: live,
-            float_pivots: spx.float_pivots,
-            exact_fallbacks: spx.exact_fallbacks,
-            degraded,
-            retried: false,
-            overflow,
-            bin_props: sat.bin_props,
-            phase_resets: sat.phase_resets,
-            portfolio_wins: 0,
-            canonical_conflicts: sat.conflicts,
+            effort: SmtStats::of_window(
+                self.solver.sat_stats().since(sat_before),
+                self.solver.simplex_stats().since(simplex_before),
+                self.solver.theory_conflicts - conflicts_before,
+                live,
+                degraded,
+            ),
             // The objective is integer micro-dollars and `tol <= 1` pins
             // the converged bracket inside one integer, so the rounded
-            // optimum is exact — and configuration-independent, which is
-            // what the portfolio race relies on.
+            // optimum is exact.
             objective: value.map(|v| v.round() as i64),
+            overflow,
         }
     }
 }
-
-/// Folds the effort counters of a failed (overflowed) window attempt
-/// into its exact retry's solution, so retried windows report the full
-/// cost of both passes.
-fn merge_effort(into: &mut WindowSolution, failed: &WindowSolution) {
-    into.theory_conflicts += failed.theory_conflicts;
-    into.sat_decisions += failed.sat_decisions;
-    into.sat_propagations += failed.sat_propagations;
-    into.sat_learned += failed.sat_learned;
-    into.sat_restarts += failed.sat_restarts;
-    into.sat_gc_clauses += failed.sat_gc_clauses;
-    into.sat_carried += failed.sat_carried;
-    into.sat_learnt_live = into.sat_learnt_live.max(failed.sat_learnt_live);
-    into.float_pivots += failed.float_pivots;
-    into.exact_fallbacks += failed.exact_fallbacks;
-    into.bin_props += failed.bin_props;
-    into.phase_resets += failed.phase_resets;
-    // `canonical_conflicts`, `portfolio_wins` and `objective` stay the
-    // surviving pass's: the failed attempt contributes effort, not
-    // outcome.
-}
-
-/// Conflict budget of a level-0 portfolio race attempt; level `l` runs
-/// every configuration to `RACE_BASE_CONFLICTS << l`. Effort levels are
-/// what make "first answer wins" deterministic: all configurations run
-/// to the same budget per level and the winner is the lowest index among
-/// the finishers at the lowest finishing level, independent of wall
-/// clock and thread count.
-const RACE_BASE_CONFLICTS: u64 = 2_000;
-
-/// Number of doubling effort levels before the race gives up and falls
-/// back to the plain unbudgeted proof pass.
-const RACE_LEVELS: u32 = 5;
 
 impl SmtScheduler {
     /// One window solve on `encoder` with the overflow-retry policy:
@@ -637,129 +465,17 @@ impl SmtScheduler {
     ) -> WindowSolution {
         let mut sol = encoder.solve_window(p);
         if sol.overflow && !self.force_exact {
-            let mut exact = WindowEncoder::new(p.horizon, n_zones, self.carry_learnts, true);
-            let mut retry = exact.solve_window(p);
-            retry.retried = true;
-            merge_effort(&mut retry, &sol);
-            sol = retry;
+            // The failed attempt contributes effort, not outcome: the
+            // retry alone decides whether the window is degraded.
+            let failed = SmtStats {
+                degraded_windows: 0,
+                ..sol.effort
+            };
+            sol = WindowEncoder::new(p.horizon, n_zones, true).solve_window(p);
+            sol.effort.merge(&failed);
+            sol.effort.retried_windows = 1;
         }
         sol.overflow = false;
-        sol
-    }
-
-    /// Solves a *hard* window (prior canonical pass crossed
-    /// [`SmtScheduler::portfolio_hard_conflicts`]): prove the optimal
-    /// objective value `v*` — by racing `race` diversified
-    /// configurations through `exec` when racing is on, by the plain
-    /// solve otherwise — then commit the *canonical extraction model*: a
-    /// fresh default-configuration encoder solved under
-    /// `objective >= v*`. Because the integer micro-dollar optimum is
-    /// configuration-independent, both proof routes reach the same `v*`
-    /// and therefore the same extraction model, which is what keeps
-    /// schedules byte-identical across portfolio on/off; the effort
-    /// counters legitimately differ (and memo keys separate the modes).
-    fn solve_hard_window(
-        &self,
-        encoder: &mut WindowEncoder,
-        p: &WindowProblem<'_>,
-        n_zones: usize,
-        race: usize,
-        exec: &dyn BatchExecutor,
-    ) -> WindowSolution {
-        debug_assert!(p.budget.is_none() && p.floor.is_none() && !self.carry_learnts);
-        // Phase 1: prove the optimum.
-        let mut spent: Vec<WindowSolution> = Vec::new();
-        let mut won_by = 0usize;
-        let mut proof = None;
-        if race >= 2 {
-            for level in 0..RACE_LEVELS {
-                let budget = Budget {
-                    max_conflicts: Some(RACE_BASE_CONFLICTS << level),
-                    ..Budget::UNLIMITED
-                };
-                let raced = WindowProblem {
-                    budget: Some(budget),
-                    ..*p
-                };
-                let attempts = exec.run_attempts(race, &|i| {
-                    let mut e = WindowEncoder::with_config(
-                        p.horizon,
-                        n_zones,
-                        false,
-                        self.force_exact,
-                        SearchConfig::diversified(i),
-                    );
-                    e.solve_window(&raced)
-                });
-                // A finisher proved its verdict (optimal or infeasible)
-                // within the level budget; degraded attempts ran out.
-                let win = attempts.iter().position(|a| !a.degraded);
-                spent.extend(attempts);
-                if let Some(i) = win {
-                    won_by = i;
-                    proof = Some(spent[spent.len() - race + i].clone());
-                    break;
-                }
-            }
-        }
-        // Racing off — or every configuration exhausted every level:
-        // plain unbudgeted proof pass (identical to the portfolio-off
-        // route, so the fallback cannot diverge the schedule).
-        let proof = proof.unwrap_or_else(|| self.run_window(encoder, p, n_zones));
-        // Phase 2: the canonical extraction (shared by both proof
-        // routes), or the proof's own outcome when there is no optimum
-        // to extract under (infeasible window, or degraded without a
-        // proven bound).
-        let mut sol = match proof.objective {
-            Some(v) => {
-                let floored = WindowProblem {
-                    floor: Some(v),
-                    ..*p
-                };
-                let mut e = WindowEncoder::with_config(
-                    p.horizon,
-                    n_zones,
-                    false,
-                    self.force_exact,
-                    SearchConfig::default(),
-                );
-                let mut extraction = e.solve_window(&floored);
-                if extraction.overflow && !self.force_exact {
-                    let mut exact = WindowEncoder::with_config(
-                        p.horizon,
-                        n_zones,
-                        false,
-                        true,
-                        SearchConfig::default(),
-                    );
-                    let mut retry = exact.solve_window(&floored);
-                    retry.retried = true;
-                    merge_effort(&mut retry, &extraction);
-                    extraction = retry;
-                }
-                extraction.overflow = false;
-                debug_assert!(
-                    extraction.degraded || extraction.zones.is_some(),
-                    "proven floor must stay satisfiable"
-                );
-                spent.push(proof);
-                extraction
-            }
-            None => {
-                let mut sol = proof;
-                // No extraction ran: pin the canonical conflict count to
-                // zero in *both* modes so the next window's hardness
-                // classification cannot depend on which proof route ran.
-                sol.canonical_conflicts = 0;
-                sol
-            }
-        };
-        let retried = sol.retried || spent.iter().any(|s| s.retried);
-        for s in &spent {
-            merge_effort(&mut sol, s);
-        }
-        sol.retried = retried;
-        sol.portfolio_wins = u64::from(won_by > 0);
         sol
     }
 
@@ -799,26 +515,6 @@ impl SmtScheduler {
         actual: &DayTrace,
         until: usize,
         memo: Option<(&dyn WindowMemo, &str)>,
-    ) -> (Vec<ZoneId>, SmtStats) {
-        self.schedule_occupant_memo_exec(o, table, adm, cap, actual, until, memo, &SerialExecutor)
-    }
-
-    /// Like [`SmtScheduler::schedule_occupant_memo`], with a
-    /// [`BatchExecutor`] through which hard windows race their
-    /// portfolio attempts (see [`SmtScheduler::portfolio`]). The
-    /// schedule and statistics are byte-identical to the serial
-    /// executor's — racing only changes wall-clock time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn schedule_occupant_memo_exec(
-        &self,
-        o: OccupantId,
-        table: &RewardTable,
-        adm: &HullAdm,
-        cap: &AttackerCapability,
-        actual: &DayTrace,
-        until: usize,
-        memo: Option<(&dyn WindowMemo, &str)>,
-        exec: &dyn BatchExecutor,
     ) -> (Vec<ZoneId>, SmtStats) {
         let until = until.min(MINUTES_PER_DAY);
         let act_zone: Vec<ZoneId> = actual
@@ -873,11 +569,6 @@ impl SmtScheduler {
         let mut zones: Vec<ZoneId> = Vec::with_capacity(until);
         // Boundary stay carried between windows: None before the first slot.
         let mut boundary: Option<(ZoneId, u32)> = None;
-        // Canonical conflict count of the previous window — the
-        // deterministic effort heuristic behind hard-window
-        // classification. Zero before the first window, so the first
-        // window of a chain is never hard.
-        let mut prev_canonical = 0u64;
         // One encoder (and thus one carried solver) per window span; a
         // day at horizon `I` needs at most two — the interior span and
         // the final partial window.
@@ -889,16 +580,11 @@ impl SmtScheduler {
             stats.windows += 1;
             let mut fresh_store = None;
             let encoder: &mut WindowEncoder = if self.reuse_solver {
-                encoders.entry(horizon).or_insert_with(|| {
-                    WindowEncoder::new(horizon, n_zones, self.carry_learnts, self.force_exact)
-                })
+                encoders
+                    .entry(horizon)
+                    .or_insert_with(|| WindowEncoder::new(horizon, n_zones, self.force_exact))
             } else {
-                fresh_store.insert(WindowEncoder::new(
-                    horizon,
-                    n_zones,
-                    self.carry_learnts,
-                    self.force_exact,
-                ))
+                fresh_store.insert(WindowEncoder::new(horizon, n_zones, self.force_exact))
             };
             let problem = WindowProblem {
                 o,
@@ -911,37 +597,10 @@ impl SmtScheduler {
                 day_end: until,
                 tol_microusd: self.tol_microusd,
                 budget: self.budget.filter(|b| !b.is_unlimited()),
-                floor: None,
                 in_range: &in_range,
                 can_extend: &can_extend,
                 has_future: &has_future,
             };
-            // Hard-window classification: deterministic (previous
-            // window's canonical conflicts), and only on the exact,
-            // unbudgeted, replay-exact path — carry mode, budget mode,
-            // loose tolerances and armed fault scenarios all keep the
-            // plain per-window solve.
-            let hard = !self.carry_learnts
-                && problem.budget.is_none()
-                && self.tol_microusd <= 1.0
-                && !shatter_faults::scenario_armed()
-                && prev_canonical > self.portfolio_hard_conflicts;
-            let race = if hard && self.portfolio >= 2 {
-                self.portfolio.min(4)
-            } else {
-                0
-            };
-            let run = |encoder: &mut WindowEncoder| -> WindowSolution {
-                if hard {
-                    self.solve_hard_window(encoder, &problem, n_zones, race, exec)
-                } else {
-                    self.run_window(encoder, &problem, n_zones)
-                }
-            };
-            // In carry mode a window's solution depends on the lemmas
-            // carried in from earlier windows, so it is not a pure
-            // function of the window key: skip the memo entirely.
-            let memo = if self.carry_learnts { None } else { memo };
             // Fault-targeted scenarios bypass the shared memo outright:
             // injected degradations must neither pollute the cache nor
             // replay fragments a clean scenario stored.
@@ -959,30 +618,18 @@ impl SmtScheduler {
                     // Schedules are mode-independent, but the replayed
                     // effort counters (float pivots, exact fallbacks)
                     // are not: the mode marker keeps cached fragments
-                    // honest about how they were solved. The same
-                    // discipline covers hard windows — the extraction
-                    // zones match across portfolio on/off, but the
-                    // effort spent proving the optimum does not, so
-                    // raced fragments (`/pfN`) never alias the plain
-                    // hard-window ones (`/hx`) or the normal ones.
+                    // honest about how they were solved.
                     let ex = if self.force_exact { "/ex" } else { "" };
-                    let hx = if race >= 2 {
-                        format!("/pf{race}")
-                    } else if hard {
-                        "/hx".to_string()
-                    } else {
-                        String::new()
-                    };
                     let key = match boundary {
                         Some((bz, ba)) => format!(
-                            "{prefix}/o{}/w{w}+{horizon}/b{}:{ba}/c{:016x}/f{is_final}/tol{}{ex}{budget_key}{hx}",
+                            "{prefix}/o{}/w{w}+{horizon}/b{}:{ba}/c{:016x}/f{is_final}/tol{}{ex}{budget_key}",
                             o.index(),
                             bz.index(),
                             cap.signature(),
                             self.tol_microusd,
                         ),
                         None => format!(
-                            "{prefix}/o{}/w{w}+{horizon}/b-/c{:016x}/f{is_final}/tol{}{ex}{budget_key}{hx}",
+                            "{prefix}/o{}/w{w}+{horizon}/b-/c{:016x}/f{is_final}/tol{}{ex}{budget_key}",
                             o.index(),
                             cap.signature(),
                             self.tol_microusd,
@@ -991,12 +638,13 @@ impl SmtScheduler {
                     // The fragment stores the solver effort alongside the
                     // zones: a cache hit replays the original counters
                     // instead of reporting zero.
-                    m.window(&key, &mut || run(&mut *encoder))
+                    m.window(&key, &mut || {
+                        self.run_window(&mut *encoder, &problem, n_zones)
+                    })
                 }
-                None => run(encoder),
+                None => self.run_window(encoder, &problem, n_zones),
             };
-            stats.absorb_window(&solution);
-            prev_canonical = solution.canonical_conflicts;
+            stats.merge(&solution.effort);
             match solution.zones {
                 Some(window_zones) => {
                     zones.extend_from_slice(&window_zones);
@@ -1090,29 +738,6 @@ impl Scheduler for SmtScheduler {
             actual,
             MINUTES_PER_DAY,
             Some((memo, prefix)),
-        )
-    }
-
-    fn schedule_occupant_zones_batched(
-        &self,
-        o: OccupantId,
-        table: &RewardTable,
-        adm: &HullAdm,
-        cap: &AttackerCapability,
-        actual: &DayTrace,
-        memo: &dyn WindowMemo,
-        prefix: &str,
-        exec: &dyn BatchExecutor,
-    ) -> (Vec<ZoneId>, SmtStats) {
-        self.schedule_occupant_memo_exec(
-            o,
-            table,
-            adm,
-            cap,
-            actual,
-            MINUTES_PER_DAY,
-            Some((memo, prefix)),
-            exec,
         )
     }
 
@@ -1271,112 +896,6 @@ mod tests {
         assert_eq!(row_free, row_capped);
         assert_eq!(stats.degraded_windows, 0);
         assert_eq!(stats.retried_windows, 0);
-    }
-
-    #[test]
-    fn portfolio_racing_is_byte_identical_to_serial() {
-        // Threshold 0 marks every window after a conflict-bearing one as
-        // hard. Racing on vs off must commit identical zone rows — both
-        // modes commit the canonical extraction model — while the racing
-        // effort shows up only in the raced run's counters.
-        let (ds, adm, table, cap) = setup();
-        let day = &ds.days[10];
-        let off = SmtScheduler {
-            portfolio: 0,
-            portfolio_hard_conflicts: 0,
-            ..SmtScheduler::default()
-        };
-        let on = SmtScheduler {
-            portfolio: 3,
-            portfolio_hard_conflicts: 0,
-            ..SmtScheduler::default()
-        };
-        let (row_off, stats_off) =
-            off.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
-        let (row_on, stats_on) = on.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
-        assert_eq!(row_off, row_on, "portfolio racing changed the schedule");
-        assert_eq!(stats_off.windows, stats_on.windows);
-        assert_eq!(stats_off.fallbacks, stats_on.fallbacks);
-        // The non-raced run never records wins.
-        assert_eq!(stats_off.portfolio_wins, 0);
-        // Racing only adds effort (attempts run to their budget before
-        // the shared canonical extraction).
-        assert!(stats_on.sat_decisions >= stats_off.sat_decisions);
-        // Non-vacuity: the hard-window path actually ran — the solves
-        // produce CDCL conflicts, so with threshold 0 at least one
-        // later window must have been classified hard.
-        assert!(
-            stats_off.theory_conflicts > 0 || stats_off.sat_learned > 0,
-            "instance too easy to exercise hard windows"
-        );
-    }
-
-    #[test]
-    fn hard_windows_disabled_in_carry_and_budget_modes() {
-        // Carry mode and budgeted mode gate off the hard-window path
-        // (their windows are not pure functions of the window key /
-        // their budgets must bound every pass): racing must be a no-op.
-        let (ds, adm, table, cap) = setup();
-        let day = &ds.days[10];
-        for sched in [
-            SmtScheduler {
-                portfolio: 4,
-                portfolio_hard_conflicts: 0,
-                carry_learnts: true,
-                ..SmtScheduler::default()
-            },
-            SmtScheduler {
-                portfolio: 4,
-                portfolio_hard_conflicts: 0,
-                budget: Some(Budget {
-                    max_conflicts: Some(10_000_000),
-                    max_pivots: None,
-                    max_probes: None,
-                }),
-                ..SmtScheduler::default()
-            },
-        ] {
-            let reference = SmtScheduler {
-                portfolio: 0,
-                portfolio_hard_conflicts: u64::MAX,
-                ..sched
-            };
-            let (row, stats) = sched.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
-            let (row_ref, _) =
-                reference.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
-            assert_eq!(row, row_ref);
-            assert_eq!(stats.portfolio_wins, 0);
-        }
-    }
-
-    #[test]
-    fn batched_executor_matches_serial_chain() {
-        // The exec-aware entry point through the serial reference
-        // executor is the same code path `schedule_occupant` takes; a
-        // custom executor that runs jobs in order must reproduce it
-        // byte-for-byte (the engine's pool executor is checked against
-        // this same contract in its own tests).
-        let (ds, adm, table, cap) = setup();
-        let day = &ds.days[10];
-        let sched = SmtScheduler {
-            portfolio: 2,
-            portfolio_hard_conflicts: 0,
-            ..SmtScheduler::default()
-        };
-        let (row_a, stats_a) = sched.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
-        let (row_b, stats_b) = sched.schedule_occupant_memo_exec(
-            OccupantId(0),
-            &table,
-            &adm,
-            &cap,
-            day,
-            60,
-            None,
-            &SerialExecutor,
-        );
-        assert_eq!(row_a, row_b);
-        assert_eq!(stats_a.portfolio_wins, stats_b.portfolio_wins);
-        assert_eq!(stats_a.sat_decisions, stats_b.sat_decisions);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use fixtures::{
     disk_schema_sig, CacheStats, FixtureCache, HouseFixture, DISK_SCHEMA, HOUSE_A_SEED,
     HOUSE_B_SEED,
 };
-pub use pool::{PoolExecutor, WorkPool};
+pub use pool::WorkPool;
 pub use report::{CsvReporter, JsonLinesReporter, Reporter, TextReporter};
 pub use runner::{RunConfig, RunOutcome, ScenarioReport, ScenarioStatus};
 pub use scenario::{FnScenario, HealthSink, Registry, RunParams, Scenario, ScenarioCtx};

@@ -18,9 +18,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use shatter_core::{BatchExecutor, SmtStats, WindowSolution};
-use shatter_smarthome::ZoneId;
-
 /// Returns borrowed slots on drop — including during a panic unwind, so
 /// a panicking work item can never leak its helpers out of the budget
 /// (the leak would starve, and eventually deadlock, sibling scenarios).
@@ -175,62 +172,6 @@ impl WorkPool {
             .into_iter()
             .map(|r| r.expect("par_map slot filled"))
             .collect()
-    }
-}
-
-/// [`BatchExecutor`] backed by the run's shared [`WorkPool`]: occupant
-/// window chains and portfolio race attempts fan out across borrowed
-/// helper slots (the caller always participates, so a zero-slot budget
-/// degrades to the serial reference path).
-///
-/// Construction captures the fault scenario armed on the creating thread
-/// and re-arms it inside every worker, mirroring `ScenarioCtx::par_map`:
-/// helper threads are fresh OS threads with empty fault TLS, and without
-/// the re-arm a `smt.window` fault rule scoped to the running scenario
-/// would silently stop matching inside batched chains.
-///
-/// Results come back in submission order and every job is a pure
-/// function of its index, so schedules and statistics are byte-identical
-/// to [`shatter_core::SerialExecutor`] at any budget size.
-#[derive(Clone, Debug)]
-pub struct PoolExecutor {
-    pool: WorkPool,
-    scenario: Option<String>,
-}
-
-impl PoolExecutor {
-    /// An executor drawing on `pool`, with the current thread's fault
-    /// scenario captured for re-arming in workers.
-    pub fn new(pool: WorkPool) -> PoolExecutor {
-        PoolExecutor {
-            pool,
-            scenario: shatter_faults::current_scenario(),
-        }
-    }
-
-    fn run<R: Send>(&self, n: usize, job: &(dyn Fn(usize) -> R + Sync)) -> Vec<R> {
-        let items: Vec<usize> = (0..n).collect();
-        self.pool.par_map(&items, |_, &i| {
-            shatter_faults::scoped(self.scenario.as_deref(), || job(i))
-        })
-    }
-}
-
-impl BatchExecutor for PoolExecutor {
-    fn run_chains(
-        &self,
-        n: usize,
-        job: &(dyn Fn(usize) -> (Vec<ZoneId>, SmtStats) + Sync),
-    ) -> Vec<(Vec<ZoneId>, SmtStats)> {
-        self.run(n, job)
-    }
-
-    fn run_attempts(
-        &self,
-        n: usize,
-        job: &(dyn Fn(usize) -> WindowSolution + Sync),
-    ) -> Vec<WindowSolution> {
-        self.run(n, job)
     }
 }
 

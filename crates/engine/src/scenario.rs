@@ -145,17 +145,6 @@ impl ScenarioCtx<'_> {
         })
     }
 
-    /// A [`shatter_core::BatchExecutor`] drawing on this run's shared
-    /// slot budget, with the current fault scenario captured for
-    /// re-arming inside workers. Hand it to
-    /// `shatter_core::schedule_day_batched` (or the SMT scheduler's
-    /// batched entry points) to fan occupant window chains and portfolio
-    /// race attempts out across the pool while keeping tables
-    /// byte-identical across `--threads` settings.
-    pub fn batch_executor(&self) -> crate::pool::PoolExecutor {
-        crate::pool::PoolExecutor::new(self.pool.clone())
-    }
-
     /// Deterministic seed for parallel work item `index`: a splitmix64
     /// mix of the scenario seed and the index, stable across thread
     /// counts and sibling items.

@@ -53,6 +53,6 @@ mod solver;
 
 pub use budget::Budget;
 pub use rational::{Rat, RatOverflow};
-pub use sat::{SatStats, SearchConfig};
+pub use sat::SatStats;
 pub use simplex::{NumericMode, SimplexHalt, SimplexStats};
 pub use solver::{CheckOutcome, HaltCause, Model, OmtOutcome, SatResult, Solver};

@@ -25,10 +25,7 @@
 //!   bump increments, clause activities, GC budget) byte-for-byte, so a
 //!   popped solver replays exactly like a fresh one — the property the
 //!   scheduler's window memoization and the incremental-vs-fresh
-//!   equivalence tests rely on. The opt-in
-//!   [`SatSolver::set_carry_learnts`] mode relaxes exact restoration to
-//!   retain learnt clauses whose derivations do not depend on the popped
-//!   frame (see [`SatSolver::pop`]).
+//!   equivalence tests rely on.
 
 /// A literal: variable index with a sign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -158,18 +155,12 @@ pub struct SatStats {
     pub restarts: u64,
     /// Learnt clauses removed by clause-database reduction.
     pub gc_clauses: u64,
-    /// Learnt clauses retained through a `pop` in carry mode.
-    pub carried: u64,
     /// Literals removed from first-UIP clauses by recursive
     /// self-subsumption before install (learnt-clause minimization).
     pub minimized: u64,
     /// Literals implied through the binary implication layer (adjacency
     /// lists over two-literal clauses, propagated before long clauses).
     pub bin_props: u64,
-    /// Saved-phase resets performed on restart
-    /// ([`SearchConfig::phase_reset_on_restart`]; zero on the default
-    /// configuration).
-    pub phase_resets: u64,
 }
 
 impl SatStats {
@@ -183,75 +174,23 @@ impl SatStats {
             learned: self.learned - earlier.learned,
             restarts: self.restarts - earlier.restarts,
             gc_clauses: self.gc_clauses - earlier.gc_clauses,
-            carried: self.carried - earlier.carried,
             minimized: self.minimized - earlier.minimized,
             bin_props: self.bin_props - earlier.bin_props,
-            phase_resets: self.phase_resets - earlier.phase_resets,
-        }
-    }
-}
-
-/// Search-heuristic configuration knobs diversifying otherwise-identical
-/// solvers for portfolio racing. Every knob is deterministic (no
-/// randomness, no wall time): a fixed configuration always produces the
-/// same search, so racing configs and taking the winner by a
-/// deterministic tie-break keeps results byte-identical regardless of
-/// wall-clock interleaving. [`SearchConfig::default`] is the historical
-/// behaviour; set a config *before* allocating variables (the initial
-/// phase applies at variable creation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SearchConfig {
-    /// Initial (and reset) saved phase of fresh variables.
-    pub default_phase: bool,
-    /// Reset every saved phase to `default_phase` on restart, trading
-    /// phase memory for diversification (counted in
-    /// [`SatStats::phase_resets`]).
-    pub phase_reset_on_restart: bool,
-    /// Conflicts per Luby unit: the r-th restart fires after
-    /// `luby(r) * restart_scale` conflicts.
-    pub restart_scale: u64,
-    /// VSIDS bump growth divisor (`var_inc /= var_decay` per conflict);
-    /// closer to 1.0 keeps old activity relevant longer.
-    pub var_decay: f64,
-}
-
-impl Default for SearchConfig {
-    fn default() -> SearchConfig {
-        SearchConfig {
-            default_phase: false,
-            phase_reset_on_restart: false,
-            restart_scale: 100,
-            var_decay: 0.95,
-        }
-    }
-}
-
-impl SearchConfig {
-    /// The `index`-th diversified portfolio member: 0 is the default
-    /// configuration, 1 inverts the initial phase, 2 resets phases on a
-    /// faster restart cadence, 3 decays VSIDS slower on a slower cadence.
-    pub fn diversified(index: usize) -> SearchConfig {
-        match index % 4 {
-            1 => SearchConfig {
-                default_phase: true,
-                ..SearchConfig::default()
-            },
-            2 => SearchConfig {
-                phase_reset_on_restart: true,
-                restart_scale: 50,
-                ..SearchConfig::default()
-            },
-            3 => SearchConfig {
-                var_decay: 0.99,
-                restart_scale: 150,
-                ..SearchConfig::default()
-            },
-            _ => SearchConfig::default(),
         }
     }
 }
 
 const UNASSIGNED: i8 = -1;
+
+/// Saved phase of a freshly allocated variable.
+const DEFAULT_PHASE: bool = false;
+
+/// Conflicts per Luby unit: the r-th restart fires after
+/// `luby(r) * RESTART_SCALE` conflicts.
+const RESTART_SCALE: u64 = 100;
+
+/// VSIDS bump growth divisor (`var_inc /= VAR_DECAY` per conflict).
+const VAR_DECAY: f64 = 0.95;
 
 /// Partial-assignment theory consultations run before a decision once
 /// this many decisions accumulated since the last consult.
@@ -272,20 +211,9 @@ struct ClauseHdr {
     start: u32,
     /// Number of literals.
     len: u32,
-    /// Monotonic birth stamp: clause indices shift under GC compaction,
-    /// so "was this clause added after the push?" is judged by id
-    /// against the frame's watermark, never by vector position.
-    id: u64,
     /// Reducible lemma (CDCL learnt or theory blocking/implication
     /// clause) vs permanent problem clause.
     learnt: bool,
-    /// Push depth this clause's derivation depends on: the frame depth at
-    /// which it was added (problem clauses), the maximum depth of the
-    /// clauses resolved to learn it (CDCL learnts), or the maximum
-    /// creation depth of its variables (theory lemmas, which are valid
-    /// independently of any clause). Carry mode keeps learnts whose depth
-    /// survives the pop.
-    depth: u32,
     /// Bump-on-use activity driving reduction order.
     activity: f64,
     /// Literal-block distance (distinct decision levels) at learn time.
@@ -312,29 +240,15 @@ impl ClauseDb {
 
     /// Appends a fresh clause, returning nothing — the caller already
     /// knows its index is `len() - 1`.
-    fn push(&mut self, lits: &[Lit], id: u64, learnt: bool, depth: u32, lbd: u32) {
+    fn push(&mut self, lits: &[Lit], learnt: bool, lbd: u32) {
         let start = self.data.len() as u32;
         self.data.extend_from_slice(lits);
         self.heads.push(ClauseHdr {
             start,
             len: lits.len() as u32,
-            id,
             learnt,
-            depth,
             activity: 0.0,
             lbd,
-        });
-    }
-
-    /// Appends a clause carrying an existing header (id, activity, LBD,
-    /// depth all preserved) — used by carry-mode `pop` and GC compaction.
-    fn push_carried(&mut self, lits: &[Lit], hdr: ClauseHdr) {
-        let start = self.data.len() as u32;
-        self.data.extend_from_slice(lits);
-        self.heads.push(ClauseHdr {
-            start,
-            len: lits.len() as u32,
-            ..hdr
         });
     }
 
@@ -517,8 +431,7 @@ impl OrderHeap {
     }
 }
 
-/// Checkpoint recorded by [`SatSolver::push`]; `pop` restores it exactly
-/// (default mode) or up to carried learnts (carry mode).
+/// Checkpoint recorded by [`SatSolver::push`]; `pop` restores it exactly.
 #[derive(Debug, Clone)]
 struct SatFrame {
     n_vars: usize,
@@ -542,9 +455,6 @@ struct SatFrame {
     var_inc: f64,
     cla_inc: f64,
     gc_budget: usize,
-    /// `next_clause_id` at push time: clauses with an id at or above
-    /// this watermark were added inside the frame.
-    clause_id_watermark: u64,
     unsat: bool,
 }
 
@@ -590,18 +500,8 @@ pub struct SatSolver {
     cla_inc: f64,
     /// Live learnt clauses allowed before the next database reduction.
     gc_budget: usize,
-    /// Birth stamp handed to the next stored clause.
-    next_clause_id: u64,
     /// Live learnt-clause count (gauge).
     n_learnts: usize,
-    /// Push depth each variable was created at (carry-mode tagging).
-    var_depth: Vec<u32>,
-    /// For variables assigned at level 0: the push depth their fact's
-    /// derivation depends on (set at enqueue time; read when conflict
-    /// analysis resolves a level-0 literal away).
-    fact_depth: Vec<u32>,
-    /// Retain pop-surviving learnts across `pop` (see [`SatSolver::pop`]).
-    carry_learnts: bool,
     /// Top-level (level-0) conflict detected while adding clauses.
     unsat: bool,
     /// Stamped "seen" buffer reused by conflict analysis (no per-conflict
@@ -624,8 +524,6 @@ pub struct SatSolver {
     /// search returns [`SatVerdict::Unknown`] once cumulative conflicts
     /// reach it. Deterministic — conflicts, never wall time.
     conflict_limit: Option<u64>,
-    /// Heuristic diversification knobs (portfolio racing).
-    config: SearchConfig,
     /// Cumulative effort counters.
     pub stats: SatStats,
 }
@@ -654,11 +552,7 @@ impl Default for SatSolver {
             order: OrderHeap::default(),
             cla_inc: 1.0,
             gc_budget: GC_INITIAL_BUDGET,
-            next_clause_id: 0,
             n_learnts: 0,
-            var_depth: Vec::new(),
-            fact_depth: Vec::new(),
-            carry_learnts: false,
             unsat: false,
             seen: Vec::new(),
             seen_stamp: 0,
@@ -668,7 +562,6 @@ impl Default for SatSolver {
             last_core: Vec::new(),
             frames: Vec::new(),
             conflict_limit: None,
-            config: SearchConfig::default(),
             stats: SatStats::default(),
         }
     }
@@ -690,17 +583,6 @@ impl SatSolver {
         self.n_learnts
     }
 
-    /// Opt-in cross-frame learnt retention: [`SatSolver::pop`] keeps
-    /// learnt clauses whose derivation depth survives the pop instead of
-    /// dropping every clause added since the push. Sound (each survivor
-    /// is a consequence of surviving clauses or the theory alone) but
-    /// *not* replay-exact: a popped solver may search differently from a
-    /// fresh one, so callers relying on byte-identical replay must leave
-    /// this off (the default).
-    pub fn set_carry_learnts(&mut self, on: bool) {
-        self.carry_learnts = on;
-    }
-
     /// Lowers the learnt-clause budget that triggers database reduction
     /// (mainly for tests and microbenches that want to exercise GC on
     /// small instances). The budget still grows geometrically after each
@@ -718,31 +600,18 @@ impl SatSolver {
         self.conflict_limit = limit;
     }
 
-    /// Installs diversification knobs (see [`SearchConfig`]). Call before
-    /// allocating variables: `default_phase` applies at variable
-    /// creation, and a mid-search swap would break replay determinism.
-    pub fn set_search_config(&mut self, config: SearchConfig) {
-        debug_assert!(
-            config.restart_scale > 0 && config.var_decay > 0.0 && config.var_decay <= 1.0,
-            "degenerate search config"
-        );
-        self.config = config;
-    }
-
     /// Allocates a fresh variable and returns its index.
     pub fn new_var(&mut self) -> usize {
         let v = self.n_vars;
         self.n_vars += 1;
         self.assign.push(UNASSIGNED);
-        self.phase.push(self.config.default_phase);
+        self.phase.push(DEFAULT_PHASE);
         self.reason.push(None);
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(0);
         self.min_removable.push(0);
         self.min_poison.push(0);
-        self.var_depth.push(self.frames.len() as u32);
-        self.fact_depth.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
@@ -792,8 +661,7 @@ impl SatSolver {
                 true
             }
             _ => {
-                let depth = self.frames.len() as u32;
-                self.attach_clause(&c, false, depth, 0);
+                self.attach_clause(&c, false, 0);
                 true
             }
         }
@@ -801,7 +669,7 @@ impl SatSolver {
 
     /// Stores a clause and returns its index. Length-2 clauses enter the
     /// binary implication graph; longer ones watch positions 0 and 1.
-    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, depth: u32, lbd: u32) -> usize {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> usize {
         debug_assert!(lits.len() >= 2);
         let idx = self.clauses.len();
         if lits.len() == 2 {
@@ -815,9 +683,7 @@ impl SatSolver {
             self.n_learnts += 1;
             self.stats.learned += 1;
         }
-        let id = self.next_clause_id;
-        self.next_clause_id += 1;
-        self.clauses.push(lits, id, learnt, depth, lbd);
+        self.clauses.push(lits, learnt, lbd);
         idx
     }
 
@@ -838,7 +704,6 @@ impl SatSolver {
             var_inc: self.var_inc,
             cla_inc: self.cla_inc,
             gc_budget: self.gc_budget,
-            clause_id_watermark: self.next_clause_id,
             unsat: self.unsat,
         });
     }
@@ -847,16 +712,10 @@ impl SatSolver {
     /// variables, level-0 facts, and the heuristic state. Effort counters
     /// in [`SatSolver::stats`] are deliberately kept.
     ///
-    /// In the default mode every clause added since the push — original
-    /// *and* learned — is dropped: learnts may resolve on popped clauses,
-    /// so keeping an arbitrary one would be unsound, and dropping all of
-    /// them makes the pop replay-exact. With
-    /// [`SatSolver::set_carry_learnts`] enabled, learnt clauses whose
-    /// derivation depth is at most the restored frame depth (i.e. every
-    /// clause they were resolved from, or — for theory lemmas — every
-    /// variable they mention, already existed at push time) are retained:
-    /// they are consequences of the surviving clause set or of the theory
-    /// alone, so soundness holds, at the price of replay exactness.
+    /// Every clause added since the push — original *and* learned — is
+    /// dropped: learnts may resolve on popped clauses, so keeping an
+    /// arbitrary one would be unsound, and dropping all of them makes the
+    /// pop replay-exact.
     ///
     /// # Panics
     ///
@@ -870,24 +729,7 @@ impl SatSolver {
             self.reason[l.var()] = None;
         }
         self.qhead = self.trail.len();
-        let popped = std::mem::replace(&mut self.clauses, f.clauses);
-        if self.carry_learnts {
-            let depth = self.frames.len() as u32;
-            // Judged by birth id, not arena position: an in-frame GC
-            // that removed pre-push learnts compacts the database and
-            // slides in-frame clauses below the push-time length.
-            for ci in 0..popped.len() {
-                let h = *popped.hdr(ci);
-                if h.id >= f.clause_id_watermark
-                    && h.learnt
-                    && h.depth <= depth
-                    && popped.lits(ci).iter().all(|l| l.var() < f.n_vars)
-                {
-                    self.stats.carried += 1;
-                    self.clauses.push_carried(popped.lits(ci), h);
-                }
-            }
-        }
+        self.clauses = f.clauses;
         self.n_learnts = self.clauses.heads.iter().filter(|h| h.learnt).count();
         self.n_vars = f.n_vars;
         self.assign.truncate(f.n_vars);
@@ -900,8 +742,6 @@ impl SatSolver {
         self.seen.truncate(f.n_vars);
         self.min_removable.truncate(f.n_vars);
         self.min_poison.truncate(f.n_vars);
-        self.var_depth.truncate(f.n_vars);
-        self.fact_depth.truncate(f.n_vars);
         self.activity = f.activity;
         self.phase = f.phase;
         self.var_inc = f.var_inc;
@@ -948,28 +788,6 @@ impl SatSolver {
             1 => true,
             _ => {
                 let v = l.var();
-                // Level-0 assignments are *facts*; record the push depth
-                // their derivation depends on (conflict analysis folds it
-                // into learnts that resolve level-0 literals away, which
-                // carry mode needs to judge soundly). A reasoned fact
-                // inherits its clause's depth joined with the depths of
-                // the facts that made the clause unit; a reasonless fact
-                // conservatively takes the current frame depth — callers
-                // with a tighter derivation depth overwrite it.
-                if self.trail_lim.is_empty() {
-                    self.fact_depth[v] = match reason {
-                        Some(ci) => {
-                            let depth = self.clauses.hdr(ci).depth;
-                            self.clauses
-                                .lits(ci)
-                                .iter()
-                                .filter(|q| q.var() != v)
-                                .map(|q| self.fact_depth[q.var()])
-                                .fold(depth, u32::max)
-                        }
-                        None => self.frames.len() as u32,
-                    };
-                }
                 self.assign[v] = i8::from(!l.is_neg());
                 self.phase[v] = !l.is_neg();
                 self.reason[v] = reason;
@@ -1077,7 +895,7 @@ impl SatSolver {
     }
 
     fn decay(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
         self.cla_inc /= 0.999;
     }
 
@@ -1117,18 +935,16 @@ impl SatSolver {
     }
 
     /// First-UIP conflict analysis. Returns (learnt clause, backjump
-    /// level, derivation depth = max depth of resolved clauses).
-    fn analyze(&mut self, mut conflict: usize) -> (Vec<Lit>, u32, u32) {
+    /// level).
+    fn analyze(&mut self, mut conflict: usize) -> (Vec<Lit>, u32) {
         let cur_level = self.trail_lim.len() as u32;
         let mut learnt: Vec<Lit> = Vec::new();
         let stamp = self.next_stamp();
         let mut counter = 0usize;
         let mut trail_idx = self.trail.len();
         let mut asserting: Option<Lit> = None;
-        let mut depth = 0u32;
 
         loop {
-            depth = depth.max(self.clauses.hdr(conflict).depth);
             self.bump_clause(conflict);
             for idx in 0..self.clauses.hdr(conflict).len as usize {
                 let q = self.clauses.lits(conflict)[idx];
@@ -1146,13 +962,6 @@ impl SatSolver {
                     } else {
                         learnt.push(q);
                     }
-                } else if self.level[v] == 0 {
-                    // The literal is resolved away against a level-0
-                    // fact, so the learnt implicitly depends on that
-                    // fact's derivation: fold its depth in, or carry
-                    // mode would retain learnts premised on facts a
-                    // deeper frame asserted.
-                    depth = depth.max(self.fact_depth[v]);
                 }
             }
             // Find the next seen literal on the trail.
@@ -1178,13 +987,11 @@ impl SatSolver {
         // Learnt-clause minimization: recursive self-subsumption drops
         // tail literals whose reason antecedents are all already in the
         // clause (`seen`-stamped), level-0 facts, or themselves
-        // redundant — MiniSat's ccmin. The depths of every reason clause
-        // a removal proof resolves through fold into the learnt's
-        // derivation depth, keeping carry-mode retention sound.
+        // redundant — MiniSat's ccmin.
         let mut kept = 1usize;
         for i in 1..learnt.len() {
             let l = learnt[i];
-            if self.reason[l.var()].is_none() || !self.lit_redundant(l, stamp, &mut depth) {
+            if self.reason[l.var()].is_none() || !self.lit_redundant(l, stamp) {
                 learnt[kept] = l;
                 kept += 1;
             }
@@ -1205,17 +1012,15 @@ impl SatSolver {
                 .expect("max exists");
             learnt.swap(1, mi);
         }
-        (learnt, back_level, depth)
+        (learnt, back_level)
     }
 
     /// Whether learnt-clause literal `p` is redundant: every antecedent
     /// of its reason clause is already in the learnt clause (stamped in
     /// `seen`), a level-0 fact, or recursively redundant. Iterative DFS
     /// over the reason graph with per-conflict memoization (`stamp`ed
-    /// removable/poison buffers). Folds the depth of every reason clause
-    /// a successful proof uses — and the `fact_depth` of resolved
-    /// level-0 facts — into `depth`.
-    fn lit_redundant(&mut self, p: Lit, stamp: u32, depth: &mut u32) -> bool {
+    /// removable/poison buffers).
+    fn lit_redundant(&mut self, p: Lit, stamp: u32) -> bool {
         if self.min_removable[p.var()] == stamp {
             return true;
         }
@@ -1237,7 +1042,6 @@ impl SatSolver {
             };
             if *next >= self.clauses.hdr(cr).len as usize {
                 // Every antecedent accounted for: `lit` is redundant.
-                *depth = (*depth).max(self.clauses.hdr(cr).depth);
                 self.min_removable[lit.var()] = stamp;
                 self.min_stack.pop();
                 continue;
@@ -1249,11 +1053,7 @@ impl SatSolver {
                 // The literal this reason clause asserts.
                 continue;
             }
-            if self.level[v] == 0 {
-                *depth = (*depth).max(self.fact_depth[v]);
-                continue;
-            }
-            if self.seen[v] == stamp || self.min_removable[v] == stamp {
+            if self.level[v] == 0 || self.seen[v] == stamp || self.min_removable[v] == stamp {
                 continue;
             }
             if self.min_poison[v] == stamp || self.reason[v].is_none() {
@@ -1404,7 +1204,12 @@ impl SatSolver {
         for i in 0..old.len() {
             if !remove[i] {
                 map[i] = kept.len();
-                kept.push_carried(old.lits(i), *old.hdr(i));
+                let start = kept.data.len() as u32;
+                kept.data.extend_from_slice(old.lits(i));
+                kept.heads.push(ClauseHdr {
+                    start,
+                    ..*old.hdr(i)
+                });
             }
         }
         self.clauses = kept;
@@ -1439,11 +1244,11 @@ impl SatSolver {
     /// Stores a learnt clause, watches it, enqueues the asserting literal
     /// and pays the learnt-DB accounting. `lits[0]` must be the asserting
     /// literal and `lits[1]` a max-level literal.
-    fn learn_and_assert(&mut self, lits: &[Lit], depth: u32) {
+    fn learn_and_assert(&mut self, lits: &[Lit]) {
         debug_assert!(lits.len() >= 2);
         let lbd = self.lbd(lits);
         let asserting = lits[0];
-        let ci = self.attach_clause(lits, true, depth, lbd);
+        let ci = self.attach_clause(lits, true, lbd);
         self.bump_clause(ci);
         let ok = self.enqueue(asserting, Some(ci));
         debug_assert!(ok, "asserting literal must be enqueueable");
@@ -1458,18 +1263,15 @@ impl SatSolver {
             self.unsat = true;
             return false;
         }
-        let (learnt, back, depth) = self.analyze(conflict);
+        let (learnt, back) = self.analyze(conflict);
         self.backtrack_to(back as usize);
         if learnt.len() == 1 {
             if !self.enqueue(learnt[0], None) {
                 self.unsat = true;
                 return false;
             }
-            // Tighter than enqueue's conservative frame-depth default:
-            // the unit's provenance is the learnt's derivation depth.
-            self.fact_depth[learnt[0].var()] = depth;
         } else {
-            self.learn_and_assert(&learnt, depth);
+            self.learn_and_assert(&learnt);
         }
         self.decay();
         if self.n_learnts >= self.gc_budget {
@@ -1511,12 +1313,7 @@ impl SatSolver {
             // level 0 (clauses cannot watch a single literal).
             self.stats.conflicts += 1;
             self.backtrack_to(0);
-            let ok = self.enqueue(clause[0], None);
-            if ok {
-                // Theory lemmas depend only on their variables' frames.
-                self.fact_depth[clause[0].var()] = self.lemma_depth(&clause);
-            }
-            if !ok || self.propagate().is_some() {
+            if !self.enqueue(clause[0], None) || self.propagate().is_some() {
                 self.unsat = true;
                 return false;
             }
@@ -1529,21 +1326,10 @@ impl SatSolver {
         let (i0, i1) = (order[0], order[1]);
         clause.swap(0, i0);
         clause.swap(1, if i1 == 0 { i0 } else { i1 });
-        let depth = self.lemma_depth(&clause);
         let lbd = self.lbd(&clause);
-        let ci = self.attach_clause(&clause, true, depth, lbd);
+        let ci = self.attach_clause(&clause, true, lbd);
         self.bump_clause(ci);
         self.resolve_conflict(ci)
-    }
-
-    /// Derivation depth of a theory lemma: theory lemmas are valid
-    /// independently of any clause, so only the creation depth of the
-    /// variables they mention pins them to a frame.
-    fn lemma_depth(&self, lits: &[Lit]) -> u32 {
-        lits.iter()
-            .map(|l| self.var_depth[l.var()])
-            .max()
-            .unwrap_or(0)
     }
 
     /// Attaches theory-implied literals: for each `(lit, premises)` adds
@@ -1585,9 +1371,8 @@ impl SatSolver {
                 .expect("premises non-empty")
                 .0;
             clause.swap(1, mi);
-            let depth = self.lemma_depth(&clause);
             let lbd = self.lbd(&clause);
-            let ci = self.attach_clause(&clause, true, depth, lbd);
+            let ci = self.attach_clause(&clause, true, lbd);
             let ok = self.enqueue(lit, Some(ci));
             debug_assert!(ok, "implied literal was unassigned");
         }
@@ -1595,27 +1380,17 @@ impl SatSolver {
     }
 
     /// Pays one conflict toward the Luby restart cadence: the r-th
-    /// restart fires after `luby(r) * restart_scale` conflicts of run r
-    /// (scale 100 by default) — Boolean and theory conflicts alike, so
-    /// `stats.restarts` stays consistent with `stats.conflicts` under
-    /// DPLL(T) (pinned by the `restart_cadence_follows_luby` test).
+    /// restart fires after `luby(r) * RESTART_SCALE` conflicts of run r
+    /// — Boolean and theory conflicts alike, so `stats.restarts` stays
+    /// consistent with `stats.conflicts` under DPLL(T) (pinned by the
+    /// `restart_cadence_follows_luby` test).
     fn tick_restart(&mut self, rs: &mut RestartSchedule) {
         rs.countdown -= 1;
         if rs.countdown == 0 {
             rs.run += 1;
             self.stats.restarts += 1;
-            rs.countdown = luby(rs.run) * self.config.restart_scale;
+            rs.countdown = luby(rs.run) * RESTART_SCALE;
             self.backtrack_to(0);
-            if self.config.phase_reset_on_restart {
-                // Diversification: forget every saved phase (assigned
-                // variables included — their phase is rewritten on the
-                // next enqueue anyway, so one wholesale reset is sound).
-                self.stats.phase_resets += 1;
-                let d = self.config.default_phase;
-                for ph in &mut self.phase {
-                    *ph = d;
-                }
-            }
         }
     }
 
@@ -1659,7 +1434,7 @@ impl SatSolver {
             return SatVerdict::Unsat;
         }
 
-        let mut restart = RestartSchedule::new(self.config.restart_scale);
+        let mut restart = RestartSchedule::new();
         let mut decisions_since_consult = 0u64;
         loop {
             // Deterministic budget gate: checked once per loop turn, so
@@ -1791,10 +1566,10 @@ struct RestartSchedule {
 }
 
 impl RestartSchedule {
-    fn new(scale: u64) -> RestartSchedule {
+    fn new() -> RestartSchedule {
         RestartSchedule {
             run: 1,
-            countdown: luby(1) * scale,
+            countdown: luby(1) * RESTART_SCALE,
         }
     }
 }
@@ -1996,10 +1771,11 @@ mod tests {
 
     #[test]
     fn restart_cadence_follows_luby() {
-        // The r-th restart fires after 100*luby(r) conflicts of run r, so
-        // with C total conflicts the restart count is the largest R with
-        // sum_{i=1..R} 100*luby(i) <= C. Pigeonhole 7->6 produces enough
-        // conflicts to cross several Luby runs deterministically.
+        // The r-th restart fires after RESTART_SCALE*luby(r) conflicts of
+        // run r, so with C total conflicts the restart count is the
+        // largest R with sum_{i=1..R} RESTART_SCALE*luby(i) <= C.
+        // Pigeonhole 7->6 produces enough conflicts to cross several Luby
+        // runs deterministically.
         let (n, clauses) = pigeonhole_clauses(7);
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
@@ -2008,13 +1784,16 @@ mod tests {
         let mut expect = 0u64;
         let mut budget = 0u64;
         loop {
-            budget += luby(expect as u32 + 1) * 100;
+            budget += luby(expect as u32 + 1) * RESTART_SCALE;
             if budget > conflicts {
                 break;
             }
             expect += 1;
         }
-        assert!(conflicts > 100, "instance too easy to pin the cadence");
+        assert!(
+            conflicts > RESTART_SCALE,
+            "instance too easy to pin the cadence"
+        );
         assert_eq!(s.stats.restarts, expect, "conflicts={conflicts}");
     }
 
@@ -2461,30 +2240,8 @@ mod tests {
         }
     }
 
-    // ----- carry mode ----------------------------------------------------
-
     #[test]
-    fn carry_mode_keeps_base_depth_learnts() {
-        // Base (depth-0) instance that forces learning; the push adds
-        // nothing, so every learnt derives from depth 0 and survives the
-        // pop in carry mode.
-        let (n, clauses) = pigeonhole_clauses(5);
-        let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let mut s = solver_with(n, &refs);
-        s.set_carry_learnts(true);
-        s.push();
-        assert_eq!(s.solve(), SatVerdict::Unsat);
-        let live = s.live_learnts();
-        assert!(live > 0, "expected learning");
-        s.pop();
-        assert_eq!(s.live_learnts(), live, "depth-0 learnts must survive");
-        assert_eq!(s.stats.carried, live as u64);
-        // The carried lemmas are consequences: verdict unchanged.
-        assert_eq!(s.solve(), SatVerdict::Unsat);
-    }
-
-    #[test]
-    fn default_mode_pop_drops_all_learnts() {
+    fn pop_drops_all_learnts() {
         let (n, clauses) = pigeonhole_clauses(5);
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
@@ -2493,112 +2250,6 @@ mod tests {
         assert!(s.live_learnts() > 0);
         s.pop();
         assert_eq!(s.live_learnts(), 0);
-        assert_eq!(s.stats.carried, 0);
-    }
-
-    #[test]
-    fn carry_mode_folds_level0_fact_provenance() {
-        // The learnt (¬a ∨ ¬d) below is derived by resolving away ¬u
-        // against the level-0 fact u, which frame 1 asserted: its depth
-        // must be 1, so the pop drops it. (Regression: analyze used to
-        // skip level-0 literals without folding their fact's provenance,
-        // mis-tagging the learnt as depth 0 and carrying it — the
-        // post-pop probe then reported Unsat on a satisfiable set.)
-        let u = 1; // vars: u=1, d=2, a=3, b=4
-        let mut s = solver_with(4, &[&[-1, -2, -3, 4], &[-1, -2, -3, -4]]);
-        s.set_carry_learnts(true);
-        s.push();
-        s.add_clause(&lits(&[u]));
-        assert_eq!(s.solve_under(&lits(&[2, 3])), SatVerdict::Unsat);
-        s.pop();
-        // With u free again, assuming d ∧ a is satisfiable (u = false).
-        let SatVerdict::Sat(m) = s.solve_under(&lits(&[2, 3])) else {
-            panic!("carried a learnt premised on the popped fact u");
-        };
-        assert!(!m[0] && m[1] && m[2]);
-    }
-
-    #[test]
-    fn carry_survives_inframe_gc_of_prepush_learnts() {
-        // Pre-push learnts + an in-frame GC that removes some of them:
-        // post-push depth-0 learnts slide below the push-time vector
-        // length under compaction, so the carry filter must judge by
-        // birth id, not position. The invariant: after the pop, the live
-        // learnts are exactly the restored pre-push ones plus the
-        // carried count the stats report.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 25usize;
-        let mut s = solver_with(n, &[]);
-        s.set_carry_learnts(true);
-        for _ in 0..150 {
-            let mut c: Vec<i32> = (0..3)
-                .map(|_| {
-                    let v = rng.random_range(1..=n as i32);
-                    if rng.random::<bool>() {
-                        v
-                    } else {
-                        -v
-                    }
-                })
-                .collect();
-            let planted: usize = rng.random_range(0..3);
-            c[planted] = c[planted].abs();
-            s.add_clause(&lits(&c));
-        }
-        assert!(matches!(s.solve(), SatVerdict::Sat(_)));
-        let pre_live = s.live_learnts();
-        assert!(pre_live > 0, "pre-push learnts required");
-        s.push();
-        s.set_gc_budget(1);
-        // Conflict-rich probes among the depth-0 clauses only: the
-        // learnts they produce have derivation depth 0 and are
-        // carry-eligible.
-        let gc_before = s.stats.gc_clauses;
-        for v in 0..6 {
-            let _ = s.solve_under(&[Lit::neg(v), Lit::neg((v + 7) % n), Lit::neg((v + 13) % n)]);
-        }
-        assert!(s.stats.gc_clauses > gc_before, "in-frame GC never ran");
-        let carried_before = s.stats.carried;
-        s.pop();
-        let carried = (s.stats.carried - carried_before) as usize;
-        assert!(carried > 0, "depth-0 learnts from the frame must carry");
-        assert_eq!(s.live_learnts(), pre_live + carried);
-        // The carried lemmas are consequences: still satisfiable.
-        assert!(matches!(s.solve(), SatVerdict::Sat(_)));
-    }
-
-    #[test]
-    fn carry_mode_drops_learnts_touching_popped_vars() {
-        // The learnts of a pushed pigeonhole instance mention pushed
-        // variables, so nothing can be carried out of the pop.
-        let mut s = solver_with(1, &[]);
-        s.set_carry_learnts(true);
-        s.push();
-        let (n, clauses) = pigeonhole_clauses(5);
-        let base = s.n_vars();
-        for _ in 0..n {
-            s.new_var();
-        }
-        for c in &clauses {
-            let shifted: Vec<Lit> = c
-                .iter()
-                .map(|&l| {
-                    let v = base + (l.unsigned_abs() - 1) as usize;
-                    if l > 0 {
-                        Lit::pos(v)
-                    } else {
-                        Lit::neg(v)
-                    }
-                })
-                .collect();
-            s.add_clause(&shifted);
-        }
-        assert_eq!(s.solve(), SatVerdict::Unsat);
-        s.pop();
-        assert_eq!(s.live_learnts(), 0);
-        assert!(matches!(s.solve(), SatVerdict::Sat(_)));
     }
 
     #[test]
@@ -2687,91 +2338,6 @@ mod tests {
         assert_eq!(s.solve(), SatVerdict::Unsat);
         assert!(s.stats.gc_clauses > 0, "GC never ran");
         assert!(s.stats.bin_props > 0, "hole-exclusion binaries must fire");
-    }
-
-    // ----- search configuration ------------------------------------------
-
-    #[test]
-    fn diversified_configs_agree_on_verdicts() {
-        // The portfolio contract: every diversified configuration is a
-        // complete solver, so verdicts agree on both polarities.
-        let (n, clauses) = pigeonhole_clauses(6);
-        let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
-        for i in 0..4 {
-            let mut s = SatSolver::new();
-            s.set_search_config(SearchConfig::diversified(i));
-            for _ in 0..n {
-                s.new_var();
-            }
-            for c in &refs {
-                s.add_clause(&lits(c));
-            }
-            assert_eq!(s.solve(), SatVerdict::Unsat, "config {i}");
-
-            let mut t = SatSolver::new();
-            t.set_search_config(SearchConfig::diversified(i));
-            for _ in 0..4 {
-                t.new_var();
-            }
-            for c in [&[1, -2][..], &[2, 3, 4], &[-3, -4]] {
-                t.add_clause(&lits(c));
-            }
-            assert!(matches!(t.solve(), SatVerdict::Sat(_)), "config {i}");
-        }
-    }
-
-    #[test]
-    fn phase_resets_fire_only_when_configured() {
-        let (n, clauses) = pigeonhole_clauses(7);
-        let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let run = |cfg: SearchConfig| {
-            let mut s = SatSolver::new();
-            s.set_search_config(cfg);
-            for _ in 0..n {
-                s.new_var();
-            }
-            for c in &refs {
-                s.add_clause(&lits(c));
-            }
-            assert_eq!(s.solve(), SatVerdict::Unsat);
-            s.stats
-        };
-        let default = run(SearchConfig::default());
-        assert_eq!(default.phase_resets, 0);
-        let resetting = run(SearchConfig::diversified(2));
-        assert!(resetting.restarts > 0, "instance too easy to restart");
-        assert_eq!(resetting.phase_resets, resetting.restarts);
-    }
-
-    #[test]
-    fn restart_scale_changes_cadence() {
-        // diversified(2) halves the Luby scale, so the same conflict
-        // budget crosses more restarts than the default cadence.
-        let (n, clauses) = pigeonhole_clauses(7);
-        let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let run = |cfg: SearchConfig| {
-            let mut s = SatSolver::new();
-            s.set_search_config(cfg);
-            for _ in 0..n {
-                s.new_var();
-            }
-            for c in &refs {
-                s.add_clause(&lits(c));
-            }
-            assert_eq!(s.solve(), SatVerdict::Unsat);
-            s.stats
-        };
-        let slow = run(SearchConfig::default());
-        let fast = run(SearchConfig {
-            restart_scale: 50,
-            ..SearchConfig::default()
-        });
-        assert!(
-            fast.restarts > slow.restarts,
-            "fast={} slow={}",
-            fast.restarts,
-            slow.restarts
-        );
     }
 
     // ----- order-heap restore ---------------------------------------------

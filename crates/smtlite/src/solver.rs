@@ -3,7 +3,7 @@ use std::collections::HashMap;
 use crate::ast::{Atom, BoolVar, Formula, LinExpr, RealVar, Rel};
 use crate::budget::Budget;
 use crate::cnf::{strip_expr, Encoder};
-use crate::sat::{Lit, SatStats, SatVerdict, SearchConfig, Theory, TheoryResult, TheoryView};
+use crate::sat::{Lit, SatStats, SatVerdict, Theory, TheoryResult, TheoryView};
 use crate::simplex::{
     BoundConstraint, BoundKind, DeltaRat, NumericMode, Simplex, SimplexHalt, SimplexResult,
     SimplexStats,
@@ -199,7 +199,7 @@ impl Solver {
     }
 
     /// Cumulative CDCL effort counters (decisions, propagations,
-    /// conflicts, learned clauses, restarts, GC'd and carried clauses).
+    /// conflicts, learned clauses, restarts, GC'd clauses).
     /// Like [`Solver::theory_conflicts`] they measure work done and
     /// survive [`Solver::pop`].
     pub fn sat_stats(&self) -> SatStats {
@@ -256,26 +256,6 @@ impl Solver {
     /// Lifts all resource limits (same as `set_budget(Budget::UNLIMITED)`).
     pub fn clear_budget(&mut self) {
         self.set_budget(Budget::UNLIMITED);
-    }
-
-    /// Opt-in cross-frame learnt retention (see
-    /// [`crate::sat::SatSolver::set_carry_learnts`]): [`Solver::pop`]
-    /// then keeps learnt clauses whose derivation does not depend on the
-    /// popped assertions. Sound, but the solver no longer replays
-    /// byte-identically to one that never saw the popped frame — leave
-    /// off where exact replay matters.
-    pub fn set_carry_learnts(&mut self, on: bool) {
-        self.enc.sat.set_carry_learnts(on);
-    }
-
-    /// Selects the CDCL search configuration (see
-    /// [`crate::sat::SearchConfig`]): initial phase polarity, phase reset
-    /// on restart, restart cadence scale and VSIDS decay. Portfolio
-    /// callers diversify racing solvers with
-    /// [`SearchConfig::diversified`]. Set this before asserting formulas
-    /// — `default_phase` applies to variables as they are created.
-    pub fn set_search_config(&mut self, config: SearchConfig) {
-        self.enc.sat.set_search_config(config);
     }
 
     /// Checkpoints the assertion stack: formulas asserted and variables
