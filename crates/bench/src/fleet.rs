@@ -1,6 +1,7 @@
 //! Crash-safe fleet evaluation: N deterministic generated homes under
-//! one `WorkPool` budget, with an optional durable result journal
-//! (`shatter-store`) for checkpoint/resume and a per-house robustness
+//! one `WorkPool` budget, with an optional durable result journal (a
+//! `shatter-store` [`BlobStore`] bound to the run's configuration
+//! signature) for checkpoint/resume and a per-house robustness
 //! policy (effort watchdog, bounded retry with deterministic budget
 //! escalation, quarantine).
 //!
@@ -32,7 +33,7 @@ use shatter_engine::{FixtureCache, RunParams, Scenario, ScenarioCtx, Table};
 use shatter_faults::FaultKind;
 use shatter_smarthome::OccupantId;
 use shatter_smt::Budget;
-use shatter_store::{BlobStore, Journal};
+use shatter_store::BlobStore;
 
 use crate::common::EngineWindowMemo;
 use crate::exhibits::{adm_tag, benign_day_costs, day_schedule, fmt2, reward_table, smt_prefix};
@@ -334,8 +335,9 @@ fn run_house(cx: &ScenarioCtx<'_>, i: usize, policy: &FleetPolicy) -> HouseResul
     }
 }
 
-/// Decodes a journal payload back into row cells; `None` (recompute) on
-/// any shape mismatch.
+/// Decodes a journal payload back into row cells; `None` on any shape
+/// mismatch (the store then discards the record and the house is
+/// recomputed).
 fn decode_row(payload: &[u8]) -> Option<Vec<String>> {
     let text = std::str::from_utf8(payload).ok()?;
     let cells: Vec<String> = text.split('\t').map(str::to_string).collect();
@@ -353,7 +355,7 @@ fn decode_row(payload: &[u8]) -> Option<Vec<String>> {
 pub fn run_fleet(
     cx: &ScenarioCtx<'_>,
     cfg: &FleetConfig,
-    journal: Option<&Journal>,
+    journal: Option<&BlobStore>,
 ) -> (Table, FleetOutcome) {
     let start = Instant::now();
     let cache_before = cx.cache.stats();
@@ -365,7 +367,7 @@ pub fn run_fleet(
     let total = indices.len();
     let rows = cx.par_map(&indices, |_, &i| {
         let key = house_key(i, &cx.params);
-        let cells = match journal.and_then(|j| j.get(&key)).and_then(|p| decode_row(&p)) {
+        let cells = match journal.and_then(|j| j.get_with(&key, decode_row)) {
             Some(cells) => {
                 replayed.fetch_add(1, Ordering::Relaxed);
                 cells
@@ -509,26 +511,18 @@ impl Scenario for FleetScenario {
     fn run(&self, cx: &ScenarioCtx<'_>) -> Table {
         let journal = self.journal_dir.as_ref().map(|dir| {
             let sig = config_signature(&self.cfg, &cx.params);
-            let j = Journal::open(dir, sig)
+            let j = BlobStore::open(dir, sig)
                 .unwrap_or_else(|e| panic!("opening fleet journal {}: {e}", dir.display()));
-            j.write_manifest(&manifest_entries(&self.cfg, &cx.params, sig))
+            shatter_store::write_manifest(dir, &manifest_entries(&self.cfg, &cx.params, sig))
                 .unwrap_or_else(|e| panic!("writing fleet manifest {}: {e}", dir.display()));
-            let js = j.stats();
-            if js.loaded > 0 || js.discarded > 0 {
-                eprintln!(
-                    "fleet journal {}: {} valid record(s) loaded, {} damaged/stale discarded",
-                    dir.display(),
-                    js.loaded,
-                    js.discarded
-                );
-            }
             j
         });
         let (table, out) = run_fleet(cx, &self.cfg, journal.as_ref());
-        let js = journal.as_ref().map(|j| j.stats()).unwrap_or_default();
+        let js = journal.as_ref().map(BlobStore::stats).unwrap_or_default();
         eprintln!(
             "fleet: {} homes at {:.1} homes/s ({} replayed from journal, {} computed, \
-             {} retried, {} quarantined, {} journal record(s) written)",
+             {} retried, {} quarantined, {} journal record(s) written, \
+             {} damaged/stale discarded)",
             sampled_indices(self.cfg.n_houses, self.cfg.sample).len(),
             out.homes_per_sec,
             out.journal_hits,
@@ -536,6 +530,7 @@ impl Scenario for FleetScenario {
             out.retried,
             out.quarantined,
             js.writes,
+            js.discarded,
         );
         table
     }

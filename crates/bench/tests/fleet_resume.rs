@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use shatter_bench::fleet::{config_signature, run_fleet, FleetConfig, FleetPolicy};
 use shatter_engine::scenario::scenario_seed;
 use shatter_engine::{FixtureCache, HealthSink, RunParams, ScenarioCtx, WorkPool};
-use shatter_store::Journal;
+use shatter_store::BlobStore;
 
 const N_HOUSES: usize = 8;
 
@@ -70,7 +70,7 @@ fn record_files(dir: &PathBuf) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rec"))
+        .filter(|p| p.extension().is_some_and(|x| x == "blob"))
         .collect();
     files.sort();
     files
@@ -86,7 +86,7 @@ fn damaged_records_are_discarded_and_resume_is_byte_identical() {
     {
         let cache = FixtureCache::new();
         let cx = ctx(id, &cache, 0);
-        let journal = Journal::open(&dir, sig).unwrap();
+        let journal = BlobStore::open(&dir, sig).unwrap();
         let (_, out) = run_fleet(&cx, &cfg(), Some(&journal));
         assert_eq!(out.computed, N_HOUSES as u64);
         assert_eq!(journal.stats().writes, N_HOUSES as u64);
@@ -105,15 +105,16 @@ fn damaged_records_are_discarded_and_resume_is_byte_identical() {
     std::fs::write(&files[1], &flipped).unwrap();
 
     // Resume on a fresh cache: exactly the two damaged records are
-    // discarded and recomputed; the six intact ones replay.
+    // discarded (when read) and recomputed; the six intact ones replay.
     let cache = FixtureCache::new();
     let cx = ctx(id, &cache, 0);
-    let journal = Journal::open(&dir, sig).unwrap();
-    assert_eq!(journal.stats().loaded, N_HOUSES as u64 - 2);
-    assert_eq!(journal.stats().discarded, 2);
+    let journal = BlobStore::open(&dir, sig).unwrap();
     let (table, out) = run_fleet(&cx, &cfg(), Some(&journal));
     assert_eq!(out.journal_hits, N_HOUSES as u64 - 2);
     assert_eq!(out.computed, 2);
+    let stats = journal.stats();
+    assert_eq!((stats.hits, stats.discarded), (N_HOUSES as u64 - 2, 2));
+    assert_eq!(stats.writes, 2, "recomputed houses are re-journaled");
     assert_eq!(table.render(), reference);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -129,7 +130,7 @@ fn resume_is_byte_identical_across_thread_counts() {
     {
         let cache = FixtureCache::new();
         let cx = ctx(id, &cache, 6);
-        let journal = Journal::open(&dir, sig).unwrap();
+        let journal = BlobStore::open(&dir, sig).unwrap();
         let (table, _) = run_fleet(&cx, &cfg(), Some(&journal));
         assert_eq!(
             table.render(),
@@ -140,7 +141,7 @@ fn resume_is_byte_identical_across_thread_counts() {
     // ...and replay it serially: same bytes, zero recomputation.
     let cache = FixtureCache::new();
     let cx = ctx(id, &cache, 0);
-    let journal = Journal::open(&dir, sig).unwrap();
+    let journal = BlobStore::open(&dir, sig).unwrap();
     let (table, out) = run_fleet(&cx, &cfg(), Some(&journal));
     assert_eq!(out.journal_hits, N_HOUSES as u64);
     assert_eq!(out.computed, 0);
@@ -163,7 +164,7 @@ fn mid_fleet_crash_resumes_without_recomputing_completed_houses() {
     {
         let cache = FixtureCache::new();
         let cx = ctx(id, &cache, 0);
-        let journal = Journal::open(&dir, sig).unwrap();
+        let journal = BlobStore::open(&dir, sig).unwrap();
         let crashed = catch_unwind(AssertUnwindSafe(|| {
             shatter_faults::with_scenario(id, || run_fleet(&cx, &cfg(), Some(&journal)))
         }));
@@ -174,8 +175,8 @@ fn mid_fleet_crash_resumes_without_recomputing_completed_houses() {
     // replays (the fault rule has already fired and stays quiet).
     let cache = FixtureCache::new();
     let cx = ctx(id, &cache, 0);
-    let journal = Journal::open(&dir, sig).unwrap();
-    let persisted = journal.stats().loaded;
+    let journal = BlobStore::open(&dir, sig).unwrap();
+    let persisted = record_files(&dir).len() as u64;
     assert!(
         persisted >= 4 && persisted < N_HOUSES as u64,
         "crash must leave a partial journal, got {persisted}"

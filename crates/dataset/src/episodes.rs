@@ -5,14 +5,12 @@
 //! event* `E^A` starts an episode when the occupant enters a zone, an *exit
 //! event* `E^E` ends it, and the *stay* `E^S` is the difference.
 
-use serde::{Deserialize, Serialize};
-
 use shatter_smarthome::{OccupantId, ZoneId};
 
 use crate::Dataset;
 
 /// One contiguous stay of an occupant in a zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Episode {
     /// Which occupant stayed.
     pub occupant: OccupantId,

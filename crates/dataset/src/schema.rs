@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use shatter_smarthome::{Activity, ZoneId, MINUTES_PER_DAY};
 
 /// The state of one occupant during one minute: where they are and what
 /// they are doing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccupantState {
     /// Zone the occupant resides in (RFID tracking, `S^OT` in the paper).
     pub zone: ZoneId,
@@ -13,7 +11,7 @@ pub struct OccupantState {
 }
 
 /// One sampling slot (one minute) of the whole home.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinuteRecord {
     /// Per-occupant states, indexed by `OccupantId`.
     pub occupants: Vec<OccupantState>,
@@ -22,7 +20,7 @@ pub struct MinuteRecord {
 }
 
 /// A full day of per-minute records (always [`MINUTES_PER_DAY`] slots).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DayTrace {
     /// Day index within the dataset (0-based).
     pub day: u32,
@@ -42,7 +40,7 @@ impl DayTrace {
 }
 
 /// An ARAS-schema dataset: a sequence of day traces for one house.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// House label, e.g. `"ARAS House A"`.
     pub house: String,

@@ -10,8 +10,6 @@
 //!
 //! [`signature`]: HouseSpec::signature
 
-use serde::{Deserialize, Serialize};
-
 use shatter_smarthome::spec::{fold, fold_str, HomeSpec, RoomArchetype};
 use shatter_smarthome::{Activity, ZoneId};
 
@@ -21,7 +19,7 @@ use crate::synth::default_zone_for;
 /// room archetype take place. The synthesizer maps an activity to its
 /// canonical ARAS zone class and then through these anchors, so scaled
 /// homes with several bedrooms/kitchens spread occupants across them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivityAnchors {
     /// Zone for sleep-class activities.
     pub bedroom: ZoneId,
@@ -64,7 +62,7 @@ impl ActivityAnchors {
 /// Behavioural parameters of one occupant, driving the synthetic
 /// day-plan generator (wake time, work habits, evening routine) and the
 /// per-occupant zone anchoring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PersonaSpec {
     /// Mean wake-up minute of day.
     pub wake_mean: f64,
@@ -93,7 +91,7 @@ impl PersonaSpec {
 
 /// A fully-specified evaluation house: topology, per-occupant behaviour,
 /// dataset naming, and the canonical seed its reference month uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HouseSpec {
     /// Home topology (zones, occupant names, appliance wiring).
     pub home: HomeSpec,

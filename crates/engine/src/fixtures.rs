@@ -1,14 +1,14 @@
 //! Shared evaluation fixtures and the memoizing [`FixtureCache`].
 //!
 //! Dataset synthesis, episode extraction and ADM training dominate the
-//! cost of every exhibit; the cache keys them by `(HouseSpec signature,
-//! days, seed)` and `(dataset key, AdmKind, train_days)` respectively so
-//! a full-suite run pays each once. All entries are `Arc`-shared and the
-//! cache is internally locked, so scenarios on parallel runner threads
-//! share one cache safely. Any [`HouseSpec`] — the ARAS presets or a
-//! generated scaled home — caches the same way; nothing here enumerates
-//! houses.
-
+//! cost of every exhibit; the cache keys each result by a content
+//! address embedding the house spec's signature, days and seed (plus
+//! the ADM kind and training horizon for models), so a full-suite run
+//! pays each once. All entries are `Arc`-shared and the cache is
+//! internally locked, so scenarios on parallel runner threads share one
+//! cache safely. Any [`HouseSpec`] — the ARAS presets or a generated
+//! scaled home — caches the same way; nothing here enumerates houses.
+//!
 //! A [`BlobStore`] disk tier can sit underneath the whole cache
 //! ([`FixtureCache::with_disk`]): misses serialize and persist what
 //! they computed, and a warm second run deserializes datasets, episode
@@ -23,7 +23,7 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use shatter_adm::{AdmKind, HullAdm};
 use shatter_dataset::episodes::{extract_episodes, Episode};
@@ -50,11 +50,6 @@ pub const HOUSE_A_SEED: u64 = shatter_dataset::spec::ARAS_A_SEED;
 /// Seed of the canonical House-B month.
 pub const HOUSE_B_SEED: u64 = shatter_dataset::spec::ARAS_B_SEED;
 
-/// Canonical dataset seed of a house spec.
-pub fn canonical_seed(spec: &HouseSpec) -> u64 {
-    spec.canonical_seed
-}
-
 /// The canonical evaluation fixture for one house.
 pub struct HouseFixture {
     /// House identity of this fixture.
@@ -75,20 +70,26 @@ impl HouseFixture {
     /// Builds the fixture for a house with the canonical seed, outside
     /// any cache (each call re-synthesizes).
     pub fn new(spec: &HouseSpec, days: usize) -> HouseFixture {
-        HouseFixture::with_seed(spec, days, canonical_seed(spec))
+        HouseFixture::with_seed(spec, days, spec.canonical_seed)
     }
 
     /// Builds the fixture with an explicit dataset seed.
     pub fn with_seed(spec: &HouseSpec, days: usize, seed: u64) -> HouseFixture {
+        let month = synthesize(&SynthConfig::new(spec.clone(), days, seed));
+        HouseFixture::from_month(spec, days, seed, month)
+    }
+
+    /// Wraps an already-synthesized month; the home and model are cheap
+    /// and deterministic, so they are rebuilt rather than stored.
+    fn from_month(spec: &HouseSpec, days: usize, seed: u64, month: Dataset) -> HouseFixture {
         let home = spec.home.build();
-        let month = Arc::new(synthesize(&SynthConfig::new(spec.clone(), days, seed)));
         let model = EnergyModel::standard(home.clone());
         HouseFixture {
             spec: spec.clone(),
             days,
             seed,
             home,
-            month,
+            month: Arc::new(month),
             model,
         }
     }
@@ -105,51 +106,6 @@ impl HouseFixture {
     /// sharing `days` and `seed` can never alias a cache entry.
     pub fn cache_key(&self) -> String {
         format!("{}/{}/{}", self.spec.cache_tag(), self.days, self.seed)
-    }
-}
-
-/// Key of one synthesized dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct DatasetKey {
-    /// [`HouseSpec::signature`] of the house.
-    sig: u64,
-    days: usize,
-    seed: u64,
-}
-
-impl DatasetKey {
-    fn new(spec: &HouseSpec, days: usize, seed: u64) -> DatasetKey {
-        DatasetKey {
-            sig: spec.signature(),
-            days,
-            seed,
-        }
-    }
-}
-
-/// Hashable encoding of an [`AdmKind`] (f64 params by bit pattern).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct AdmKey {
-    tag: u8,
-    a: u64,
-    b: u64,
-    c: u64,
-}
-
-fn adm_key(kind: &AdmKind) -> AdmKey {
-    match kind {
-        AdmKind::Dbscan(p) => AdmKey {
-            tag: 0,
-            a: p.eps.to_bits(),
-            b: p.min_pts as u64,
-            c: 0,
-        },
-        AdmKind::KMeans(p) => AdmKey {
-            tag: 1,
-            a: p.k as u64,
-            b: p.max_iter as u64,
-            c: p.seed,
-        },
     }
 }
 
@@ -179,23 +135,28 @@ impl CacheStats {
     }
 }
 
-/// Memoizes dataset synthesis, fixture construction, episode extraction,
-/// ADM training, and arbitrary keyed intermediates (via [`memo`]) across
-/// scenarios.
+/// One shared cache entry of any kind.
+type Entry = Arc<dyn Any + Send + Sync>;
+
+/// Number of lock shards backing the entry map.
+const SHARDS: usize = 16;
+
+/// Memoizes fixture construction, episode extraction, ADM training and
+/// arbitrary keyed intermediates (via [`FixtureCache::memo_blob`])
+/// across scenarios.
+///
+/// Every kind goes through one lookup: RAM, then the optional disk
+/// tier, then compute. Its key is the entry's durable content address
+/// on disk too, so it must capture *all* inputs of the computation.
 ///
 /// A cache built with [`FixtureCache::disabled`] never stores or serves
 /// entries — every request recomputes, reproducing the pre-engine
 /// harness's cost model (used as the "serial uncached" baseline leg).
-///
-/// [`memo`]: FixtureCache::memo
 pub struct FixtureCache {
-    fixtures: Mutex<HashMap<DatasetKey, Arc<HouseFixture>>>,
-    episodes: Mutex<HashMap<DatasetKey, Arc<Vec<Episode>>>>,
-    adms: Mutex<HashMap<(DatasetKey, AdmKey, usize), Arc<HullAdm>>>,
-    // The memo map carries the per-day schedule and SMT-window traffic
-    // of every parallel scenario worker, so it is sharded by key hash to
+    // The map carries the per-day schedule and SMT-window traffic of
+    // every parallel scenario worker, so it is sharded by key hash to
     // keep lock contention off the hot path.
-    memos: [Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>; MEMO_SHARDS],
+    shards: [Mutex<HashMap<String, Entry>>; SHARDS],
     disabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -207,54 +168,30 @@ pub struct FixtureCache {
     budget_bytes: Option<u64>,
     resident_bytes: AtomicU64,
     evictions: AtomicU64,
-    /// Insertion-ordered eviction ledger over every budget-charged
-    /// entry. Lock ordering: ledger before any map lock, never the
-    /// reverse.
-    ledger: Mutex<VecDeque<LedgerEntry>>,
+    /// Insertion-ordered eviction ledger of `(key, charged bytes)` over
+    /// every budget-charged entry. Lock ordering: ledger before any
+    /// shard lock, never the reverse.
+    ledger: Mutex<VecDeque<(String, u64)>>,
 }
 
-/// Number of lock shards backing [`FixtureCache::memo`].
-const MEMO_SHARDS: usize = 16;
-
-/// Identifies one budget-charged cache entry for eviction.
-#[derive(Debug, Clone)]
-enum Resident {
-    Fixture(DatasetKey),
-    Episodes(DatasetKey),
-    Adm(DatasetKey, AdmKey, usize),
-    Memo(String),
-}
-
-#[derive(Debug)]
-struct LedgerEntry {
-    handle: Resident,
-    bytes: u64,
-}
-
-/// Locks a cache map, panicking with the lookup context on poisoning.
+/// Locks a cache mutex, panicking with the lookup context on poisoning.
 ///
-/// Only pure `HashMap` operations run under cache locks (all expensive
-/// computation happens outside them), so a poisoned lock indicates a
-/// panic inside the map machinery itself. If that ever happens, the
-/// panic names the map and the cache key involved, and the runner's
+/// Only pure `HashMap`/`VecDeque` operations run under cache locks (all
+/// expensive computation happens outside them), so a poisoned lock
+/// indicates a panic inside the map machinery itself. If that ever
+/// happens, the panic names the cache key involved, and the runner's
 /// fault isolation turns it into a per-scenario `Failed` report instead
 /// of tearing down the suite.
-fn lock_map<'a, T>(
-    lock: &'a Mutex<T>,
-    map: &str,
-    key: &dyn std::fmt::Debug,
-) -> std::sync::MutexGuard<'a, T> {
-    lock.lock()
-        .unwrap_or_else(|_| panic!("{map} cache lock poisoned at key {key:?}"))
+fn lock<'a, T>(mutex: &'a Mutex<T>, key: &str) -> MutexGuard<'a, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|_| panic!("fixture cache lock poisoned at key {key:?}"))
 }
 
 impl Default for FixtureCache {
     fn default() -> FixtureCache {
         FixtureCache {
-            fixtures: Mutex::default(),
-            episodes: Mutex::default(),
-            adms: Mutex::default(),
-            memos: std::array::from_fn(|_| Mutex::default()),
+            shards: std::array::from_fn(|_| Mutex::default()),
             disabled: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -284,11 +221,6 @@ impl FixtureCache {
         }
     }
 
-    /// Whether this cache is in the never-memoize mode.
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
-
     /// Attaches a disk tier: misses persist what they computed, and
     /// refaults (cold-start or post-eviction) deserialize from disk
     /// instead of recomputing.
@@ -310,235 +242,126 @@ impl FixtureCache {
         self.disk.as_ref()
     }
 
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    /// The lock shard responsible for `key` (FNV-1a of the key).
+    fn shard(&self, key: &str) -> MutexGuard<'_, HashMap<String, Entry>> {
+        lock(
+            &self.shards[(crate::scenario::fnv1a(key) as usize) % SHARDS],
+            key,
+        )
     }
 
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn disk_hit(&self) {
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether inserts must serialize their value (for the disk tier,
-    /// the budget's size accounting, or both).
-    fn wants_blob_bytes(&self) -> bool {
-        self.disk.is_some() || self.budget_bytes.is_some()
-    }
-
-    /// Charges a freshly inserted entry against the RAM budget and
-    /// evicts from the front of the ledger until the budget holds.
-    /// Call *without* holding any map lock (the eviction loop takes
-    /// them). No-op when no budget is configured.
-    fn charge(&self, handle: Resident, bytes: u64) {
-        let Some(budget) = self.budget_bytes else {
-            return;
+    /// The one lookup path behind every cached kind: a RAM hit, else a
+    /// disk blob that `decode` accepts, else `compute` — run outside
+    /// every lock, so other keys stay available meanwhile and a racing
+    /// duplicate insert is benign (identical content, last writer
+    /// wins). A computed value is persisted through `encode` when a
+    /// disk tier is attached; a new entry is charged against the RAM
+    /// budget at its serialized size. An existing entry of another type
+    /// under `key` counts as a RAM miss and is replaced.
+    fn lookup<T: Send + Sync + 'static>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+        compute: impl FnOnce() -> T,
+        encode: impl FnOnce(&T) -> Vec<u8>,
+    ) -> Arc<T> {
+        if self.disabled {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Arc::new(compute());
+        }
+        if let Some(v) = self.shard(key).get(key) {
+            if let Ok(t) = Arc::clone(v).downcast::<T>() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return t;
+            }
+        }
+        let on_disk = self
+            .disk
+            .as_ref()
+            .and_then(|disk| disk.get_with(key, |b| Some((decode(b)?, b.len()))));
+        let (t, bytes) = match on_disk {
+            Some((t, bytes)) => {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                (Arc::new(t), bytes)
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let t = Arc::new(compute());
+                let mut bytes = 0;
+                if self.disk.is_some() || self.budget_bytes.is_some() {
+                    let blob = encode(&t);
+                    bytes = blob.len();
+                    if let Some(disk) = &self.disk {
+                        disk.put(key, &blob).ok();
+                    }
+                }
+                (t, bytes)
+            }
         };
-        let mut ledger = lock_map(&self.ledger, "ledger", &"push");
-        self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
-        ledger.push_back(LedgerEntry { handle, bytes });
-        while self.resident_bytes.load(Ordering::Relaxed) > budget {
-            let Some(oldest) = ledger.pop_front() else {
-                break;
-            };
-            match &oldest.handle {
-                Resident::Fixture(k) => {
-                    lock_map(&self.fixtures, "fixture", k).remove(k);
-                }
-                Resident::Episodes(k) => {
-                    lock_map(&self.episodes, "episode", k).remove(k);
-                }
-                Resident::Adm(d, a, t) => {
-                    let k = (*d, *a, *t);
-                    lock_map(&self.adms, "adm", &k).remove(&k);
-                }
-                Resident::Memo(key) => {
-                    lock_map(self.memo_shard(key), "memo", key).remove(key);
-                }
-            }
-            self.resident_bytes
-                .fetch_sub(oldest.bytes, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Memoizes an arbitrary shared intermediate under a caller-chosen
-    /// key. The key must capture *all* inputs of `compute` — scenarios
-    /// build keys on [`HouseFixture::cache_key`], which embeds the house
-    /// spec signature, days and seed (e.g.
-    /// `"sched/{fixture key}/{adm}/{strategy}/{cap:x}/{day}"` for attack
-    /// schedules). On a type mismatch for an existing key the value is
-    /// recomputed and replaced.
-    pub fn memo<T, F>(&self, key: &str, compute: F) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        let shard = self.memo_shard(key);
-        if !self.disabled {
-            if let Some(v) = lock_map(shard, "memo", &key).get(key) {
-                if let Ok(t) = Arc::clone(v).downcast::<T>() {
-                    self.hit();
-                    return t;
-                }
-            }
-        }
-        self.miss();
-        let t = Arc::new(compute());
-        if !self.disabled {
-            lock_map(shard, "memo", &key).insert(
-                key.to_string(),
-                Arc::clone(&t) as Arc<dyn Any + Send + Sync>,
-            );
+        if self
+            .shard(key)
+            .insert(key.to_string(), Arc::clone(&t) as Entry)
+            .is_none()
+        {
+            self.charge(key, bytes as u64);
         }
         t
     }
 
-    /// Like [`FixtureCache::memo`] for [`Blob`]-serializable values:
-    /// additionally backed by the disk tier (when attached) and
-    /// charged against the RAM budget (when configured). The key
-    /// contract is identical — and doubly load-bearing here, because
-    /// the key is also the blob's durable content address across runs.
+    /// Charges a freshly inserted entry against the RAM budget and
+    /// evicts from the front of the ledger until the budget holds.
+    /// Call *without* holding any shard lock (the eviction loop takes
+    /// them). No-op when no budget is configured.
+    fn charge(&self, key: &str, bytes: u64) {
+        let Some(budget) = self.budget_bytes else {
+            return;
+        };
+        let mut ledger = lock(&self.ledger, key);
+        self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+        ledger.push_back((key.to_string(), bytes));
+        while self.resident_bytes.load(Ordering::Relaxed) > budget {
+            let Some((oldest, bytes)) = ledger.pop_front() else {
+                break;
+            };
+            self.shard(&oldest).remove(&oldest);
+            self.resident_bytes.fetch_sub(bytes, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Memoizes a [`Blob`]-serializable intermediate under a
+    /// caller-chosen key, backed by the disk tier (when attached) and
+    /// charged against the RAM budget (when configured). The key must
+    /// capture *all* inputs of `compute` — scenarios build keys on
+    /// [`HouseFixture::cache_key`], which embeds the house spec
+    /// signature, days and seed (e.g.
+    /// `"sched/{fixture key}/{adm}/{strategy}/{cap:x}/{day}"` for attack
+    /// schedules) — and is doubly load-bearing, because it is also the
+    /// blob's durable content address across runs.
     pub fn memo_blob<T, F>(&self, key: &str, compute: F) -> Arc<T>
     where
         T: Blob + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let shard = self.memo_shard(key);
-        if !self.disabled {
-            if let Some(v) = lock_map(shard, "memo", &key).get(key) {
-                if let Ok(t) = Arc::clone(v).downcast::<T>() {
-                    self.hit();
-                    return t;
-                }
-            }
-            if let Some(disk) = &self.disk {
-                if let Some((t, bytes)) = disk.get_blob_sized::<T>(key) {
-                    self.disk_hit();
-                    let t = Arc::new(t);
-                    if lock_map(shard, "memo", &key)
-                        .insert(
-                            key.to_string(),
-                            Arc::clone(&t) as Arc<dyn Any + Send + Sync>,
-                        )
-                        .is_none()
-                    {
-                        self.charge(Resident::Memo(key.to_string()), bytes as u64);
-                    }
-                    return t;
-                }
-            }
-        }
-        self.miss();
-        let t = Arc::new(compute());
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = t.to_blob();
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(key, &blob).ok();
-                }
-            }
-            if lock_map(shard, "memo", &key)
-                .insert(
-                    key.to_string(),
-                    Arc::clone(&t) as Arc<dyn Any + Send + Sync>,
-                )
-                .is_none()
-            {
-                self.charge(Resident::Memo(key.to_string()), bytes);
-            }
-        }
-        t
+        self.lookup(key, T::from_blob, compute, T::to_blob)
     }
 
-    /// The lock shard responsible for a memo key (FNV-1a of the key).
-    fn memo_shard(&self, key: &str) -> &Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>> {
-        &self.memos[(crate::scenario::fnv1a(key) as usize) % MEMO_SHARDS]
-    }
-
-    /// The canonical fixture for `(spec, days)` (canonical seed).
-    pub fn fixture(&self, spec: &HouseSpec, days: usize) -> Arc<HouseFixture> {
-        self.fixture_with_seed(spec, days, canonical_seed(spec))
-    }
-
-    /// The fixture for `(spec, days, seed)`.
+    /// The fixture for `(spec, days, seed)`. Its disk blob is the
+    /// month alone; the home and model are rebuilt.
     pub fn fixture_with_seed(&self, spec: &HouseSpec, days: usize, seed: u64) -> Arc<HouseFixture> {
-        let key = DatasetKey::new(spec, days, seed);
-        if !self.disabled {
-            if let Some(fx) = lock_map(&self.fixtures, "fixture", &key).get(&key) {
-                self.hit();
-                return Arc::clone(fx);
-            }
-        }
-        // Disk tier: a persisted month deserializes bit-exactly; only
-        // the home/model (cheap, deterministic) are rebuilt.
-        let disk_key = format!("fixture/{}/{}/{}", spec.cache_tag(), days, seed);
-        if !self.disabled {
-            if let Some(disk) = &self.disk {
-                if let Some((month, bytes)) = disk.get_blob_sized::<Dataset>(&disk_key) {
-                    let home = spec.home.build();
-                    // The blob checksum guards bytes, not meaning: a
-                    // month that does not match its own key's shape is
-                    // damage and must not be trusted.
-                    if month.days.len() == days && month.n_occupants == home.occupants().len() {
-                        self.disk_hit();
-                        let model = EnergyModel::standard(home.clone());
-                        let fx = Arc::new(HouseFixture {
-                            spec: spec.clone(),
-                            days,
-                            seed,
-                            home,
-                            month: Arc::new(month),
-                            model,
-                        });
-                        if lock_map(&self.fixtures, "fixture", &key)
-                            .insert(key, Arc::clone(&fx))
-                            .is_none()
-                        {
-                            self.charge(Resident::Fixture(key), bytes as u64);
-                        }
-                        return fx;
-                    }
-                    disk.discard(&disk_key);
-                }
-            }
-        }
-        // Synthesize outside the lock: other keys stay available while
-        // this month is built, and a racing duplicate insert is benign
-        // (identical content, last writer wins).
-        self.miss();
-        let fx = Arc::new(HouseFixture::with_seed(spec, days, seed));
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = fx.month.to_blob();
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(&disk_key, &blob).ok();
-                }
-            }
-            if lock_map(&self.fixtures, "fixture", &key)
-                .insert(key, Arc::clone(&fx))
-                .is_none()
-            {
-                self.charge(Resident::Fixture(key), bytes);
-            }
-        }
-        fx
-    }
-
-    /// The dataset behind the canonical fixture.
-    pub fn dataset(&self, spec: &HouseSpec, days: usize) -> Arc<Dataset> {
-        Arc::clone(&self.fixture(spec, days).month)
-    }
-
-    /// Extracted episodes of the canonical `(spec, days)` dataset.
-    pub fn episodes(&self, spec: &HouseSpec, days: usize) -> Arc<Vec<Episode>> {
-        self.episodes_with_seed(spec, days, canonical_seed(spec))
+        self.lookup(
+            &format!("fixture/{}/{days}/{seed}", spec.cache_tag()),
+            |b| {
+                let fx = HouseFixture::from_month(spec, days, seed, Dataset::from_blob(b)?);
+                // The blob checksum guards bytes, not meaning: a month
+                // that does not match its own key's shape is damage
+                // and must not be trusted.
+                (fx.month.days.len() == days && fx.month.n_occupants == fx.home.occupants().len())
+                    .then_some(fx)
+            },
+            || HouseFixture::with_seed(spec, days, seed),
+            |fx| fx.month.to_blob(),
+        )
     }
 
     /// Extracted episodes of the `(spec, days, seed)` dataset.
@@ -548,70 +371,17 @@ impl FixtureCache {
         days: usize,
         seed: u64,
     ) -> Arc<Vec<Episode>> {
-        let key = DatasetKey::new(spec, days, seed);
-        if !self.disabled {
-            if let Some(eps) = lock_map(&self.episodes, "episode", &key).get(&key) {
-                self.hit();
-                return Arc::clone(eps);
-            }
-        }
-        let disk_key = format!("episodes/{}/{}/{}", spec.cache_tag(), days, seed);
-        if !self.disabled {
-            if let Some(disk) = &self.disk {
-                if let Some(raw) = disk.get(&disk_key) {
-                    match episodes_from_blob(&raw) {
-                        Some(eps) => {
-                            self.disk_hit();
-                            let eps = Arc::new(eps);
-                            if lock_map(&self.episodes, "episode", &key)
-                                .insert(key, Arc::clone(&eps))
-                                .is_none()
-                            {
-                                self.charge(Resident::Episodes(key), raw.len() as u64);
-                            }
-                            return eps;
-                        }
-                        None => disk.discard(&disk_key),
-                    }
-                }
-            }
-        }
-        self.miss();
-        let fx = self.fixture_with_seed(spec, days, seed);
-        let eps = Arc::new(extract_episodes(&fx.month));
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = episodes_to_blob(&eps);
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(&disk_key, &blob).ok();
-                }
-            }
-            if lock_map(&self.episodes, "episode", &key)
-                .insert(key, Arc::clone(&eps))
-                .is_none()
-            {
-                self.charge(Resident::Episodes(key), bytes);
-            }
-        }
-        eps
+        self.lookup(
+            &format!("episodes/{}/{days}/{seed}", spec.cache_tag()),
+            episodes_from_blob,
+            || extract_episodes(&self.fixture_with_seed(spec, days, seed).month),
+            |eps| episodes_to_blob(eps),
+        )
     }
 
-    /// A trained ADM for the canonical `(spec, days)` dataset: `adm_kind`
+    /// A trained ADM for the `(spec, days, seed)` dataset: `adm_kind`
     /// trained on the first `train_days` days. Identical to
-    /// `HouseFixture::adm` but memoized.
-    pub fn adm(
-        &self,
-        spec: &HouseSpec,
-        days: usize,
-        adm_kind: AdmKind,
-        train_days: usize,
-    ) -> Arc<HullAdm> {
-        self.adm_with_seed(spec, days, canonical_seed(spec), adm_kind, train_days)
-    }
-
-    /// A trained ADM for the `(spec, days, seed)` dataset.
+    /// [`HouseFixture::adm`] but memoized.
     pub fn adm_with_seed(
         &self,
         spec: &HouseSpec,
@@ -620,60 +390,23 @@ impl FixtureCache {
         adm_kind: AdmKind,
         train_days: usize,
     ) -> Arc<HullAdm> {
-        let ak = adm_key(&adm_kind);
-        let key = (DatasetKey::new(spec, days, seed), ak, train_days);
-        if !self.disabled {
-            if let Some(adm) = lock_map(&self.adms, "adm", &key).get(&key) {
-                self.hit();
-                return Arc::clone(adm);
-            }
-        }
-        let disk_key = format!(
-            "adm/{}/{}/{}/k{}-{:016x}-{:016x}-{:016x}/{}",
-            spec.cache_tag(),
-            days,
-            seed,
-            ak.tag,
-            ak.a,
-            ak.b,
-            ak.c,
-            train_days
-        );
-        if !self.disabled {
-            if let Some(disk) = &self.disk {
-                if let Some((adm, bytes)) = disk.get_blob_sized::<HullAdm>(&disk_key) {
-                    self.disk_hit();
-                    let adm = Arc::new(adm);
-                    if lock_map(&self.adms, "adm", &key)
-                        .insert(key, Arc::clone(&adm))
-                        .is_none()
-                    {
-                        self.charge(Resident::Adm(key.0, key.1, key.2), bytes as u64);
-                    }
-                    return adm;
-                }
-            }
-        }
-        self.miss();
-        let fx = self.fixture_with_seed(spec, days, seed);
-        let adm = Arc::new(fx.adm(adm_kind, train_days));
-        if !self.disabled {
-            let mut bytes = 0u64;
-            if self.wants_blob_bytes() {
-                let blob = adm.to_blob();
-                bytes = blob.len() as u64;
-                if let Some(disk) = &self.disk {
-                    disk.put(&disk_key, &blob).ok();
-                }
-            }
-            if lock_map(&self.adms, "adm", &key)
-                .insert(key, Arc::clone(&adm))
-                .is_none()
-            {
-                self.charge(Resident::Adm(key.0, key.1, key.2), bytes);
-            }
-        }
-        adm
+        // f64 parameters enter the key by bit pattern.
+        let (tag, a, b, c) = match adm_kind {
+            AdmKind::Dbscan(p) => (0, p.eps.to_bits(), p.min_pts as u64, 0),
+            AdmKind::KMeans(p) => (1, p.k as u64, p.max_iter as u64, p.seed),
+        };
+        self.lookup(
+            &format!(
+                "adm/{}/{days}/{seed}/k{tag}-{a:016x}-{b:016x}-{c:016x}/{train_days}",
+                spec.cache_tag()
+            ),
+            HullAdm::from_blob,
+            || {
+                self.fixture_with_seed(spec, days, seed)
+                    .adm(adm_kind, train_days)
+            },
+            HullAdm::to_blob,
+        )
     }
 
     /// Current hit/miss counters.
@@ -690,6 +423,11 @@ impl FixtureCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The canonical-seed fixture of `spec` through `cache`.
+    fn fixture(cache: &FixtureCache, spec: &HouseSpec, days: usize) -> Arc<HouseFixture> {
+        cache.fixture_with_seed(spec, days, spec.canonical_seed)
+    }
 
     #[test]
     fn hit_rate_distinguishes_empty_from_all_miss() {
@@ -710,8 +448,8 @@ mod tests {
     #[test]
     fn fixture_is_cached() {
         let cache = FixtureCache::new();
-        let a = cache.fixture(&HouseSpec::aras_a(), 3);
-        let b = cache.fixture(&HouseSpec::aras_a(), 3);
+        let a = fixture(&cache, &HouseSpec::aras_a(), 3);
+        let b = fixture(&cache, &HouseSpec::aras_a(), 3);
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -720,9 +458,9 @@ mod tests {
     #[test]
     fn distinct_keys_distinct_entries() {
         let cache = FixtureCache::new();
-        let a = cache.fixture(&HouseSpec::aras_a(), 3);
-        let b = cache.fixture(&HouseSpec::aras_b(), 3);
-        let c = cache.fixture(&HouseSpec::aras_a(), 4);
+        let a = fixture(&cache, &HouseSpec::aras_a(), 3);
+        let b = fixture(&cache, &HouseSpec::aras_b(), 3);
+        let c = fixture(&cache, &HouseSpec::aras_a(), 4);
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats().misses, 3);
@@ -755,8 +493,9 @@ mod tests {
     fn cached_adm_matches_uncached_training() {
         let cache = FixtureCache::new();
         let spec = HouseSpec::aras_a();
-        let cached = cache.adm(&spec, 4, AdmKind::default_kmeans(), 3);
-        let again = cache.adm(&spec, 4, AdmKind::default_kmeans(), 3);
+        let seed = spec.canonical_seed;
+        let cached = cache.adm_with_seed(&spec, 4, seed, AdmKind::default_kmeans(), 3);
+        let again = cache.adm_with_seed(&spec, 4, seed, AdmKind::default_kmeans(), 3);
         assert!(Arc::ptr_eq(&cached, &again));
         let fx = HouseFixture::new(&spec, 4);
         let direct = fx.adm(AdmKind::default_kmeans(), 3);
@@ -776,12 +515,12 @@ mod tests {
     #[test]
     fn memo_caches_by_key_and_recomputes_when_disabled() {
         let cache = FixtureCache::new();
-        let a = cache.memo("k1", || 41usize + 1);
-        let b = cache.memo("k1", || unreachable!("must be served from cache"));
-        assert_eq!((*a, *b), (42, 42));
+        let a = cache.memo_blob("k1", || vec![42.0]);
+        let b = cache.memo_blob::<Vec<f64>, _>("k1", || unreachable!("must be served from cache"));
+        assert_eq!((a[0], b[0]), (42.0, 42.0));
         assert!(Arc::ptr_eq(&a, &b));
-        let other = cache.memo("k2", || 7usize);
-        assert_eq!(*other, 7);
+        let other = cache.memo_blob("k2", || vec![7.0]);
+        assert_eq!(*other, [7.0]);
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -792,13 +531,12 @@ mod tests {
         );
 
         let off = FixtureCache::disabled();
-        assert!(off.is_disabled());
-        let x = off.memo("k1", || 1usize);
-        let y = off.memo("k1", || 2usize);
-        assert_eq!((*x, *y), (1, 2));
+        let x = off.memo_blob("k1", || vec![1.0]);
+        let y = off.memo_blob("k1", || vec![2.0]);
+        assert_eq!((x[0], y[0]), (1.0, 2.0));
         assert_eq!(off.stats().hits, 0);
-        let f1 = off.fixture(&HouseSpec::aras_a(), 2);
-        let f2 = off.fixture(&HouseSpec::aras_a(), 2);
+        let f1 = fixture(&off, &HouseSpec::aras_a(), 2);
+        let f2 = fixture(&off, &HouseSpec::aras_a(), 2);
         assert!(!Arc::ptr_eq(&f1, &f2));
     }
 
@@ -806,8 +544,8 @@ mod tests {
     fn episodes_cached_and_consistent() {
         let cache = FixtureCache::new();
         let spec = HouseSpec::aras_b();
-        let e1 = cache.episodes(&spec, 2);
-        let e2 = cache.episodes(&spec, 2);
+        let e1 = cache.episodes_with_seed(&spec, 2, spec.canonical_seed);
+        let e2 = cache.episodes_with_seed(&spec, 2, spec.canonical_seed);
         assert!(Arc::ptr_eq(&e1, &e2));
         let direct = extract_episodes(&HouseFixture::new(&spec, 2).month);
         assert_eq!(*e1, direct);
@@ -817,10 +555,36 @@ mod tests {
     fn scaled_spec_fixtures_cache_like_preset_ones() {
         let cache = FixtureCache::new();
         let spec = HouseSpec::scaled(6, 3);
-        let a = cache.fixture(&spec, 2);
-        let b = cache.fixture(&spec, 2);
+        let a = fixture(&cache, &spec, 2);
+        let b = fixture(&cache, &spec, 2);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.home.occupants().len(), 3);
         assert_eq!(a.month.n_occupants, 3);
+    }
+
+    #[test]
+    fn misshapen_fixture_blob_is_discarded_not_hit() {
+        let dir = std::env::temp_dir().join(format!(
+            "shatter-fixture-shape-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let spec = HouseSpec::aras_a();
+        let seed = spec.canonical_seed;
+        // A valid 2-day month stored under the 3-day fixture's key: it
+        // passes the store's checksum but not the fixture shape check.
+        let store = BlobStore::open(&dir, disk_schema_sig()).unwrap();
+        let two_days = HouseFixture::with_seed(&spec, 2, seed);
+        let key = format!("fixture/{}/3/{seed}", spec.cache_tag());
+        store.put(&key, &two_days.month.to_blob()).unwrap();
+        let cache = FixtureCache::new().with_disk(store);
+        let fx = fixture(&cache, &spec, 3);
+        assert_eq!(fx.month.days.len(), 3, "recomputed, not misdecoded");
+        let stats = cache.stats();
+        assert_eq!((stats.disk_hits, stats.misses), (0, 1));
+        let disk = cache.disk().unwrap().stats();
+        assert_eq!((disk.hits, disk.discarded), (0, 1));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -174,7 +174,7 @@ impl ScenarioCtx<'_> {
     /// fixture while `base_seed == 0` keeps the canonical months
     /// byte-stable.
     pub fn dataset_seed(&self, spec: &HouseSpec) -> u64 {
-        crate::fixtures::canonical_seed(spec) ^ self.params.base_seed
+        spec.canonical_seed ^ self.params.base_seed
     }
 
     /// Cached fixture for `(spec, days)` under this run's dataset seed.
@@ -379,7 +379,7 @@ impl Registry {
     }
 }
 
-/// FNV-1a hash of a string (also shards the fixture cache's memo map).
+/// FNV-1a hash of a string (also shards the fixture cache's entry map).
 /// Delegates to the workspace's single pinned implementation in
 /// `shatter-store` — scenario seeds are content addresses too.
 pub(crate) fn fnv1a(s: &str) -> u64 {

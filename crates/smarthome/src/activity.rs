@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of distinct ARAS activities.
@@ -10,7 +9,7 @@ pub const ACTIVITY_COUNT: usize = 27;
 /// Each activity carries a metabolic intensity (MET) used to derive per-person
 /// CO₂ emission (`P^CE`) and heat radiation (`P^HR`), following Persily &
 /// de Jonge's generation-rate study cited by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Activity {
     GoingOut,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Activity, ApplianceId, ZoneId};
 
 /// A smart appliance `d ∈ D` installed in a zone.
@@ -9,7 +7,7 @@ use crate::{Activity, ApplianceId, ZoneId};
 /// attack surface (paper §III-B). The dynamic-load HVAC model (Eq. 2–3)
 /// charges an appliance's power draw and heat radiation to the zone while
 /// the appliance is on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Appliance {
     /// Appliance identifier (index into [`crate::Home::appliances`]).
     pub id: ApplianceId,

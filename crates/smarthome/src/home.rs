@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{Appliance, ApplianceId, Occupant, OccupantId, Zone, ZoneId};
@@ -70,7 +69,7 @@ impl std::error::Error for HomeError {}
 ///     .unwrap();
 /// assert_eq!(home.indoor_zones().count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Home {
     name: String,
     zones: Vec<Zone>,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of one-minute controller sampling slots per day (paper: 1440).
@@ -10,10 +9,7 @@ pub type Minute = u32;
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub usize);
 
         impl $name {

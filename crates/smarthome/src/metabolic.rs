@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::Activity;
 
 /// Per-occupant metabolic scaling relative to a reference adult.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetabolicProfile {
     /// Multiplier on the reference generation rates (1.0 = reference adult).
     pub scale: f64,

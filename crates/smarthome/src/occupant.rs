@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{MetabolicProfile, OccupantId};
 
 /// Demographic age group of an occupant.
@@ -7,7 +5,7 @@ use crate::{MetabolicProfile, OccupantId};
 /// Persily & de Jonge (cited by the paper, §II) show occupant demographics
 /// strongly influence CO₂/heat generation — "a middle-aged man generates
 /// twice as much air pollutants compared to an infant".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgeGroup {
     /// Under ~3 years.
     Infant,
@@ -33,7 +31,7 @@ impl AgeGroup {
 
 /// An occupant `o ∈ O` of the smart home, tracked zone-by-zone through RFID
 /// sensing (paper §II, "Occupants tracking").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Occupant {
     /// Occupant identifier (index into [`crate::Home::occupants`]).
     pub id: OccupantId,

@@ -8,14 +8,12 @@
 //! which downstream cache keys (dataset fixtures, trained ADMs, memoized
 //! schedules) incorporate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Activity, Appliance, ApplianceId, Home, Occupant, OccupantId, Zone, ZoneId};
 
 /// The four indoor room archetypes of the ARAS evaluation homes. Scaled
 /// homes cycle through them; synthesis personas anchor their activities
 /// to zones by archetype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoomArchetype {
     /// Sleeping/napping zone.
     Bedroom,
@@ -67,7 +65,7 @@ impl RoomArchetype {
 }
 
 /// One indoor zone of a [`HomeSpec`] (Outside is implicit at index 0).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneSpec {
     /// Display name (`"Kitchen"`, `"Bedroom-5"`, ...).
     pub name: String,
@@ -80,7 +78,7 @@ pub struct ZoneSpec {
 }
 
 /// One appliance of a [`HomeSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplianceSpec {
     /// Display name.
     pub name: String,
@@ -98,7 +96,7 @@ pub struct ApplianceSpec {
 
 /// Declarative topology of a home: everything [`HomeSpec::build`] needs
 /// to produce a [`Home`], as plain data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomeSpec {
     /// Home display name (becomes [`Home::name`] and the dataset label).
     pub name: String,

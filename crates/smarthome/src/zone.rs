@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::ZoneId;
 
 /// A zone (room) of the smart home.
@@ -7,7 +5,7 @@ use crate::ZoneId;
 /// The paper's evaluation homes have four indoor zones — Bedroom,
 /// Livingroom, Kitchen, Bathroom — plus the *Outside* pseudo-zone `Z-0`
 /// where occupants reside when away. Outside is never conditioned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zone {
     /// Zone identifier (index into [`crate::Home::zones`]).
     pub id: ZoneId,

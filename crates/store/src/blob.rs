@@ -1,19 +1,41 @@
-//! Content-addressed blob store: the disk tier under `FixtureCache`.
+//! Content-addressed blob store: every durable record in the workspace.
 //!
-//! A [`BlobStore`] reuses the journal's record format (magic
-//! `SHATTERB1`, FNV-checksummed header, tmp+`rename` writes, torn
-//! records discarded) but with lazy per-`get` validation instead of a
-//! load-everything open: blobs are large (serialized month datasets,
-//! reward tables) and a warm run only touches the ones its keys ask
-//! for. A damaged, foreign or stale blob is deleted, counted in
-//! [`BlobStats::discarded`] and reported as a miss — the caller
-//! recomputes; cached bytes are never trusted past their checksum.
+//! A [`BlobStore`] is a directory of independent per-record files, each
+//! keyed by a caller-chosen content address and written via the only
+//! crash-safe primitive POSIX gives us: write to a unique temp file in
+//! the same directory, `sync_all`, then `rename` onto the final name. A
+//! `kill -9` at any instant therefore leaves either no record or a
+//! complete one — except for hardware-level torn writes, which the
+//! per-record FNV-1a checksum catches.
+//!
+//! Record file format (`b{fnv1a(key):016x}.blob`):
+//!
+//! ```text
+//! SHATTERB1 {sig:016x} {payload_len} {payload_fnv:016x}\n
+//! {key}\n
+//! {payload bytes}
+//! ```
+//!
+//! `sig` binds every record to what produced it: the fixture cache's
+//! serialization schema, or a fleet run's configuration (fleet size,
+//! days, span, seed, budget ...), so a journal can never replay rows
+//! into a run with different parameters.
+//!
+//! Records are validated lazily on each `get`, never on open: blobs
+//! can be large (serialized month datasets, reward tables) and a run
+//! only touches the ones its keys ask for. A damaged, foreign or stale
+//! record — wrong checksum, length, signature or stored key, or a
+//! payload the caller's decoder rejects — is deleted, counted in
+//! [`BlobStats::discarded`] and reported as a miss, so the caller
+//! recomputes; stored bytes are never trusted past their checksum and
+//! decoder.
 //!
 //! Reads consult the `store.read` fault-injection site: an injected
 //! `io` fault makes the stored blob unreadable (exercising the
 //! discard-and-recompute path), `panic` simulates a crash inside the
-//! read. Writes consult `store.write` with the same semantics as the
-//! journal (`io` = torn write at the final path).
+//! read. Writes consult `store.write`: `panic` is a reproducible
+//! mid-fleet crash, `io` a torn write (truncated record bytes at the
+//! final path — exactly what the checksum must catch).
 //!
 //! Typed payloads implement [`Blob`]: a version-tagged envelope over
 //! the [`crate::wire`] codec. `from_blob` rejects wrong tags and
@@ -27,14 +49,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use shatter_faults::FaultKind;
 
-use crate::fnv::fnv1a_str;
+use crate::fnv::{fnv1a_bytes, fnv1a_str};
 use crate::wire::{Reader, Writer};
-use crate::{encode_record, parse_record};
 
-/// Magic tag opening every blob file; trailing `1` is the format
-/// version. Distinct from the journal's `SHATTERJ1` so the two record
-/// kinds can never masquerade as each other.
-pub(crate) const BLOB_MAGIC: &str = "SHATTERB1";
+/// Magic tag opening every record file; trailing `1` is the format
+/// version.
+const MAGIC: &str = "SHATTERB1";
 
 /// A type that can round-trip through the blob store.
 ///
@@ -99,21 +119,22 @@ impl Blob for Vec<f64> {
 pub struct BlobStats {
     /// `get` calls issued.
     pub gets: u64,
-    /// `get` calls served by a valid on-disk blob.
+    /// `get` calls served by a valid, decodable on-disk blob.
     pub hits: u64,
     /// Blobs durably written.
     pub writes: u64,
-    /// Damaged / foreign / stale blobs deleted on read.
+    /// Damaged / foreign / stale / undecodable blobs deleted on read.
     pub discarded: u64,
     /// Writes torn by an injected `io` fault.
     pub torn: u64,
 }
 
-/// An open content-addressed blob directory bound to one schema
-/// signature. Internally synchronized; share through `&BlobStore`.
+/// An open content-addressed blob directory bound to one signature.
+/// Internally synchronized; parallel workers share it through
+/// `&BlobStore`.
 pub struct BlobStore {
     dir: PathBuf,
-    schema_sig: u64,
+    sig: u64,
     gets: AtomicU64,
     hits: AtomicU64,
     writes: AtomicU64,
@@ -125,16 +146,16 @@ pub struct BlobStore {
 impl BlobStore {
     /// Opens (creating if needed) the store at `dir`. Stale temp files
     /// from a crashed writer are removed; record files are *not* read
-    /// here — each is validated lazily on its first [`BlobStore::get`].
+    /// here — each is validated lazily on its first read.
     ///
-    /// `schema_sig` binds every blob to the serialization schema that
-    /// produced it; bump the schema string it hashes whenever an
-    /// encoding changes incompatibly.
+    /// `sig` binds every record to what produced it: the hash of a
+    /// serialization schema string (bump the string whenever an
+    /// encoding changes incompatibly) or of a run configuration.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from creating or scanning the directory.
-    pub fn open(dir: &Path, schema_sig: u64) -> io::Result<BlobStore> {
+    pub fn open(dir: &Path, sig: u64) -> io::Result<BlobStore> {
         fs::create_dir_all(dir)?;
         for entry in fs::read_dir(dir)? {
             let path = entry?.path();
@@ -144,7 +165,7 @@ impl BlobStore {
         }
         Ok(BlobStore {
             dir: dir.to_path_buf(),
-            schema_sig,
+            sig,
             gets: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -154,25 +175,23 @@ impl BlobStore {
         })
     }
 
-    /// Directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The raw payload stored for `key`, if a valid blob exists on disk.
+    pub fn get(&self, key: &str) -> Option<Vec<u8>> {
+        self.get_with(key, |payload| Some(payload.to_vec()))
     }
 
-    /// Schema signature the store is bound to.
-    pub fn schema_sig(&self) -> u64 {
-        self.schema_sig
-    }
-
-    /// The payload stored for `key`, if a valid blob exists on disk.
+    /// The payload stored for `key`, passed through `decode`.
+    ///
+    /// A blob counts as a hit only when it passes validation
+    /// (checksum, length, signature, stored key) *and* `decode`
+    /// accepts it. Anything else on disk is damage: it is deleted,
+    /// counted discarded and reported as a miss, so the caller
+    /// recomputes.
     ///
     /// Fault site `store.read`: `panic` unwinds here; `io` makes the
     /// stored blob unreadable — it is deleted and counted discarded,
-    /// exactly like real corruption, so the caller recomputes. Any
-    /// blob failing validation (checksum, schema signature, stored
-    /// key, content address) is likewise deleted, counted and
-    /// reported as a miss.
-    pub fn get(&self, key: &str) -> Option<Vec<u8>> {
+    /// exactly like real corruption.
+    pub fn get_with<T>(&self, key: &str, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
         self.gets.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(blob_file_name(key));
         match shatter_faults::hit("store.read") {
@@ -180,8 +199,7 @@ impl BlobStore {
             Some(FaultKind::Io) => {
                 // Unreadable media: the blob is as good as corrupt.
                 if path.exists() {
-                    fs::remove_file(&path).ok();
-                    self.discarded.fetch_add(1, Ordering::Relaxed);
+                    self.discard(&path);
                 }
                 return None;
             }
@@ -189,73 +207,54 @@ impl BlobStore {
             Some(FaultKind::Overflow) | Some(FaultKind::Budget) => return None,
             None => {}
         }
-        if !path.exists() {
-            return None;
+        let bytes = fs::read(&path).ok()?;
+        // A valid record under another key is an FNV address collision
+        // or a renamed file — either way not our data.
+        let value = parse_record(&bytes, self.sig)
+            .filter(|(stored_key, _)| *stored_key == key)
+            .and_then(|(_, payload)| decode(payload));
+        if value.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.discard(&path);
         }
-        match parse_record(&path, BLOB_MAGIC, self.schema_sig, blob_file_name) {
-            Some((stored_key, payload)) if stored_key == key => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
-            }
-            // Valid record, wrong key: an FNV address collision or a
-            // renamed file — either way not our data.
-            Some(_) | None => {
-                fs::remove_file(&path).ok();
-                self.discarded.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        value
     }
 
-    /// Deletes `key`'s blob (if any) and counts it discarded. Callers
-    /// use this when bytes that passed the store's checksum fail a
-    /// higher-level validation (typed decode, shape checks) — the blob
-    /// is damage either way and must not be served again.
-    pub fn discard(&self, key: &str) {
-        fs::remove_file(self.dir.join(blob_file_name(key))).ok();
-        self.discarded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Typed read: [`BlobStore::get`] + [`Blob::from_blob`]. A blob
-    /// whose bytes survive the checksum but fail typed decoding
-    /// (version skew, type confusion) is deleted and counted
-    /// discarded.
-    pub fn get_blob<T: Blob>(&self, key: &str) -> Option<T> {
-        self.get_blob_sized(key).map(|(v, _)| v)
-    }
-
-    /// Like [`BlobStore::get_blob`] but also returns the serialized
-    /// size, which callers charge against their RAM budget.
+    /// Typed read: [`Blob::from_blob`] through [`BlobStore::get_with`],
+    /// plus the serialized size, which callers charge against their
+    /// RAM budget.
     pub fn get_blob_sized<T: Blob>(&self, key: &str) -> Option<(T, usize)> {
-        let bytes = self.get(key)?;
-        match T::from_blob(&bytes) {
-            Some(v) => Some((v, bytes.len())),
-            None => {
-                self.discard(key);
-                self.hits.fetch_sub(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.get_with(key, |b| Some((T::from_blob(b)?, b.len())))
+    }
+
+    /// Deletes a record that failed validation and counts it.
+    fn discard(&self, path: &Path) {
+        fs::remove_file(path).ok();
+        self.discarded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Durably stores `payload` under `key` (tmp file, `sync_all`,
     /// atomic rename). Re-putting a key overwrites its blob.
     ///
-    /// Fault site `store.write`: same semantics as the journal —
-    /// `panic` unwinds, `io` tears the write at the final path (the
-    /// next `get` discards it), other kinds skip the write.
+    /// Fault site `store.write` (consulted before any bytes move):
+    /// `panic` unwinds here, `io` tears the write — half the record
+    /// lands at the final path, where the next read discards it — and
+    /// the other kinds skip the write (a lost record, recomputed
+    /// later).
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the write, sync or rename.
     pub fn put(&self, key: &str, payload: &[u8]) -> io::Result<()> {
-        let bytes = encode_record(BLOB_MAGIC, self.schema_sig, key, payload);
+        let bytes = encode_record(self.sig, key, payload);
         let final_path = self.dir.join(blob_file_name(key));
         match shatter_faults::hit("store.write") {
             Some(FaultKind::Panic) => shatter_faults::panic_now("store.write"),
             Some(FaultKind::Io) => {
-                let torn = &bytes[..bytes.len() / 2];
-                fs::write(&final_path, torn)?;
+                // Torn write: no rename barrier — the worst case a real
+                // crash plus reordered writeback can produce.
+                fs::write(&final_path, &bytes[..bytes.len() / 2])?;
                 self.torn.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
@@ -304,6 +303,40 @@ fn blob_file_name(key: &str) -> String {
     format!("b{:016x}.blob", fnv1a_str(key))
 }
 
+/// Serializes one record.
+fn encode_record(sig: u64, key: &str, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = format!(
+        "{MAGIC} {sig:016x} {} {:016x}\n{key}\n",
+        payload.len(),
+        fnv1a_bytes(payload)
+    )
+    .into_bytes();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Validates one record's bytes, returning its stored key and payload;
+/// `None` means damaged / foreign / differently-signed.
+fn parse_record(bytes: &[u8], sig: u64) -> Option<(&str, &[u8])> {
+    let header_end = bytes.iter().position(|&b| b == b'\n')?;
+    let header = std::str::from_utf8(&bytes[..header_end]).ok()?;
+    let mut parts = header.split(' ');
+    if parts.next()? != MAGIC || u64::from_str_radix(parts.next()?, 16).ok()? != sig {
+        return None;
+    }
+    let payload_len: usize = parts.next()?.parse().ok()?;
+    let checksum = u64::from_str_radix(parts.next()?, 16).ok()?;
+    if parts.next().is_some() {
+        return None;
+    }
+    let rest = &bytes[header_end + 1..];
+    let key_end = rest.iter().position(|&b| b == b'\n')?;
+    let key = std::str::from_utf8(&rest[..key_end]).ok()?;
+    let payload = &rest[key_end + 1..];
+    // Exact length: a truncated *or* over-long payload is damage.
+    (payload.len() == payload_len && fnv1a_bytes(payload) == checksum).then_some((key, payload))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +371,18 @@ mod tests {
     }
 
     #[test]
+    fn reput_overwrites() {
+        let dir = tmp_dir("overwrite");
+        let s = BlobStore::open(&dir, 1).unwrap();
+        s.put("k", b"old").unwrap();
+        s.put("k", b"new").unwrap();
+        let s = BlobStore::open(&dir, 1).unwrap();
+        assert_eq!(s.get("k").as_deref(), Some(b"new".as_slice()));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "one file per key");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_blob_is_deleted_and_missed() {
         let dir = tmp_dir("corrupt");
         let s = BlobStore::open(&dir, 1).unwrap();
@@ -357,30 +402,55 @@ mod tests {
     }
 
     #[test]
-    fn wrong_schema_sig_is_discarded_lazily() {
-        let dir = tmp_dir("schema");
-        {
-            let s = BlobStore::open(&dir, 1).unwrap();
-            s.put("k", b"v").unwrap();
-        }
-        let s = BlobStore::open(&dir, 2).unwrap();
-        assert_eq!(s.get("k"), None);
+    fn truncated_payload_is_discarded() {
+        let dir = tmp_dir("truncate");
+        let s = BlobStore::open(&dir, 3).unwrap();
+        s.put("keep", b"payload-that-survives").unwrap();
+        s.put("torn", b"payload-that-gets-torn").unwrap();
+        // Tear the second record mid-payload, as a crashed writeback
+        // would.
+        let torn_path = dir.join(blob_file_name("torn"));
+        let bytes = fs::read(&torn_path).unwrap();
+        fs::write(&torn_path, &bytes[..bytes.len() - 7]).unwrap();
+        assert_eq!(s.get("torn"), None);
+        assert!(!torn_path.exists(), "damaged record must be deleted");
+        assert_eq!(
+            s.get("keep").as_deref(),
+            Some(b"payload-that-survives".as_slice())
+        );
+        let st = s.stats();
+        assert_eq!((st.hits, st.discarded), (1, 1));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flipped_header_checksum_is_discarded() {
+        let dir = tmp_dir("checksum");
+        let s = BlobStore::open(&dir, 3).unwrap();
+        s.put("bitrot", b"payload").unwrap();
+        let path = dir.join(blob_file_name("bitrot"));
+        let mut bytes = fs::read(&path).unwrap();
+        // Flip one hex digit of the header's checksum field (the last
+        // field before the newline); the payload itself is intact.
+        let pos = bytes.iter().position(|&b| b == b'\n').unwrap() - 1;
+        bytes[pos] = if bytes[pos] == b'0' { b'1' } else { b'0' };
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(s.get("bitrot"), None);
         assert_eq!(s.stats().discarded, 1);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn journal_record_is_foreign_to_the_blob_store() {
-        let dir = tmp_dir("magic");
+    fn wrong_schema_sig_is_discarded_lazily() {
+        let dir = tmp_dir("sig");
         {
-            let j = crate::Journal::open(&dir, 1).unwrap();
-            j.put("k", b"journal-payload").unwrap();
+            let s = BlobStore::open(&dir, 1).unwrap();
+            s.put("k", b"v").unwrap();
         }
-        // Same directory, same key, same sig — but journal records are
-        // addressed r{hash}.rec while blobs live at b{hash}.blob, and
-        // the magics differ; the blob store simply misses.
-        let s = BlobStore::open(&dir, 1).unwrap();
+        let s = BlobStore::open(&dir, 2).unwrap();
+        assert_eq!(s.stats().discarded, 0, "open reads no records");
         assert_eq!(s.get("k"), None);
+        assert_eq!(s.stats().discarded, 1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -400,22 +470,48 @@ mod tests {
     }
 
     #[test]
+    fn injected_write_fault_tears_the_record_and_it_is_never_served() {
+        shatter_faults::install_str("blob-write-test/store.write/io").unwrap();
+        let dir = tmp_dir("write-fault");
+        let s = BlobStore::open(&dir, 5).unwrap();
+        shatter_faults::with_scenario("blob-write-test", || {
+            s.put("victim", b"this payload will be torn").unwrap();
+            s.put("clean", b"this one lands intact").unwrap();
+        });
+        let st = s.stats();
+        assert_eq!((st.torn, st.writes), (1, 1));
+        assert!(
+            dir.join(blob_file_name("victim")).exists(),
+            "torn bytes landed"
+        );
+        assert_eq!(s.get("victim"), None, "a torn record is never served");
+        assert_eq!(
+            s.get("clean").as_deref(),
+            Some(b"this one lands intact".as_slice())
+        );
+        assert_eq!(s.stats().discarded, 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn typed_envelope_rejects_type_confusion() {
         let dir = tmp_dir("typed");
         let s = BlobStore::open(&dir, 3).unwrap();
         // Includes -0.0 and a NaN payload: both must round-trip
         // bit-exactly through the envelope.
         let costs: Vec<f64> = vec![1.5, -0.0, f64::from_bits(0x7ff8_0000_0000_0001)];
-        let got = {
-            s.put_blob("benign/h5", &costs);
-            s.get_blob::<Vec<f64>>("benign/h5").unwrap()
-        };
+        let size = s.put_blob("benign/h5", &costs);
+        let (got, got_size) = s.get_blob_sized::<Vec<f64>>("benign/h5").unwrap();
+        assert_eq!(got_size, size);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&costs));
-        // Raw bytes under another key do not decode as Vec<f64>.
+        // Raw bytes under another key do not decode as Vec<f64>: a
+        // discard, and not a hit.
         s.put("other", b"not-an-envelope").unwrap();
-        assert_eq!(s.get_blob::<Vec<f64>>("other"), None);
-        assert_eq!(s.stats().discarded, 1);
+        assert_eq!(s.get_blob_sized::<Vec<f64>>("other"), None);
+        let st = s.stats();
+        assert_eq!((st.hits, st.discarded), (1, 1));
+        assert!(!dir.join(blob_file_name("other")).exists());
         fs::remove_dir_all(&dir).ok();
     }
 

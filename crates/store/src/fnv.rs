@@ -1,11 +1,11 @@
 //! The workspace's single FNV-1a 64-bit implementation.
 //!
-//! Every content address in the system — journal record file names,
-//! blob addresses, fixture cache keys, memo shard selection, fleet
-//! config signatures, scenario seeds — ultimately routes through this
-//! hash. It used to be duplicated in four crates; the pin tests below
-//! freeze the exact values so consolidating (or any future edit) can
-//! never silently re-address existing on-disk records.
+//! Every content address in the system — blob file names (fleet
+//! journals and the fixture store alike), payload checksums, cache
+//! shard selection, fleet config signatures, scenario seeds —
+//! ultimately routes through this hash. The pin tests below freeze the
+//! exact values so no edit can silently re-address existing on-disk
+//! records.
 
 /// FNV-1a offset basis (64-bit).
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

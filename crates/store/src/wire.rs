@@ -1,8 +1,8 @@
 //! Hand-rolled little-endian wire codec for blob payloads.
 //!
-//! The vendored `serde` is a marker-only shim (no real serialization),
-//! so persisted intermediates are encoded with this explicit codec
-//! instead. Design rules:
+//! The workspace builds offline with no serialization framework, so
+//! persisted intermediates are encoded with this explicit codec.
+//! Design rules:
 //!
 //! - everything is little-endian and fixed-width (`usize` travels as
 //!   `u64`), so bytes are identical across hosts;
