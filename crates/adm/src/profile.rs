@@ -21,11 +21,20 @@ use shatter_smarthome::{OccupantId, ZoneId};
 /// [`HullAdm::in_range_stay`] at integer arrivals; out-of-range arrivals
 /// report "no stealthy stay" exactly like an untrained (occupant, zone)
 /// pair.
+///
+/// The intervals are stored compressed-sparse-row style: every arrival's
+/// intervals lie back to back in one flat array, and `starts` holds each
+/// arrival's offset into it, so a profile is four allocations however
+/// many arrivals it covers.
 #[derive(Debug, Clone, Default)]
 pub struct StayProfile {
-    /// Per-arrival stealthy `[min, max]` stay intervals, sorted by lower
-    /// edge (one interval per cluster hull crossing the arrival line).
-    ranges: Vec<Vec<(f64, f64)>>,
+    /// Every arrival's stealthy `[min, max]` stay intervals, arrival by
+    /// arrival, each arrival's run sorted by lower edge (one interval per
+    /// cluster hull crossing the arrival line).
+    ranges: Vec<(f64, f64)>,
+    /// `ranges[starts[a]..starts[a + 1]]` are arrival `a`'s intervals
+    /// (`minutes + 1` offsets; empty for a default profile).
+    starts: Vec<u32>,
     /// Per-arrival minimum stealthy stay; `NAN` encodes "none".
     min_stay: Vec<f64>,
     /// Per-arrival maximum stealthy stay; `NAN` encodes "none".
@@ -36,17 +45,22 @@ impl StayProfile {
     /// Sweeps `adm`'s hulls for `(occupant, zone)` at every integer
     /// arrival in `0..minutes` (typically [`MINUTES_PER_DAY`]).
     pub fn build(adm: &HullAdm, occupant: OccupantId, zone: ZoneId, minutes: usize) -> StayProfile {
-        let mut ranges = Vec::with_capacity(minutes);
+        let mut ranges = Vec::new();
+        let mut starts = Vec::with_capacity(minutes + 1);
         let mut min_stay = Vec::with_capacity(minutes);
         let mut max_stay = Vec::with_capacity(minutes);
+        starts.push(0);
         for arrival in 0..minutes {
             let r = adm.stay_ranges(occupant, zone, arrival as f64);
             min_stay.push(r.iter().fold(f64::NAN, |acc, &(lo, _)| acc.min(lo)));
             max_stay.push(r.iter().fold(f64::NAN, |acc, &(_, hi)| acc.max(hi)));
-            ranges.push(r);
+            ranges.extend_from_slice(&r);
+            starts.push(u32::try_from(ranges.len()).expect("stay profile fits u32 offsets"));
         }
+        ranges.shrink_to_fit();
         StayProfile {
             ranges,
+            starts,
             min_stay,
             max_stay,
         }
@@ -59,18 +73,21 @@ impl StayProfile {
 
     /// Number of arrival minutes covered.
     pub fn minutes(&self) -> usize {
-        self.ranges.len()
+        self.min_stay.len()
     }
 
     /// Whether no arrival minute has a stealthy stay (untrained pair).
     pub fn is_empty(&self) -> bool {
-        self.ranges.iter().all(Vec::is_empty)
+        self.ranges.is_empty()
     }
 
     /// The stealthy stay intervals at an arrival minute
     /// ([`HullAdm::stay_ranges`]).
     pub fn stay_ranges(&self, arrival: usize) -> &[(f64, f64)] {
-        self.ranges.get(arrival).map_or(&[], Vec::as_slice)
+        match (self.starts.get(arrival), self.starts.get(arrival + 1)) {
+            (Some(&lo), Some(&hi)) => &self.ranges[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// Whether any stealthy stay exists from this arrival minute.

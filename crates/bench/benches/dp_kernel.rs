@@ -1,5 +1,7 @@
-//! Criterion microbench of the DP schedule-synthesis kernel — the hot
-//! path of every month-scale exhibit (tab5/tab6/tab7/fig10/ablation).
+//! Criterion microbench of the per-day attack kernels — the hot path of
+//! every month-scale exhibit (tab5/tab6/tab7/fig10/ablation): the window
+//! DP, Algorithm 1 trigger planning and Eq. 3–4 pricing of the attacked
+//! day.
 //!
 //! `full_day` measures `WindowDpScheduler::schedule` end to end (both
 //! occupants, stay profiles warm after the first iteration, exactly like
@@ -7,14 +9,25 @@
 //! retrains nothing but clones the ADM each iteration so the per-zone
 //! [`StayProfile`] build cost is included — the difference between the
 //! two quantifies what the lookup tables save.
+//!
+//! `plan_triggers` times one day's trigger plan for the DP schedule
+//! (stay profiles warm), and `price_no_trigger` / `price_with_trigger`
+//! time the two `evaluate_day_with_schedule` legs every Table VI cell
+//! prices per day (benign cost precomputed, as the sweeps do); the
+//! with-trigger leg includes its trigger plan.
+//!
+//! [`StayProfile`]: shatter_adm::StayProfile
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use shatter_adm::AdmKind;
 use shatter_bench::common::HouseFixture;
-use shatter_core::{AttackerCapability, RewardTable, Scheduler, WindowDpScheduler};
+use shatter_core::{
+    impact, trigger, AttackerCapability, RewardTable, Scheduler, WindowDpScheduler,
+};
 use shatter_dataset::HouseSpec;
+use shatter_hvac::DchvacController;
 use shatter_smarthome::OccupantId;
 
 fn bench_dp_kernel(c: &mut Criterion) {
@@ -39,6 +52,27 @@ fn bench_dp_kernel(c: &mut Criterion) {
             black_box(sched.schedule_occupant_zones(OccupantId(0), &table, &cold, &cap, day))
         })
     });
+
+    let s = sched.schedule(&table, &adm, &cap, day);
+    let benign = fx.model.day_cost(&DchvacController, day).total_usd();
+    group.bench_function("plan_triggers", |b| {
+        b.iter(|| black_box(trigger::plan_triggers(&fx.home, &adm, &cap, day, &s)))
+    });
+    for (id, triggering) in [("price_no_trigger", false), ("price_with_trigger", true)] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                black_box(impact::evaluate_day_with_schedule(
+                    &fx.model,
+                    &adm,
+                    &cap,
+                    day,
+                    &s,
+                    triggering,
+                    Some(benign),
+                ))
+            })
+        });
+    }
     group.finish();
 }
 

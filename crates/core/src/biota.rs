@@ -58,23 +58,11 @@ impl Scheduler for BiotaScheduler {
 /// exactly mirror actual behaviour) flagged anomalous by the ADM — the
 /// paper's "(60–100)% of BIoTA-identified attack vectors detected".
 pub fn detection_rate(adm: &HullAdm, schedule: &AttackSchedule, actual: &DayTrace) -> f64 {
-    let actual_eps: std::collections::HashSet<(usize, usize, u32, u32)> =
-        AttackSchedule::from_actual(actual)
-            .episodes()
-            .into_iter()
-            .map(|e| (e.occupant.index(), e.zone.index(), e.arrival, e.stay))
-            .collect();
     let mut diverging = 0usize;
     let mut flagged = 0usize;
-    for e in schedule.episodes() {
-        let key = (e.occupant.index(), e.zone.index(), e.arrival, e.stay);
-        if actual_eps.contains(&key) {
-            continue;
-        }
+    for (_, stealthy) in schedule.diverging_episodes(adm, actual) {
         diverging += 1;
-        if !adm.within(e.occupant, e.zone, e.arrival as f64, e.stay as f64) {
-            flagged += 1;
-        }
+        flagged += usize::from(!stealthy);
     }
     if diverging == 0 {
         0.0

@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use shatter_adm::{HullAdm, StayProfile};
 use shatter_dataset::DayTrace;
-use shatter_smarthome::{Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
+use shatter_smarthome::{ApplianceId, Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
 
 use crate::schedule::Scheduler;
 use crate::{AttackerCapability, RewardTable};
@@ -74,46 +74,62 @@ impl WindowDpScheduler {
             act_arrival.push(arr);
         }
 
+        // Capability membership resolved once per call, so the loops
+        // below answer `can_relocate` without set probes.
+        let zone_ok: Vec<bool> = (0..n_zones)
+            .map(|z| cap.zones.contains(&ZoneId(z)))
+            .collect();
+        let occupant_ok = cap.occupants.contains(&o);
+        let can_relocate = |actual: ZoneId, reported: ZoneId, t: usize| -> bool {
+            actual == reported
+                || (occupant_ok
+                    && zone_ok[actual.index()]
+                    && zone_ok[reported.index()]
+                    && cap.can_attack_at(t as Minute))
+        };
+
         // Expected appliance-trigger reward for *reporting* o in zone z at
         // minute t (Algorithm 1 preconditions that are schedule-independent:
         // attacker reach, appliance off, zone actually safe, occupant
         // actually elsewhere). The minStay window is state-dependent and
-        // applied at transition time.
-        let bonus: Vec<Vec<f64>> = if self.trigger_aware {
-            (0..n_zones)
-                .map(|z| {
+        // applied at transition time. Only zones holding an appliance the
+        // attacker can trigger are evaluated (the rest stay zero), in one
+        // pass over the day's records: `bonus[t * n_zones + z]`.
+        let mut bonus = vec![0.0; t_end * n_zones];
+        if self.trigger_aware {
+            let mut zone_apps: Vec<Vec<ApplianceId>> = vec![Vec::new(); n_zones];
+            for d in (0..table.n_appliances()).map(ApplianceId) {
+                if cap.appliances.contains(&d) {
+                    zone_apps[table.appliance_zone(d).index()].push(d);
+                }
+            }
+            for (t, rec) in actual.minutes.iter().enumerate() {
+                if !cap.can_attack_at(t as Minute) {
+                    continue;
+                }
+                for (z, apps) in zone_apps.iter().enumerate() {
                     let zid = ZoneId(z);
-                    (0..t_end)
-                        .map(|t| {
-                            if !cap.can_attack_at(t as Minute) || act_zone[t] == zid {
-                                return 0.0;
-                            }
-                            let rec = &actual.minutes[t];
-                            let zone_safe = rec
-                                .occupants
-                                .iter()
-                                .all(|os| os.zone != zid || os.activity.is_unaware());
-                            if !zone_safe {
-                                return 0.0;
-                            }
-                            let activity = table.best_activity(o, zid, t as Minute);
-                            (0..table.n_appliances())
-                                .map(shatter_smarthome::ApplianceId)
-                                .filter(|&d| {
-                                    table.appliance_zone(d) == zid
-                                        && !rec.appliances[d.index()]
-                                        && cap.can_trigger(d, t as Minute)
-                                        && table.appliance_linked_to(d, activity)
-                                })
-                                .map(|d| table.appliance_rate(d, t as Minute))
-                                .sum()
+                    if apps.is_empty() || act_zone[t] == zid {
+                        continue;
+                    }
+                    let zone_safe = rec
+                        .occupants
+                        .iter()
+                        .all(|os| os.zone != zid || os.activity.is_unaware());
+                    if !zone_safe {
+                        continue;
+                    }
+                    let activity = table.best_activity(o, zid, t as Minute);
+                    bonus[t * n_zones + z] = apps
+                        .iter()
+                        .filter(|&&d| {
+                            !rec.appliances[d.index()] && table.appliance_linked_to(d, activity)
                         })
-                        .collect()
-                })
-                .collect()
-        } else {
-            vec![vec![0.0; t_end]; n_zones]
-        };
+                        .map(|&d| table.appliance_rate(d, t as Minute))
+                        .sum();
+                }
+            }
+        }
         // Per-zone stay-bound profiles: every ADM primitive the loops
         // below consult answers from these flat tables instead of walking
         // hull geometry per query.
@@ -122,7 +138,7 @@ impl WindowDpScheduler {
             .collect();
         let slot_reward = |z: ZoneId, arrival: u32, t: usize| -> f64 {
             let base = table.rate(o, z, t as Minute);
-            let b = bonus[z.index()][t];
+            let b = bonus[t * n_zones + z.index()];
             if b <= 0.0 {
                 return base;
             }
@@ -142,18 +158,27 @@ impl WindowDpScheduler {
             profiles[z.index()].in_range_stay(arrival as usize, stay as f64)
         };
 
+        // Every layer lives in one node arena: layer `t` is
+        // `nodes[starts[t]..starts[t + 1]]` (the last one runs to the
+        // end), and `parent` indexes into the previous layer. Each layer
+        // is built in the reused `next` buffer and appended once pruned.
+        // A few live states per slot is typical, so four per slot rarely
+        // regrows the arena.
+        let mut nodes: Vec<Node> = Vec::with_capacity(4 * t_end);
+        let mut starts: Vec<usize> = Vec::with_capacity(t_end);
+        let mut next: Vec<Node> = Vec::new();
+        let mut keep: Vec<usize> = Vec::new();
+
         // Layer 0: choices for slot 0.
-        let mut layers: Vec<Vec<Node>> = Vec::with_capacity(t_end);
-        let mut first: Vec<Node> = Vec::new();
         for z in 0..n_zones {
             let z = ZoneId(z);
-            if !cap.can_relocate(o, act_zone[0], z, 0) {
+            if !can_relocate(act_zone[0], z, 0) {
                 continue;
             }
             if !has_future(z, 0) {
                 continue;
             }
-            first.push(Node {
+            next.push(Node {
                 zone: z,
                 arrival: 0,
                 value: slot_reward(z, 0, 0),
@@ -162,14 +187,15 @@ impl WindowDpScheduler {
             });
         }
         // Shadow mirrors actual regardless of ADM coverage.
-        first.push(Node {
+        next.push(Node {
             zone: act_zone[0],
             arrival: 0,
             value: table.rate(o, act_zone[0], 0),
             parent: usize::MAX,
             shadow: true,
         });
-        layers.push(first);
+        starts.push(0);
+        nodes.extend_from_slice(&next);
 
         // (zone, arrival) dedup for each layer on flat stamped arrays:
         // `dedup_stamp[key] == t` marks `dedup_pos[key]` as live for the
@@ -181,8 +207,8 @@ impl WindowDpScheduler {
 
         for t in 1..t_end {
             let minute = t as Minute;
-            let prev = layers.last().expect("layer exists");
-            let mut next: Vec<Node> = Vec::new();
+            let prev = &nodes[starts[t - 1]..];
+            next.clear();
             // Dedup non-shadow nodes by (zone, arrival); shadow nodes are
             // kept separately (at most one survives below).
             let push = |next: &mut Vec<Node>, stamp: &mut Vec<u32>, pos: &mut Vec<u32>, n: Node| {
@@ -225,7 +251,7 @@ impl WindowDpScheduler {
                         for z in 0..n_zones {
                             let z = ZoneId(z);
                             if z == act_zone[t - 1]
-                                || !cap.can_relocate(o, act_zone[t], z, minute)
+                                || !can_relocate(act_zone[t], z, t)
                                 || !has_future(z, t)
                             {
                                 continue;
@@ -248,7 +274,7 @@ impl WindowDpScheduler {
                 }
 
                 // Optimized state: stay put.
-                if cap.can_relocate(o, act_zone[t], p.zone, minute)
+                if can_relocate(act_zone[t], p.zone, t)
                     && can_extend(p.zone, p.arrival, t as u32 + 1 - p.arrival)
                 {
                     push(
@@ -269,10 +295,7 @@ impl WindowDpScheduler {
                 if can_exit(p.zone, p.arrival, stay) {
                     for z in 0..n_zones {
                         let z = ZoneId(z);
-                        if z == p.zone
-                            || !cap.can_relocate(o, act_zone[t], z, minute)
-                            || !has_future(z, t)
-                        {
+                        if z == p.zone || !can_relocate(act_zone[t], z, t) || !has_future(z, t) {
                             continue;
                         }
                         push(
@@ -350,11 +373,13 @@ impl WindowDpScheduler {
                 });
             }
 
-            // Window boundary: prune to the best state per zone (plus the
-            // shadow), reproducing the paper's horizon-limited
-            // optimization while keeping long profitable stays alive.
+            // Append the layer. At a window boundary, prune it to the best
+            // state per zone (plus the shadow), reproducing the paper's
+            // horizon-limited optimization while keeping long profitable
+            // stays alive.
+            starts.push(nodes.len());
             if t % self.horizon == 0 {
-                let mut keep: Vec<usize> = Vec::new();
+                keep.clear();
                 for z in 0..n_zones {
                     if let Some((i, _)) = next
                         .iter()
@@ -375,14 +400,15 @@ impl WindowDpScheduler {
                 if keep.is_empty() {
                     keep.push(0);
                 }
-                next = keep.into_iter().map(|i| next[i]).collect();
+                nodes.extend(keep.iter().map(|&i| next[i]));
+            } else {
+                nodes.extend_from_slice(&next);
             }
-            layers.push(next);
         }
 
         // Final selection: prefer states whose last stay is ADM-consistent
         // at the day boundary (or shadow states).
-        let last = layers.last().expect("layers non-empty");
+        let last = &nodes[starts[t_end - 1]..];
         let valid_final = |n: &Node| -> bool {
             n.shadow || can_exit(n.zone, n.arrival, MINUTES_PER_DAY as u32 - n.arrival)
         };
@@ -412,7 +438,7 @@ impl WindowDpScheduler {
         let mut zones = vec![ZoneId(0); t_end];
         let mut idx = pick;
         for t in (0..t_end).rev() {
-            let n = &layers[t][idx];
+            let n = &nodes[starts[t] + idx];
             zones[t] = n.zone;
             idx = n.parent;
             if t == 0 {

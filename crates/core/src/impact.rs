@@ -4,8 +4,8 @@
 
 use shatter_adm::HullAdm;
 use shatter_dataset::{DayTrace, MinuteRecord, OccupantState};
-use shatter_hvac::{DchvacController, EnergyModel};
-use shatter_smarthome::MINUTES_PER_DAY;
+use shatter_hvac::{DayPricer, DchvacController, EnergyModel};
+use shatter_smarthome::{ApplianceId, MINUTES_PER_DAY};
 
 use crate::biota::detection_rate;
 use crate::schedule::{AttackSchedule, Scheduler};
@@ -48,26 +48,41 @@ pub fn attacked_day_trace(
 ) -> DayTrace {
     let minutes = (0..MINUTES_PER_DAY)
         .map(|t| {
-            let rec = &actual.minutes[t];
-            let occupants = (0..schedule.n_occupants())
-                .map(|o| OccupantState {
-                    zone: schedule.zones[o][t],
-                    activity: schedule.activities[o][t],
-                })
-                .collect();
-            let mut appliances = rec.appliances.clone();
-            for aid in &triggers.on[t] {
-                appliances[aid.index()] = true;
-            }
-            MinuteRecord {
-                occupants,
-                appliances,
-            }
+            let mut rec = MinuteRecord {
+                occupants: Vec::new(),
+                appliances: Vec::new(),
+            };
+            fill_attacked_minute(&mut rec, actual, schedule, &triggers.on[t], t);
+            rec
         })
         .collect();
     DayTrace {
         day: actual.day,
         minutes,
+    }
+}
+
+/// Overwrites `rec` with minute `t` of the attacked trace (see
+/// [`attacked_day_trace`]), reusing its buffers; `triggered` are the
+/// minute's adversarial activations.
+fn fill_attacked_minute(
+    rec: &mut MinuteRecord,
+    actual: &DayTrace,
+    schedule: &AttackSchedule,
+    triggered: &[ApplianceId],
+    t: usize,
+) {
+    rec.occupants.clear();
+    rec.occupants
+        .extend((0..schedule.n_occupants()).map(|o| OccupantState {
+            zone: schedule.zones[o][t],
+            activity: schedule.activities[o][t],
+        }));
+    rec.appliances.clear();
+    rec.appliances
+        .extend_from_slice(&actual.minutes[t].appliances);
+    for aid in triggered {
+        rec.appliances[aid.index()] = true;
     }
 }
 
@@ -118,21 +133,25 @@ pub fn evaluate_day_with_schedule(
     with_triggering: bool,
     benign_cost_usd: Option<f64>,
 ) -> AttackOutcome {
-    let triggers = if with_triggering {
-        plan_triggers(model.home(), adm, cap, actual, schedule)
-    } else {
-        TriggerPlan {
-            on: vec![Vec::new(); MINUTES_PER_DAY],
-        }
-    };
-    let attacked = attacked_day_trace(actual, schedule, &triggers);
+    let triggers = with_triggering.then(|| plan_triggers(model.home(), adm, cap, actual, schedule));
     let benign_cost =
         benign_cost_usd.unwrap_or_else(|| model.day_cost(&DchvacController, actual).total_usd());
-    let attacked_cost = model.day_cost(&DchvacController, &attacked).total_usd();
+    // Price the attacked day minute by minute from one reused record
+    // instead of materializing the attacked trace.
+    let mut pricer = DayPricer::new(model, &DchvacController);
+    let mut rec = MinuteRecord {
+        occupants: Vec::with_capacity(schedule.n_occupants()),
+        appliances: Vec::with_capacity(model.home().appliances().len()),
+    };
+    for t in 0..MINUTES_PER_DAY {
+        let triggered = triggers.as_ref().map_or(&[][..], |p| &p.on[t]);
+        fill_attacked_minute(&mut rec, actual, schedule, triggered, t);
+        pricer.push(&rec);
+    }
     AttackOutcome {
         benign_cost_usd: benign_cost,
-        attacked_cost_usd: attacked_cost,
-        triggered_minutes: triggers.total_minutes(),
+        attacked_cost_usd: pricer.total_usd(),
+        triggered_minutes: triggers.as_ref().map_or(0, TriggerPlan::total_minutes),
         divergence: schedule.divergence(actual),
         detection_rate: detection_rate(adm, schedule, actual),
         schedule: schedule.clone(),

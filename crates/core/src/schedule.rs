@@ -107,30 +107,48 @@ impl AttackSchedule {
 
     /// Extracts the reported stay episodes (day index 0).
     pub fn episodes(&self) -> Vec<Episode> {
-        let mut out = Vec::new();
-        for (o, row) in self.zones.iter().enumerate() {
+        self.episode_iter().collect()
+    }
+
+    /// The reported stay episodes in [`AttackSchedule::episodes`] order:
+    /// occupant by occupant, each row's maximal same-zone runs in time
+    /// order.
+    fn episode_iter(&self) -> impl Iterator<Item = Episode> + '_ {
+        self.zones.iter().enumerate().flat_map(|(o, row)| {
             let mut start = 0usize;
-            for t in 1..row.len() {
-                if row[t] != row[start] {
-                    out.push(Episode {
-                        occupant: OccupantId(o),
-                        zone: row[start],
-                        day: 0,
-                        arrival: start as u32,
-                        stay: (t - start) as u32,
-                    });
-                    start = t;
+            (1..=row.len()).filter_map(move |t| {
+                if t < row.len() && row[t] == row[start] {
+                    return None;
                 }
-            }
-            out.push(Episode {
-                occupant: OccupantId(o),
-                zone: row[start],
-                day: 0,
-                arrival: start as u32,
-                stay: (row.len() - start) as u32,
-            });
-        }
-        out
+                let e = Episode {
+                    occupant: OccupantId(o),
+                    zone: row[start],
+                    day: 0,
+                    arrival: start as u32,
+                    stay: (t - start) as u32,
+                };
+                start = t;
+                Some(e)
+            })
+        })
+    }
+
+    /// Reported episodes that do not exactly mirror one of the occupant's
+    /// actual stays, each with whether the ADM accepts it. Both
+    /// [`AttackSchedule::validate`] and [`crate::biota::detection_rate`]
+    /// judge these and only these: an alarm raised on genuine behaviour is
+    /// not attributable to the attack.
+    pub(crate) fn diverging_episodes<'a>(
+        &'a self,
+        adm: &'a HullAdm,
+        actual: &'a DayTrace,
+    ) -> impl Iterator<Item = (Episode, bool)> + 'a {
+        self.episode_iter()
+            .filter(move |e| !mirrors_actual(e, actual))
+            .map(move |e| {
+                let stealthy = adm.within(e.occupant, e.zone, e.arrival as f64, e.stay as f64);
+                (e, stealthy)
+            })
     }
 
     /// Total scheduler reward of this schedule under a reward table.
@@ -176,6 +194,11 @@ impl AttackSchedule {
     ) -> Result<(), ScheduleError> {
         let n_occupants = self.zones.len();
         if actual.minutes.len() != MINUTES_PER_DAY
+            || actual
+                .minutes
+                .iter()
+                .any(|r| r.occupants.len() != n_occupants)
+            || self.activities.len() != n_occupants
             || self.zones.iter().any(|r| r.len() != MINUTES_PER_DAY)
             || self.activities.iter().any(|r| r.len() != MINUTES_PER_DAY)
         {
@@ -207,25 +230,29 @@ impl AttackSchedule {
                 }
             }
         }
-        // (1) ADM stealth, with actual-mirroring episodes exempt (an alarm
-        // raised on genuine behaviour is not attributable to the attack).
-        let actual_sched = AttackSchedule::from_actual(actual);
-        let actual_eps: std::collections::HashSet<(usize, usize, u32, u32)> = actual_sched
-            .episodes()
-            .into_iter()
-            .map(|e| (e.occupant.index(), e.zone.index(), e.arrival, e.stay))
-            .collect();
-        for e in self.episodes() {
-            let key = (e.occupant.index(), e.zone.index(), e.arrival, e.stay);
-            if actual_eps.contains(&key) {
-                continue;
-            }
-            if !adm.within(e.occupant, e.zone, e.arrival as f64, e.stay as f64) {
-                return Err(ScheduleError::NotStealthy { episode: e });
-            }
+        // (1) ADM stealth, with actual-mirroring episodes exempt.
+        match self.diverging_episodes(adm, actual).find(|&(_, ok)| !ok) {
+            Some((episode, _)) => Err(ScheduleError::NotStealthy { episode }),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
+
+/// Whether reported episode `e` is exactly one of its occupant's actual
+/// stays: the actual zone row holds `e.zone` over the episode's minutes
+/// and not just outside its bounds.
+fn mirrors_actual(e: &Episode, actual: &DayTrace) -> bool {
+    let zone_at = |t: usize| {
+        actual
+            .minutes
+            .get(t)
+            .and_then(|rec| rec.occupants.get(e.occupant.index()))
+            .map(|os| os.zone)
+    };
+    let (start, end) = (e.arrival as usize, (e.arrival + e.stay) as usize);
+    (start == 0 || zone_at(start - 1) != Some(e.zone))
+        && (end == actual.minutes.len() || zone_at(end) != Some(e.zone))
+        && (start..end).all(|t| zone_at(t) == Some(e.zone))
 }
 
 /// One memoizable schedule fragment: a window's zone row (or `None` when
@@ -394,6 +421,53 @@ mod tests {
             err,
             ScheduleError::ImplausibleActivity { .. } | ScheduleError::NotStealthy { .. }
         ));
+    }
+
+    fn shape_fixture() -> (
+        shatter_dataset::Dataset,
+        HullAdm,
+        AttackerCapability,
+        AttackSchedule,
+    ) {
+        let ds = synthesize(&SynthConfig::new(HouseSpec::aras_a(), 3, 8));
+        let adm = HullAdm::train(&ds, AdmKind::default_kmeans());
+        let cap = AttackerCapability::full(&houses::aras_house_a());
+        let s = AttackSchedule::from_actual(&ds.days[0]);
+        (ds, adm, cap, s)
+    }
+
+    #[test]
+    fn extra_occupant_row_is_a_shape_mismatch() {
+        let (ds, adm, cap, mut s) = shape_fixture();
+        s.zones.push(s.zones[0].clone());
+        s.activities.push(s.activities[0].clone());
+        assert_eq!(
+            s.validate(&adm, &cap, &ds.days[0]),
+            Err(ScheduleError::ShapeMismatch)
+        );
+    }
+
+    #[test]
+    fn missing_activity_row_is_a_shape_mismatch() {
+        let (ds, adm, cap, mut s) = shape_fixture();
+        s.activities.pop();
+        assert_eq!(
+            s.validate(&adm, &cap, &ds.days[0]),
+            Err(ScheduleError::ShapeMismatch)
+        );
+    }
+
+    #[test]
+    fn dropped_occupant_is_a_shape_mismatch() {
+        // A schedule that silently drops an occupant must not pass the
+        // stealth check.
+        let (ds, adm, cap, mut s) = shape_fixture();
+        s.zones.pop();
+        s.activities.pop();
+        assert_eq!(
+            s.validate(&adm, &cap, &ds.days[0]),
+            Err(ScheduleError::ShapeMismatch)
+        );
     }
 
     #[test]

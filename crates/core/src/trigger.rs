@@ -41,31 +41,13 @@ impl TriggerPlan {
     }
 }
 
-/// Computes the paper's per-slot `trig` predicate for one occupant: the
-/// reported stay at the reported zone has not exceeded `minStay`, and the
-/// occupant is not actually in the reported zone.
-fn trig_window(
-    adm: &HullAdm,
-    schedule: &AttackSchedule,
-    actual: &DayTrace,
-    o: OccupantId,
-    t: usize,
-) -> bool {
-    let zone = schedule.zones[o.index()][t];
-    // Reported arrival time for the current reported stay.
-    let mut arrival = t;
-    while arrival > 0 && schedule.zones[o.index()][arrival - 1] == zone {
-        arrival -= 1;
-    }
-    let Some(thresh) = adm.min_stay(o, zone, arrival as f64) else {
-        return false;
-    };
-    let within_thresh = (t - arrival) as f64 <= thresh;
-    let actually_there = actual.minutes[t].occupants[o.index()].zone == zone;
-    within_thresh && !actually_there
-}
-
 /// Derives the day's appliance-triggering plan (Algorithm 1 + Eq. 16).
+///
+/// One forward pass per occupant carries the reported arrival of the
+/// current reported stay, so Algorithm 1's `thresh` (`minStay` at that
+/// arrival) is read once per reported episode from the occupant's
+/// [`HullAdm::stay_profile`]. Occupants are planned in index order, so
+/// each minute's activations keep occupant order.
 pub fn plan_triggers(
     home: &Home,
     adm: &HullAdm,
@@ -73,19 +55,23 @@ pub fn plan_triggers(
     actual: &DayTrace,
     schedule: &AttackSchedule,
 ) -> TriggerPlan {
-    let n_occupants = schedule.n_occupants();
     let mut on: Vec<Vec<ApplianceId>> = vec![Vec::new(); MINUTES_PER_DAY];
-
-    #[allow(clippy::needless_range_loop)]
-    for t in 0..MINUTES_PER_DAY {
-        let rec = &actual.minutes[t];
-        for o in 0..n_occupants {
-            let o = OccupantId(o);
-            if !trig_window(adm, schedule, actual, o, t) {
+    for (o, row) in schedule.zones.iter().enumerate() {
+        let mut arrival = 0;
+        let mut thresh = None;
+        for (t, &zone) in row.iter().enumerate().take(MINUTES_PER_DAY) {
+            if t == 0 || row[t - 1] != zone {
+                arrival = t;
+                thresh = adm.stay_profile(OccupantId(o), zone).min_stay(arrival);
+            }
+            // The paper's per-slot `trig` predicate: the reported stay has
+            // not exceeded `minStay`, and the occupant is not actually in
+            // the reported zone.
+            let rec = &actual.minutes[t];
+            let within_thresh = thresh.is_some_and(|m| (t - arrival) as f64 <= m);
+            if !within_thresh || rec.occupants[o].zone == zone {
                 continue;
             }
-            let zone = schedule.zones[o.index()][t];
-            let activity = schedule.activities[o.index()][t];
             // Eq. 16: every occupant actually in the zone must be unaware.
             let zone_safe = rec
                 .occupants
@@ -94,6 +80,7 @@ pub fn plan_triggers(
             if !zone_safe {
                 continue;
             }
+            let activity = schedule.activities[o][t];
             for a in home.appliances_in(zone) {
                 if !cap.can_trigger(a.id, t as u32) {
                     continue;

@@ -1,0 +1,118 @@
+//! Output pins for the per-day attack kernels: the window DP, schedule
+//! validation, Algorithm 1 trigger planning, Eq. 3–4 pricing and the
+//! detection rate. The pinned hash was computed before the kernels were
+//! rewritten onto flat per-call data (CSR stay profiles, precomputed
+//! capability membership, allocation-free pricing); if it fails, a
+//! kernel changed an output bit.
+//!
+//! The capability shapes are ones the Table VI sweep never exercises —
+//! a timeslot window, an appliance subset, a single attackable
+//! occupant, a zone subset, a trigger-blind objective and a short
+//! horizon — because those are where per-call capability masks and
+//! per-zone appliance lists could diverge from the `BTreeSet` queries
+//! they replace.
+
+use shatter_adm::{AdmKind, HullAdm};
+use shatter_core::{impact, AttackerCapability, RewardTable, Scheduler, WindowDpScheduler};
+use shatter_dataset::{synthesize, HouseSpec, SynthConfig};
+use shatter_hvac::EnergyModel;
+use shatter_smarthome::{ApplianceId, OccupantId, ZoneId};
+
+/// FNV-1a over a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        for &b in bytes {
+            self.word(u64::from(b));
+        }
+    }
+}
+
+/// The six capability/scheduler shapes, each applied to both houses and
+/// both evaluation days.
+fn shapes(full: &AttackerCapability) -> Vec<(WindowDpScheduler, AttackerCapability)> {
+    let dp = WindowDpScheduler::default();
+    let mut one_occupant = full.clone();
+    one_occupant.occupants = [OccupantId(0)].into_iter().collect();
+    vec![
+        (dp, full.clone().with_timeslots(600, 1200)),
+        (
+            dp,
+            full.clone()
+                .with_appliance_access([ApplianceId(0), ApplianceId(1), ApplianceId(2)]),
+        ),
+        (dp, one_occupant),
+        (dp, full.clone().with_zone_access([ZoneId(1), ZoneId(3)])),
+        (
+            WindowDpScheduler {
+                trigger_aware: false,
+                ..dp
+            },
+            full.clone(),
+        ),
+        (WindowDpScheduler { horizon: 5, ..dp }, full.clone()),
+    ]
+}
+
+/// Hash of every run's DP zone rows, `validate` verdict, both pricing
+/// legs, trigger minutes, detection rate and divergence, with the run
+/// count and the summed trigger minutes and divergence (non-vacuity).
+fn kernel_hash() -> (u64, usize, usize, usize) {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut runs, mut triggered, mut divergence) = (0, 0, 0);
+    for spec in [HouseSpec::aras_a(), HouseSpec::aras_b()] {
+        let month = synthesize(&SynthConfig::new(spec.clone(), 12, spec.canonical_seed));
+        let adm = HullAdm::train(&month.prefix_days(10), AdmKind::default_kmeans());
+        let model = EnergyModel::standard(spec.home.build());
+        let table = RewardTable::build(&model);
+        let full = AttackerCapability::full(model.home());
+        for (sched, cap) in shapes(&full) {
+            for day in &month.days[10..12] {
+                let s = sched.schedule(&table, &adm, &cap, day);
+                for row in &s.zones {
+                    for z in row {
+                        h.word(z.index() as u64);
+                    }
+                }
+                h.bytes(format!("{:?}", s.validate(&adm, &cap, day)).as_bytes());
+                for triggering in [false, true] {
+                    let out = impact::evaluate_day_with_schedule(
+                        &model, &adm, &cap, day, &s, triggering, None,
+                    );
+                    h.word(out.benign_cost_usd.to_bits());
+                    h.word(out.attacked_cost_usd.to_bits());
+                    h.word(out.triggered_minutes as u64);
+                    h.word(out.detection_rate.to_bits());
+                    h.word(out.divergence as u64);
+                    triggered += out.triggered_minutes;
+                    divergence += out.divergence;
+                }
+                runs += 1;
+            }
+        }
+    }
+    (h.0, runs, triggered, divergence)
+}
+
+/// Pinned before the flat-kernel rewrite (same inputs, same hash order).
+const KERNEL_OUTPUTS: u64 = 0x695d_3760_09d8_86bb;
+
+#[test]
+fn day_kernel_outputs_match_pin() {
+    let (hash, runs, triggered, divergence) = kernel_hash();
+    assert_eq!(runs, 24);
+    assert!(triggered > 0 && divergence > 0, "vacuous runs");
+    assert_eq!(
+        hash, KERNEL_OUTPUTS,
+        "a day kernel changed its output: {hash:#018x}"
+    );
+}

@@ -10,13 +10,26 @@ use crate::params::{ControllerParams, OutdoorModel};
 pub(crate) const CFM_DT_TO_WATTS: f64 = 0.3167;
 
 /// Per-minute actuation decided by a controller.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A decision is reusable: [`Controller::control_into`] overwrites it in
+/// place, keeping its buffers (and the zone-load scratch the controller
+/// sizes airflow from) across minutes.
+#[derive(Debug, Clone, Default)]
 pub struct ControlDecision {
     /// Total supply airflow per zone (CFM), indexed by zone id.
     pub zone_cfm: Vec<f64>,
     /// Fresh (outside) air fraction of each zone's supply airflow in
     /// `[0, 1]`; the rest is recirculated return air.
     pub fresh_fraction: Vec<f64>,
+    /// Zone-load scratch of the last [`Controller::control_into`] call.
+    loads: Vec<ZoneLoads>,
+}
+
+impl PartialEq for ControlDecision {
+    /// Decisions compare by actuation; the load scratch is not part of it.
+    fn eq(&self, other: &ControlDecision) -> bool {
+        self.zone_cfm == other.zone_cfm && self.fresh_fraction == other.fresh_fraction
+    }
 }
 
 impl ControlDecision {
@@ -29,6 +42,17 @@ impl ControlDecision {
     pub fn total_cfm(&self) -> f64 {
         self.zone_cfm.iter().sum()
     }
+
+    /// Fills the load scratch from `record` and zeroes the actuation for
+    /// `home`'s zones, reusing every buffer.
+    fn reset(&mut self, home: &Home, record: &MinuteRecord) {
+        zone_loads_into(home, record, &mut self.loads);
+        let n = home.zones().len();
+        for v in [&mut self.zone_cfm, &mut self.fresh_fraction] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+    }
 }
 
 /// A demand-controlled HVAC controller: maps the current home state to an
@@ -37,7 +61,20 @@ impl ControlDecision {
 /// Implementations receive the (possibly attacker-falsified) sensor view of
 /// the home: per-occupant zone/activity and appliance on/off states.
 pub trait Controller {
-    /// Computes the actuation for one sampling slot.
+    /// Computes the actuation for one sampling slot into `out`,
+    /// overwriting it and reusing its buffers (no allocation once `out`
+    /// has been sized for the home).
+    fn control_into(
+        &self,
+        home: &Home,
+        record: &MinuteRecord,
+        minute: Minute,
+        params: &ControllerParams,
+        outdoor: &OutdoorModel,
+        out: &mut ControlDecision,
+    );
+
+    /// Allocating form of [`Controller::control_into`].
     fn control(
         &self,
         home: &Home,
@@ -45,22 +82,28 @@ pub trait Controller {
         minute: Minute,
         params: &ControllerParams,
         outdoor: &OutdoorModel,
-    ) -> ControlDecision;
+    ) -> ControlDecision {
+        let mut out = ControlDecision::default();
+        self.control_into(home, record, minute, params, outdoor, &mut out);
+        out
+    }
 }
 
 /// Per-zone thermal and CO₂ loads as seen through the sensors.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ZoneLoads {
+struct ZoneLoads {
     /// Occupant CO₂ generation, ft³/min.
-    pub co2_cfm: f64,
+    co2_cfm: f64,
     /// Occupant metabolic + appliance sensible heat, watts.
-    pub heat_watts: f64,
+    heat_watts: f64,
     /// Occupant head-count.
-    pub occupancy: usize,
+    occupancy: usize,
 }
 
-pub(crate) fn zone_loads(home: &Home, record: &MinuteRecord) -> Vec<ZoneLoads> {
-    let mut loads = vec![ZoneLoads::default(); home.zones().len()];
+/// Overwrites `loads` with one [`ZoneLoads`] per zone of `home`.
+fn zone_loads_into(home: &Home, record: &MinuteRecord, loads: &mut Vec<ZoneLoads>) {
+    loads.clear();
+    loads.resize(home.zones().len(), ZoneLoads::default());
     for (o, os) in record.occupants.iter().enumerate() {
         let zl = &mut loads[os.zone.index()];
         let profile = home.occupants()[o].metabolic_profile();
@@ -74,7 +117,6 @@ pub(crate) fn zone_loads(home: &Home, record: &MinuteRecord) -> Vec<ZoneLoads> {
             loads[a.zone.index()].heat_watts += a.heat_watts();
         }
     }
-    loads
 }
 
 /// Computes the fresh airflow needed to hold the CO₂ setpoint at steady
@@ -109,31 +151,26 @@ pub(crate) fn cooling_cfm(heat_watts: f64, params: &ControllerParams) -> f64 {
 pub struct DchvacController;
 
 impl Controller for DchvacController {
-    fn control(
+    fn control_into(
         &self,
         home: &Home,
         record: &MinuteRecord,
         _minute: Minute,
         params: &ControllerParams,
         _outdoor: &OutdoorModel,
-    ) -> ControlDecision {
-        let loads = zone_loads(home, record);
-        let mut zone_cfm = vec![0.0; home.zones().len()];
-        let mut fresh_fraction = vec![0.0; home.zones().len()];
+        out: &mut ControlDecision,
+    ) {
+        out.reset(home, record);
         for z in home.zones() {
             if !z.conditioned {
                 continue;
             }
-            let zl = &loads[z.id.index()];
+            let zl = &out.loads[z.id.index()];
             let vent = ventilation_cfm(zl.co2_cfm, params);
             let cool = cooling_cfm(zl.heat_watts, params);
             let q = vent.max(cool).min(params.max_zone_cfm);
-            zone_cfm[z.id.index()] = q;
-            fresh_fraction[z.id.index()] = if q > 0.0 { (vent / q).min(1.0) } else { 0.0 };
-        }
-        ControlDecision {
-            zone_cfm,
-            fresh_fraction,
+            out.zone_cfm[z.id.index()] = q;
+            out.fresh_fraction[z.id.index()] = if q > 0.0 { (vent / q).min(1.0) } else { 0.0 };
         }
     }
 }
@@ -177,22 +214,21 @@ impl Default for AshraeController {
 }
 
 impl Controller for AshraeController {
-    fn control(
+    fn control_into(
         &self,
         home: &Home,
         record: &MinuteRecord,
         _minute: Minute,
         params: &ControllerParams,
         _outdoor: &OutdoorModel,
-    ) -> ControlDecision {
-        let loads = zone_loads(home, record);
-        let mut zone_cfm = vec![0.0; home.zones().len()];
-        let mut fresh_fraction = vec![0.0; home.zones().len()];
+        out: &mut ControlDecision,
+    ) {
+        out.reset(home, record);
         for z in home.zones() {
             if !z.conditioned {
                 continue;
             }
-            let occupancy = loads[z.id.index()].occupancy as f64;
+            let occupancy = out.loads[z.id.index()].occupancy as f64;
             // (1) average-rate occupant loads.
             let co2 = occupancy * 0.011 * self.average_met;
             let heat_occ = occupancy * 63.0 * self.average_met;
@@ -202,15 +238,11 @@ impl Controller for AshraeController {
             // (3) ASHRAE 62.1 ventilation floor.
             let floor_area = z.volume_ft3 / self.ceiling_ft;
             let vent_floor = self.cfm_per_person * occupancy + self.cfm_per_ft2 * floor_area;
-            let vent = super::controller::ventilation_cfm(co2, params).max(vent_floor);
+            let vent = ventilation_cfm(co2, params).max(vent_floor);
             let cool = cooling_cfm(heat, params);
             let q = vent.max(cool).min(params.max_zone_cfm);
-            zone_cfm[z.id.index()] = q;
-            fresh_fraction[z.id.index()] = if q > 0.0 { (vent / q).min(1.0) } else { 0.0 };
-        }
-        ControlDecision {
-            zone_cfm,
-            fresh_fraction,
+            out.zone_cfm[z.id.index()] = q;
+            out.fresh_fraction[z.id.index()] = if q > 0.0 { (vent / q).min(1.0) } else { 0.0 };
         }
     }
 }

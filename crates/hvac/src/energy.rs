@@ -4,7 +4,9 @@ use shatter_smarthome::{
     Minute, OccupantId, ZoneId,
 };
 
-use crate::controller::{cooling_cfm, ventilation_cfm, Controller, CFM_DT_TO_WATTS};
+use crate::controller::{
+    cooling_cfm, ventilation_cfm, ControlDecision, Controller, CFM_DT_TO_WATTS,
+};
 use crate::params::{ControllerParams, OutdoorModel, Pricing};
 
 /// Energy drawn during one sampling slot (Eq. 3 split into its two terms).
@@ -43,6 +45,60 @@ impl DayCost {
     /// Total daily energy in kWh.
     pub fn total_kwh(&self) -> f64 {
         self.minutes.iter().map(MinuteEnergy::total_kwh).sum()
+    }
+}
+
+/// Eq. 3 + Eq. 4 over one day, fed one minute record at a time in minute
+/// order: the accumulation behind [`EnergyModel::day_cost`], and the
+/// whole pricing loop for callers that build each minute's record in a
+/// reused buffer instead of materializing a [`DayTrace`]. Pricing a
+/// minute allocates nothing once the first minute has sized the
+/// controller's decision buffers.
+pub struct DayPricer<'a> {
+    model: &'a EnergyModel,
+    controller: &'a dyn Controller,
+    decision: ControlDecision,
+    minute: Minute,
+    peak_kwh: f64,
+    hvac_usd: f64,
+    appliance_usd: f64,
+}
+
+impl<'a> DayPricer<'a> {
+    /// Starts pricing a day at minute 0.
+    pub fn new(model: &'a EnergyModel, controller: &'a dyn Controller) -> DayPricer<'a> {
+        DayPricer {
+            model,
+            controller,
+            decision: ControlDecision::default(),
+            minute: 0,
+            peak_kwh: 0.0,
+            hvac_usd: 0.0,
+            appliance_usd: 0.0,
+        }
+    }
+
+    /// Prices the next minute's record: its energy (Eq. 3), returned, and
+    /// its cost at the battery-adjusted price (Eq. 4), accumulated.
+    pub fn push(&mut self, record: &MinuteRecord) -> MinuteEnergy {
+        let minute = self.minute;
+        let e = self
+            .model
+            .minute_energy_into(self.controller, record, minute, &mut self.decision);
+        if self.model.pricing.is_peak(minute) {
+            self.peak_kwh += e.total_kwh();
+        }
+        let price = self.model.pricing.price_at(minute, self.peak_kwh);
+        self.hvac_usd += e.hvac_kwh * price;
+        self.appliance_usd += e.appliance_kwh * price;
+        self.minute += 1;
+        e
+    }
+
+    /// Cost of the minutes pushed so far, $ (same sum as
+    /// [`DayCost::total_usd`]).
+    pub fn total_usd(&self) -> f64 {
+        self.hvac_usd + self.appliance_usd
     }
 }
 
@@ -101,7 +157,25 @@ impl EnergyModel {
         record: &MinuteRecord,
         minute: Minute,
     ) -> MinuteEnergy {
-        let decision = controller.control(&self.home, record, minute, &self.params, &self.outdoor);
+        self.minute_energy_into(controller, record, minute, &mut ControlDecision::default())
+    }
+
+    /// [`EnergyModel::minute_energy`] deciding into a reused `decision`.
+    fn minute_energy_into(
+        &self,
+        controller: &dyn Controller,
+        record: &MinuteRecord,
+        minute: Minute,
+        decision: &mut ControlDecision,
+    ) -> MinuteEnergy {
+        controller.control_into(
+            &self.home,
+            record,
+            minute,
+            &self.params,
+            &self.outdoor,
+            decision,
+        );
         let t_out = self.outdoor.temp_at(minute);
         let dt_min = self.params.sample_minutes;
         let mut hvac_w = 0.0;
@@ -130,23 +204,13 @@ impl EnergyModel {
 
     /// Full-day energy and cost under a controller (Eq. 3 + Eq. 4).
     pub fn day_cost(&self, controller: &dyn Controller, day: &DayTrace) -> DayCost {
-        let mut out = DayCost {
-            minutes: Vec::with_capacity(day.minutes.len()),
-            ..DayCost::default()
-        };
-        let mut peak_kwh = 0.0;
-        for (m, rec) in day.minutes.iter().enumerate() {
-            let minute = m as Minute;
-            let e = self.minute_energy(controller, rec, minute);
-            if self.pricing.is_peak(minute) {
-                peak_kwh += e.total_kwh();
-            }
-            let price = self.pricing.price_at(minute, peak_kwh);
-            out.hvac_usd += e.hvac_kwh * price;
-            out.appliance_usd += e.appliance_kwh * price;
-            out.minutes.push(e);
+        let mut pricer = DayPricer::new(self, controller);
+        let minutes = day.minutes.iter().map(|rec| pricer.push(rec)).collect();
+        DayCost {
+            minutes,
+            hvac_usd: pricer.hvac_usd,
+            appliance_usd: pricer.appliance_usd,
         }
-        out
     }
 
     /// Cost of every day in a dataset, in order.

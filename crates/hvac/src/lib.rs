@@ -39,5 +39,5 @@ mod energy;
 mod params;
 
 pub use controller::{AshraeController, ControlDecision, Controller, DchvacController};
-pub use energy::{DayCost, EnergyModel, MinuteEnergy};
+pub use energy::{DayCost, DayPricer, EnergyModel, MinuteEnergy};
 pub use params::{ControllerParams, OutdoorModel, Pricing};
