@@ -8,7 +8,7 @@
 //!       [--days N] [--span N] [--seed N]
 //!       [--json] [--no-text] [--out DIR] [--no-csv]
 //!       [--baseline PATH] [--gate-against PATH]
-//!       [--inject PLAN] [--budget SPEC]
+//!       [--inject PLAN] [--budget SPEC] [--exact-simplex]
 //!       [--fleet N] [--sample K] [--resume DIR] [--journal DIR]
 //!       [--house-budget SPEC] [--fleet-retries N]
 //!       [--store DIR] [--cache-mb N]
@@ -47,23 +47,24 @@
 //! effort watchdog (same syntax as `--budget`) and `--fleet-retries`
 //! bounds retries before a crashing house is quarantined.
 //!
-//! Setting `SHATTER_EXACT_SIMPLEX=1` (or `true`) runs every SMT window
-//! through the forced-exact rational simplex instead of the certified
-//! float fast path — schedules and exhibit verdicts are byte-identical
-//! either way; only the `float_piv`/`fb` effort columns change.
+//! `--exact-simplex` runs every SMT window through the forced-exact
+//! rational simplex instead of the certified float fast path —
+//! schedules and exhibit verdicts are byte-identical either way; only
+//! the `float_piv`/`fb` effort columns change.
 //!
 //! Dependability: a panicking scenario is isolated to a `FAILED` row and
 //! the rest of the suite still runs (`--fail-fast` stops instead); the
 //! exit code is 1 when any scenario failed. `--inject` installs a
-//! deterministic fault plan (`SHATTER_FAULTS` syntax:
-//! `scenario/site/kind[@hit]`, comma-separated) and `--budget` caps
-//! solver effort per SMT window (`SHATTER_BUDGET` syntax:
-//! `conflicts=N,pivots=N,probes=N`) with anytime degradation.
+//! deterministic fault plan (`scenario/site/kind[@hit]`,
+//! comma-separated) and `--budget` caps solver effort per SMT window
+//! (`conflicts=N,pivots=N,probes=N`) with anytime degradation. Both SMT
+//! settings travel to the scenarios in `RunParams::smt`.
 
 use std::path::PathBuf;
 
 use shatter_bench::fleet::{FleetPolicy, FleetScenario};
 use shatter_bench::scenarios::builtin_registry;
+use shatter_core::SmtScheduler;
 use shatter_engine::baseline::measure;
 use shatter_engine::runner::run_scenarios;
 use shatter_engine::{
@@ -85,7 +86,7 @@ struct Options {
     baseline: Option<PathBuf>,
     gate_against: Option<PathBuf>,
     inject: Option<String>,
-    budget: Option<String>,
+    smt: SmtScheduler,
     fail_fast: bool,
     fleet: Option<usize>,
     sample: Option<usize>,
@@ -137,7 +138,7 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
         baseline: None,
         gate_against: None,
         inject: None,
-        budget: None,
+        smt: SmtScheduler::default(),
         fail_fast: false,
         fleet: None,
         sample: None,
@@ -217,12 +218,13 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
             "--budget" => {
                 if let Some(spec) = next_value(&mut args, "--budget", "a budget spec", &mut errors)
                 {
-                    if let Err(e) = Budget::parse(&spec) {
-                        errors.push(format!("--budget: {e}"));
+                    match Budget::parse(&spec) {
+                        Ok(b) => opts.smt.budget = (!b.is_unlimited()).then_some(b),
+                        Err(e) => errors.push(format!("--budget: {e}")),
                     }
-                    opts.budget = Some(spec);
                 }
             }
+            "--exact-simplex" => opts.smt.force_exact = true,
             "--fleet" => opts.fleet = Some(next_num(&mut args, "--fleet", &mut errors)),
             "--sample" => opts.sample = Some(next_num(&mut args, "--sample", &mut errors)),
             "--store" => {
@@ -262,7 +264,7 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                     "usage: repro [--list] [--only ID[,ID...]] [--threads N] [--serial]\n\
                      \x20            [--days N] [--span N] [--seed N] [--json] [--no-text]\n\
                      \x20            [--out DIR] [--no-csv] [--baseline PATH]\n\
-                     \x20            [--inject PLAN] [--budget SPEC]\n\
+                     \x20            [--inject PLAN] [--budget SPEC] [--exact-simplex]\n\
                      \x20            [--fleet N] [--sample K] [--resume DIR] [--journal DIR]\n\
                      \x20            [--house-budget SPEC] [--fleet-retries N]\n\
                      \x20            [--store DIR] [--cache-mb N]\n\
@@ -300,11 +302,6 @@ fn main() {
     if let Some(plan) = &opts.inject {
         // Validated during parsing; installing can only re-succeed.
         shatter_faults::install_str(plan).unwrap_or_else(|e| die(&format!("--inject: {e}")));
-    }
-    if let Some(spec) = &opts.budget {
-        // SmtScheduler::default reads SHATTER_BUDGET, so exporting the
-        // (already-validated) spec reaches every window the run solves.
-        std::env::set_var("SHATTER_BUDGET", spec);
     }
 
     // Crash-safe fleet wiring. --resume reconstructs the interrupted
@@ -407,6 +404,7 @@ fn main() {
             days: opts.days,
             span: opts.span,
             base_seed: opts.seed,
+            smt: opts.smt,
         },
         fail_fast: opts.fail_fast,
     };

@@ -16,8 +16,9 @@ use shatter_adm::dbscan::DbscanParams;
 use shatter_adm::kmeans::KMeansParams;
 use shatter_adm::{indices, metrics, AdmKind, HullAdm};
 use shatter_core::{
-    biota::detection_rate, impact, trigger, AttackSchedule, AttackerCapability, RewardTable,
-    Scheduler, SmtScheduler, SmtStats, StrategyRegistry,
+    biota::detection_rate, impact, trigger, AttackSchedule, AttackerCapability, GreedyScheduler,
+    RewardTable, Scheduler, SmtScheduler, SmtStats, StrategyEntry, StrategyRegistry,
+    WindowDpScheduler,
 };
 use shatter_dataset::attacks::{biota_attack_episodes, AttackerKnowledge, BiotaConfig};
 use shatter_dataset::episodes::{extract_episodes, features_for, Episode};
@@ -69,7 +70,7 @@ pub(crate) fn reward_table(cx: &ScenarioCtx<'_>, fx: &HouseFixture) -> Arc<Rewar
 }
 
 /// Cached benign per-day control costs ($) of a fixture's month.
-pub(crate) fn benign_day_costs(cx: &ScenarioCtx<'_>, fx: &HouseFixture) -> Arc<Vec<f64>> {
+fn benign_day_costs(cx: &ScenarioCtx<'_>, fx: &HouseFixture) -> Arc<Vec<f64>> {
     cx.cache
         .memo_blob(&format!("benign/{}", fx.cache_key()), || {
             fx.model
@@ -80,30 +81,111 @@ pub(crate) fn benign_day_costs(cx: &ScenarioCtx<'_>, fx: &HouseFixture) -> Arc<V
         })
 }
 
-/// Cached attack schedule for one day of a fixture's month. The key
-/// carries the ADM tag, strategy key, capability signature and day, so
-/// triggering on/off comparisons and overlapping exhibits synthesize
-/// each schedule once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn day_schedule(
+/// One attack configuration: the attacker-side ADM and strategy, with
+/// the tags that key their cached schedules, and the capability.
+#[derive(Clone, Copy)]
+pub(crate) struct Attack<'a> {
+    pub(crate) adm: &'a HullAdm,
+    pub(crate) adm_tag: &'a str,
+    pub(crate) strategy_key: &'a str,
+    pub(crate) scheduler: &'a (dyn Scheduler + Sync),
+    pub(crate) cap: &'a AttackerCapability,
+}
+
+/// Cached schedule of `attack` for one day of a fixture's month. The
+/// key carries the ADM tag, strategy key, capability signature and
+/// day, so triggering on/off comparisons and overlapping exhibits
+/// synthesize each schedule once.
+fn day_schedule(
     cx: &ScenarioCtx<'_>,
     fx: &HouseFixture,
-    adm: &HullAdm,
-    adm_tag: &str,
-    strategy_key: &str,
-    scheduler: &(dyn Scheduler + Sync),
-    cap: &AttackerCapability,
+    attack: &Attack<'_>,
     table: &RewardTable,
     day_idx: usize,
 ) -> Arc<AttackSchedule> {
     cx.cache.memo_blob(
         &format!(
-            "sched/{}/{adm_tag}/{strategy_key}/{:016x}/{day_idx}",
+            "sched/{}/{}/{}/{:016x}/{day_idx}",
             fx.cache_key(),
-            cap.signature()
+            attack.adm_tag,
+            attack.strategy_key,
+            attack.cap.signature()
         ),
-        || scheduler.schedule(table, adm, cap, &fx.month.days[day_idx]),
+        || {
+            let day = &fx.month.days[day_idx];
+            attack
+                .scheduler
+                .schedule(table, attack.adm, attack.cap, day)
+        },
     )
+}
+
+/// A month of `attack` on a fixture: attacked and benign cost ($,
+/// summed in day order) and the mean detection rate under `defender`
+/// (the attacker's own ADM when `None`). Schedules, reward table and
+/// benign day costs come from the fixture cache.
+pub(crate) fn monthly_attack(
+    cx: &ScenarioCtx<'_>,
+    fx: &HouseFixture,
+    attack: &Attack<'_>,
+    defender: Option<&HullAdm>,
+    with_triggering: bool,
+) -> (f64, f64, f64) {
+    let table = reward_table(cx, fx);
+    let benign_costs = benign_day_costs(cx, fx);
+    // Per-day synthesis+pricing cells are independent; split them over
+    // the run's slot budget and reduce in submission order.
+    let per_day = cx.par_map(&fx.month.days, |d, day| {
+        let schedule = day_schedule(cx, fx, attack, &table, d);
+        let out = impact::evaluate_day_with_schedule(
+            &fx.model,
+            attack.adm,
+            attack.cap,
+            day,
+            &schedule,
+            with_triggering,
+            Some(benign_costs[d]),
+        );
+        let detect = defender.map_or(out.detection_rate, |adm| {
+            detection_rate(adm, &schedule, day)
+        });
+        (out.attacked_cost_usd, out.benign_cost_usd, detect)
+    });
+    let mut attacked = 0.0;
+    let mut benign = 0.0;
+    let mut detect_sum = 0.0;
+    for (a, b, det) in per_day {
+        attacked += a;
+        benign += b;
+        detect_sum += det;
+    }
+    (attacked, benign, detect_sum / fx.month.days.len() as f64)
+}
+
+/// One day of `attack` priced without and with appliance triggering
+/// off one cached schedule: `(without, with)` attacked cost in $.
+fn day_legs(
+    cx: &ScenarioCtx<'_>,
+    fx: &HouseFixture,
+    attack: &Attack<'_>,
+    table: &RewardTable,
+    benign_usd: f64,
+    day_idx: usize,
+) -> (f64, f64) {
+    let schedule = day_schedule(cx, fx, attack, table, day_idx);
+    let price = |with_triggering| {
+        impact::evaluate_day_with_schedule(
+            &fx.model,
+            attack.adm,
+            attack.cap,
+            &fx.month.days[day_idx],
+            &schedule,
+            with_triggering,
+            Some(benign_usd),
+        )
+        .attacked_cost_usd
+    };
+    (price(false), price(true))
 }
 
 /// Fig. 3 — ASHRAE vs proposed control cost per day, both houses.
@@ -377,13 +459,9 @@ pub fn tab3(cx: &ScenarioCtx<'_>) -> Table {
     let start = 1080usize;
     let span = 10usize;
 
-    let strategies = StrategyRegistry::builtin();
-    let greedy_sched = &strategies.get("greedy").expect("builtin greedy").scheduler;
-    let shatter_sched = &strategies.get("dp").expect("builtin dp").scheduler;
-
     let actual = AttackSchedule::from_actual(day);
-    let greedy = greedy_sched.schedule(&table, &adm, &cap, day);
-    let shatter = shatter_sched.schedule(&table, &adm, &cap, day);
+    let greedy = GreedyScheduler.schedule(&table, &adm, &cap, day);
+    let shatter = WindowDpScheduler::default().schedule(&table, &adm, &cap, day);
     let triggers = trigger::plan_triggers(&fx.home, &adm, &cap, day, &shatter);
 
     let mut header: Vec<String> = vec!["row".into(), "occupant".into()];
@@ -517,63 +595,6 @@ pub fn tab4(cx: &ScenarioCtx<'_>) -> Table {
     t
 }
 
-/// Monthly attacked cost of a scheduler against an (attacker-side) ADM,
-/// with detection measured against the defender's ADM. Schedules,
-/// reward table and benign day costs come from the fixture cache.
-#[allow(clippy::too_many_arguments)]
-fn monthly_attack(
-    cx: &ScenarioCtx<'_>,
-    fx: &HouseFixture,
-    attacker_adm: &HullAdm,
-    atk_tag: &str,
-    defender_adm: &HullAdm,
-    strategy_key: &str,
-    scheduler: &(dyn Scheduler + Sync),
-    with_triggering: bool,
-) -> (f64, f64, f64) {
-    let cap = AttackerCapability::full(&fx.home);
-    let table = reward_table(cx, fx);
-    let benign_costs = benign_day_costs(cx, fx);
-    // Per-day synthesis+pricing cells are independent; split them over
-    // the run's slot budget and reduce in submission order.
-    let per_day = cx.par_map(&fx.month.days, |d, day| {
-        let sched = day_schedule(
-            cx,
-            fx,
-            attacker_adm,
-            atk_tag,
-            strategy_key,
-            scheduler,
-            &cap,
-            &table,
-            d,
-        );
-        let out = impact::evaluate_day_with_schedule(
-            &fx.model,
-            attacker_adm,
-            &cap,
-            day,
-            &sched,
-            with_triggering,
-            Some(benign_costs[d]),
-        );
-        (
-            out.attacked_cost_usd,
-            out.benign_cost_usd,
-            detection_rate(defender_adm, &out.schedule, day),
-        )
-    });
-    let mut attacked = 0.0;
-    let mut benign = 0.0;
-    let mut detect_sum = 0.0;
-    for (a, b, det) in per_day {
-        attacked += a;
-        benign += b;
-        detect_sum += det;
-    }
-    (attacked, benign, detect_sum / fx.month.days.len() as f64)
-}
-
 /// Table V — BIoTA vs Greedy vs SHATTER monthly energy cost under both
 /// ADMs and both knowledge levels. Strategies come from the core
 /// [`StrategyRegistry`] rather than being hard-coded.
@@ -596,7 +617,9 @@ pub fn tab5(cx: &ScenarioCtx<'_>) -> Table {
     let house_b = HouseSpec::aras_b();
     let fx_a = cx.fixture(&house_a, days);
     let fx_b = cx.fixture(&house_b, days);
-    let strategies = StrategyRegistry::builtin();
+    let cap_a = AttackerCapability::full(&fx_a.home);
+    let cap_b = AttackerCapability::full(&fx_b.home);
+    let strategies = StrategyRegistry::builtin(cx.params.smt);
     // Month-scale sweep: the SMT scheduler is orders of magnitude slower
     // per day (Fig. 11) and is excluded here exactly as in the paper.
     let month_scale: Vec<_> = strategies
@@ -632,26 +655,41 @@ pub fn tab5(cx: &ScenarioCtx<'_>) -> Table {
     ] {
         let def_a = cx.adm(&house_a, days, kind, days);
         let def_b = cx.adm(&house_b, days, kind, days);
+        // One row (`labels` = its adm and knowledge cells): `entry`
+        // attacking both houses with the given attacker-side ADMs,
+        // detection measured by the defender's.
+        let row = |entry: &StrategyEntry, atk: [&HullAdm; 2], atk_tag: &str, labels: [&str; 2]| {
+            let attack_a = Attack {
+                adm: atk[0],
+                adm_tag: atk_tag,
+                strategy_key: entry.key,
+                scheduler: &*entry.scheduler,
+                cap: &cap_a,
+            };
+            let attack_b = Attack {
+                adm: atk[1],
+                cap: &cap_b,
+                ..attack_a
+            };
+            let (a, _, da) = monthly_attack(cx, &fx_a, &attack_a, Some(&def_a), false);
+            let (b, _, db) = monthly_attack(cx, &fx_b, &attack_b, Some(&def_b), false);
+            vec![
+                framework_label(entry.key).into(),
+                labels[0].into(),
+                labels[1].into(),
+                fmt2(a),
+                fmt2(b),
+                fmt2(da),
+                fmt2(db),
+            ]
+        };
 
         // ADM-oblivious strategies (BIoTA's rules-based world): one row
         // each, independent of the defender's ADM choice.
         if kind_label == "DBSCAN" {
             let def_tag = adm_tag(&kind, days);
             for entry in strategies.iter().filter(|e| !e.adm_aware) {
-                let sched: &(dyn Scheduler + Sync) = &*entry.scheduler;
-                let (a, _, da) =
-                    monthly_attack(cx, &fx_a, &def_a, &def_tag, &def_a, entry.key, sched, false);
-                let (b, _, db) =
-                    monthly_attack(cx, &fx_b, &def_b, &def_tag, &def_b, entry.key, sched, false);
-                t.push(vec![
-                    framework_label(entry.key).into(),
-                    "Rules".into(),
-                    "-".into(),
-                    fmt2(a),
-                    fmt2(b),
-                    fmt2(da),
-                    fmt2(db),
-                ]);
+                t.push(row(entry, [&def_a, &def_b], &def_tag, ["Rules", "-"]));
             }
         }
 
@@ -661,20 +699,12 @@ pub fn tab5(cx: &ScenarioCtx<'_>) -> Table {
             let atk_b = cx.adm(&house_b, days, kind, atk_days);
             let atk_tag = adm_tag(&kind, atk_days);
             for entry in &month_scale {
-                let sched: &(dyn Scheduler + Sync) = &*entry.scheduler;
-                let (a, _, da) =
-                    monthly_attack(cx, &fx_a, &atk_a, &atk_tag, &def_a, entry.key, sched, false);
-                let (b, _, db) =
-                    monthly_attack(cx, &fx_b, &atk_b, &atk_tag, &def_b, entry.key, sched, false);
-                t.push(vec![
-                    framework_label(entry.key).into(),
-                    kind_label.into(),
-                    knowledge.into(),
-                    fmt2(a),
-                    fmt2(b),
-                    fmt2(da),
-                    fmt2(db),
-                ]);
+                t.push(row(
+                    entry,
+                    [&atk_a, &atk_b],
+                    &atk_tag,
+                    [kind_label, knowledge],
+                ));
             }
         }
     }
@@ -736,7 +766,7 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
             "bin_props",
         ],
     );
-    let registry = StrategyRegistry::builtin();
+    let registry = StrategyRegistry::builtin(cx.params.smt);
     let entries: Vec<_> = registry.iter().collect();
     // Every (strategy, occupant) zone row is independent; the SMT rows
     // dominate and split across the pool, with their window solutions
@@ -810,6 +840,7 @@ pub fn fig10(cx: &ScenarioCtx<'_>) -> Table {
             "with_trig_usd",
         ],
     );
+    let dp = WindowDpScheduler::default();
     for kind in [HouseSpec::aras_a(), HouseSpec::aras_b()] {
         let fx = cx.fixture(&kind, days);
         let adm_kind = AdmKind::default_dbscan();
@@ -818,45 +849,27 @@ pub fn fig10(cx: &ScenarioCtx<'_>) -> Table {
         let cap = AttackerCapability::full(&fx.home);
         let table = reward_table(cx, &fx);
         let benign_costs = benign_day_costs(cx, &fx);
-        let sched = StrategyRegistry::builtin()
-            .get("dp")
-            .expect("builtin dp")
-            .scheduler
-            .clone();
+        // The full-capability DP attack tab5/tab6/tab7 also evaluate, so
+        // each day's schedule is one cache entry shared across exhibits.
+        let attack = Attack {
+            adm: &adm,
+            adm_tag: &tag,
+            strategy_key: "dp",
+            scheduler: &dp,
+            cap: &cap,
+        };
         let mut sums = (0.0, 0.0, 0.0);
-        for (d, day) in fx.month.days.iter().enumerate() {
-            // Both legs pull the day's schedule through the cache, so it
-            // is synthesized once and shared (also with tab5/tab6/tab7,
-            // which evaluate the same full-capability DP attack).
-            let schedule = day_schedule(cx, &fx, &adm, &tag, "dp", &*sched, &cap, &table, d);
-            let without = impact::evaluate_day_with_schedule(
-                &fx.model,
-                &adm,
-                &cap,
-                day,
-                &schedule,
-                false,
-                Some(benign_costs[d]),
-            );
-            let schedule = day_schedule(cx, &fx, &adm, &tag, "dp", &*sched, &cap, &table, d);
-            let with = impact::evaluate_day_with_schedule(
-                &fx.model,
-                &adm,
-                &cap,
-                day,
-                &schedule,
-                true,
-                Some(benign_costs[d]),
-            );
-            sums.0 += without.benign_cost_usd;
-            sums.1 += without.attacked_cost_usd;
-            sums.2 += with.attacked_cost_usd;
+        for (d, &benign) in benign_costs.iter().enumerate() {
+            let (without, with) = day_legs(cx, &fx, &attack, &table, benign, d);
+            sums.0 += benign;
+            sums.1 += without;
+            sums.2 += with;
             t.push(vec![
                 kind.short.clone(),
                 d.to_string(),
-                fmt2(without.benign_cost_usd),
-                fmt2(without.attacked_cost_usd),
-                fmt2(with.attacked_cost_usd),
+                fmt2(benign),
+                fmt2(without),
+                fmt2(with),
             ]);
         }
         t.push(vec![
@@ -894,38 +907,18 @@ fn triggering_impact(
 ) -> f64 {
     let table = reward_table(cx, fx);
     let benign_costs = benign_day_costs(cx, fx);
-    let sched = StrategyRegistry::builtin()
-        .get("dp")
-        .expect("builtin dp")
-        .scheduler
-        .clone();
-    // Days are independent; each cell prices both legs off one cached
-    // schedule. Under tab6 the zone-subset cells usually hold the whole
-    // slot budget already, so this inner par_map degrades to a serial
-    // loop there while tab7's direct calls still fan out.
-    let per_day = cx.par_map(&fx.month.days, |d, day| {
-        let schedule = day_schedule(cx, fx, adm, tag, "dp", &*sched, cap, &table, d);
-        let without = impact::evaluate_day_with_schedule(
-            &fx.model,
-            adm,
-            cap,
-            day,
-            &schedule,
-            false,
-            Some(benign_costs[d]),
-        )
-        .attacked_cost_usd;
-        let with = impact::evaluate_day_with_schedule(
-            &fx.model,
-            adm,
-            cap,
-            day,
-            &schedule,
-            true,
-            Some(benign_costs[d]),
-        )
-        .attacked_cost_usd;
-        (without, with)
+    let attack = Attack {
+        adm,
+        adm_tag: tag,
+        strategy_key: "dp",
+        scheduler: &WindowDpScheduler::default(),
+        cap,
+    };
+    // Days are independent. Under tab6 the zone-subset cells usually
+    // hold the whole slot budget already, so this inner par_map degrades
+    // to a serial loop there while tab7's direct calls still fan out.
+    let per_day = cx.par_map(&benign_costs, |d, &benign| {
+        day_legs(cx, fx, &attack, &table, benign, d)
     });
     per_day.iter().map(|(w, t)| t - w).sum()
 }
@@ -1086,7 +1079,7 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
             let day = &fx.month.days[day_idx];
             let sched = SmtScheduler {
                 horizon,
-                ..SmtScheduler::default()
+                ..cx.params.smt
             };
             let prefix = smt_prefix(&fx, &adm_tag(&adm_kind, 10), "std", day_idx);
             // Solve windows of exactly `horizon` slots covering `span`
@@ -1132,7 +1125,7 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
             let adm = cx.adm(&house_a, 12, adm_kind, 10);
             let cap = AttackerCapability::full(&home);
             let day = &fx.month.days[day_idx];
-            let sched = SmtScheduler::default();
+            let sched = cx.params.smt;
             let prefix = smt_prefix(
                 &fx,
                 &adm_tag(&adm_kind, 10),
@@ -1195,62 +1188,37 @@ pub fn ablation(cx: &ScenarioCtx<'_>) -> Table {
     let adm_kind = AdmKind::default_dbscan();
     let adm = cx.adm(&house_a, days, adm_kind, days);
     let cap = AttackerCapability::full(&fx.home);
-    let table = reward_table(cx, &fx);
-    let benign_costs = benign_day_costs(cx, &fx);
 
     // Each arm is a month of independent per-day cells, split over the
     // pool; schedules route through the fixture cache keyed by a
     // per-configuration strategy key, so arms that coincide with the
     // default DP configuration (horizon 10, trigger-aware, eps 45) share
     // one synthesis with each other and with fig10/tab5.
-    let run = |strategy_key: &str,
-               sched: &(dyn Scheduler + Sync),
-               adm: &HullAdm,
-               tag: &str,
-               with_trig: bool|
-     -> (f64, f64, f64) {
-        let per_day = cx.par_map(&fx.month.days, |d, day| {
-            let schedule = day_schedule(cx, &fx, adm, tag, strategy_key, sched, &cap, &table, d);
-            let out = impact::evaluate_day_with_schedule(
-                &fx.model,
-                adm,
-                &cap,
-                day,
-                &schedule,
-                with_trig,
-                Some(benign_costs[d]),
-            );
-            (
-                out.attacked_cost_usd,
-                out.benign_cost_usd,
-                out.detection_rate,
-            )
-        });
-        let mut attacked = 0.0;
-        let mut benign = 0.0;
-        let mut detect = 0.0;
-        for (a, b, det) in per_day {
-            attacked += a;
-            benign += b;
-            detect += det;
-        }
-        (attacked, benign, detect / fx.month.days.len() as f64)
+    let run = |strategy_key: &str, scheduler: &WindowDpScheduler, adm: &HullAdm, adm_tag: &str| {
+        let attack = Attack {
+            adm,
+            adm_tag,
+            strategy_key,
+            scheduler,
+            cap: &cap,
+        };
+        monthly_attack(cx, &fx, &attack, None, true)
     };
     let tag = adm_tag(&adm_kind, days);
 
     // (1) optimization horizon: the knob behind the paper's "would create
     // more impact if the optimization window was larger".
     for horizon in [5usize, 10, 30, 120] {
-        let sched = shatter_core::WindowDpScheduler {
+        let sched = WindowDpScheduler {
             horizon,
             ..Default::default()
         };
-        let key = if sched == shatter_core::WindowDpScheduler::default() {
+        let key = if sched == WindowDpScheduler::default() {
             "dp".to_string()
         } else {
             format!("dp@h{horizon}")
         };
-        let (a, b, d) = run(&key, &sched, &adm, &tag, true);
+        let (a, b, d) = run(&key, &sched, &adm, &tag);
         t.push(vec![
             "horizon".into(),
             horizon.to_string(),
@@ -1262,12 +1230,12 @@ pub fn ablation(cx: &ScenarioCtx<'_>) -> Table {
 
     // (2) trigger-aware scheduling on/off.
     for aware in [false, true] {
-        let sched = shatter_core::WindowDpScheduler {
+        let sched = WindowDpScheduler {
             trigger_aware: aware,
             ..Default::default()
         };
         let key = if aware { "dp" } else { "dp@trig0" };
-        let (a, b, d) = run(key, &sched, &adm, &tag, true);
+        let (a, b, d) = run(key, &sched, &adm, &tag);
         t.push(vec![
             "trigger_aware".into(),
             aware.to_string(),
@@ -1285,8 +1253,8 @@ pub fn ablation(cx: &ScenarioCtx<'_>) -> Table {
             ..DbscanParams::default()
         });
         let tight = cx.adm(&house_a, days, kind_eps, days);
-        let sched = shatter_core::WindowDpScheduler::default();
-        let (a, b, d) = run("dp", &sched, &tight, &adm_tag(&kind_eps, days), true);
+        let sched = WindowDpScheduler::default();
+        let (a, b, d) = run("dp", &sched, &tight, &adm_tag(&kind_eps, days));
         t.push(vec![
             "adm_eps".into(),
             format!("{eps}"),
@@ -1304,7 +1272,7 @@ pub fn ablation(cx: &ScenarioCtx<'_>) -> Table {
         let mut model = fx.model.clone();
         model.pricing.battery_kwh = batt;
         let table_b = RewardTable::build(&model);
-        let sched = shatter_core::WindowDpScheduler::default();
+        let sched = WindowDpScheduler::default();
         let per_day = cx.par_map(&fx.month.days, |_, day| {
             let out =
                 impact::evaluate_day_with_table(&model, &table_b, &adm, &cap, day, &sched, true);
@@ -1374,46 +1342,20 @@ pub fn scaled_homes(cx: &ScenarioCtx<'_>) -> Table {
     );
     let adm_kind = AdmKind::default_dbscan();
     let tag = adm_tag(&adm_kind, days);
-    let sched = StrategyRegistry::builtin()
-        .get("dp")
-        .expect("builtin dp")
-        .scheduler
-        .clone();
+    let dp = WindowDpScheduler::default();
     for (n_zones, n_occupants) in shapes {
         let spec = HouseSpec::scaled(n_zones, n_occupants);
         let fx = cx.fixture(&spec, days);
         let adm = cx.adm(&spec, days, adm_kind, days);
-        let table = reward_table(cx, &fx);
-        let benign_costs = benign_day_costs(cx, &fx);
         let cap = AttackerCapability::full(&fx.home);
-        // Per-day cells are independent months of schedule synthesis;
-        // split them over the run's slot budget like tab5 does.
-        let per_day = cx.par_map(&fx.month.days, |d, day| {
-            let schedule = day_schedule(cx, &fx, &adm, &tag, "dp", &*sched, &cap, &table, d);
-            let out = impact::evaluate_day_with_schedule(
-                &fx.model,
-                &adm,
-                &cap,
-                day,
-                &schedule,
-                true,
-                Some(benign_costs[d]),
-            );
-            (
-                out.attacked_cost_usd,
-                out.benign_cost_usd,
-                out.detection_rate,
-            )
-        });
-        let mut attacked = 0.0;
-        let mut benign = 0.0;
-        let mut detect = 0.0;
-        for (a, b, det) in &per_day {
-            attacked += a;
-            benign += b;
-            detect += det;
-        }
-        detect /= per_day.len() as f64;
+        let attack = Attack {
+            adm: &adm,
+            adm_tag: &tag,
+            strategy_key: "dp",
+            scheduler: &dp,
+            cap: &cap,
+        };
+        let (attacked, benign, detect) = monthly_attack(cx, &fx, &attack, None, true);
         t.push(vec![
             spec.short.clone(),
             n_zones.to_string(),
@@ -1439,13 +1381,7 @@ pub fn capability_grid(cx: &ScenarioCtx<'_>) -> Table {
     let adm_kind = AdmKind::default_dbscan();
     let adm = cx.adm(&house_a, days, adm_kind, days);
     let tag = adm_tag(&adm_kind, days);
-    let table = reward_table(cx, &fx);
-    let benign_costs = benign_day_costs(cx, &fx);
-    let sched = StrategyRegistry::builtin()
-        .get("dp")
-        .expect("builtin dp")
-        .scheduler
-        .clone();
+    let dp = WindowDpScheduler::default();
     let zone_profiles: [(&str, &[usize]); 3] = [
         ("all", &[1, 2, 3, 4]),
         ("day-rooms", &[2, 3]),
@@ -1485,25 +1421,14 @@ pub fn capability_grid(cx: &ScenarioCtx<'_>) -> Table {
         if let Some((s, e)) = window {
             cap = cap.with_timeslots(s, e);
         }
-        let mut attacked = 0.0;
-        let mut benign = 0.0;
-        let mut detect = 0.0;
-        for (d, day) in fx.month.days.iter().enumerate() {
-            let schedule = day_schedule(cx, &fx, &adm, &tag, "dp", &*sched, &cap, &table, d);
-            let out = impact::evaluate_day_with_schedule(
-                &fx.model,
-                &adm,
-                &cap,
-                day,
-                &schedule,
-                true,
-                Some(benign_costs[d]),
-            );
-            attacked += out.attacked_cost_usd;
-            benign += out.benign_cost_usd;
-            detect += out.detection_rate;
-        }
-        detect /= fx.month.days.len() as f64;
+        let attack = Attack {
+            adm: &adm,
+            adm_tag: &tag,
+            strategy_key: "dp",
+            scheduler: &dp,
+            cap: &cap,
+        };
+        let (attacked, benign, detect) = monthly_attack(cx, &fx, &attack, None, true);
         (cap.signature(), attacked, attacked - benign, detect)
     });
     for (&(zi, wi), (sig, attacked, lift, detect)) in cells.iter().zip(rows) {
@@ -1531,7 +1456,8 @@ pub fn defense_sweep(cx: &ScenarioCtx<'_>) -> Table {
     let train_days = (days * 5 / 6).max(1);
     let adm = cx.adm(&house_a, days, adm_kind, train_days);
     let cap = AttackerCapability::full(&fx.home);
-    let sched = shatter_core::WindowDpScheduler::default();
+    let table = reward_table(cx, &fx);
+    let sched = WindowDpScheduler::default();
     // Evaluate marginal values over the post-training tail (up to two
     // days): ~70 restricted-capability impact evaluations, so the window
     // is kept short like tab3's.
@@ -1551,7 +1477,8 @@ pub fn defense_sweep(cx: &ScenarioCtx<'_>) -> Table {
         "Defense guide (House A): hardening ranked by removed attack impact",
         &["section", "rank", "target", "impact_usd"],
     );
-    let ranked = shatter_core::defense::rank_hardening(&fx.model, &adm, &cap, eval_days, &sched);
+    let ranked =
+        shatter_core::defense::rank_hardening(&fx.model, &table, &adm, &cap, eval_days, &sched);
     for (i, opt) in ranked.iter().enumerate() {
         t.push(vec![
             "rank".into(),
@@ -1560,8 +1487,9 @@ pub fn defense_sweep(cx: &ScenarioCtx<'_>) -> Table {
             fmt2(opt.impact_removed_usd),
         ]);
     }
-    let (plan, residual) =
-        shatter_core::defense::greedy_hardening_plan(&fx.model, &adm, &cap, eval_days, &sched, 3);
+    let (plan, residual) = shatter_core::defense::greedy_hardening_plan(
+        &fx.model, &table, &adm, &cap, eval_days, &sched, 3,
+    );
     for (i, step) in plan.iter().enumerate() {
         t.push(vec![
             "plan".into(),

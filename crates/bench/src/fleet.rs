@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use shatter_adm::AdmKind;
-use shatter_core::{impact, AttackerCapability, SmtScheduler, StrategyRegistry};
+use shatter_core::{AttackerCapability, SmtScheduler, WindowDpScheduler};
 use shatter_dataset::HouseSpec;
 use shatter_engine::{FixtureCache, RunParams, Scenario, ScenarioCtx, Table};
 use shatter_faults::FaultKind;
@@ -36,7 +36,7 @@ use shatter_smt::Budget;
 use shatter_store::BlobStore;
 
 use crate::common::EngineWindowMemo;
-use crate::exhibits::{adm_tag, benign_day_costs, day_schedule, fmt2, reward_table, smt_prefix};
+use crate::exhibits::{adm_tag, fmt2, monthly_attack, reward_table, smt_prefix, Attack};
 
 /// Columns of the fleet table; journal payloads are these cells joined
 /// with `'\t'`, so a replayed row is the recorded row, byte for byte.
@@ -215,41 +215,22 @@ fn eval_house(cx: &ScenarioCtx<'_>, i: usize, budget: &Budget) -> (Vec<String>, 
     let adm = cx.cache.adm_with_seed(&spec, days, seed, adm_kind, days);
     let tag = adm_tag(&adm_kind, days);
     let table = reward_table(cx, &fx);
-    let benign_costs = benign_day_costs(cx, &fx);
     let cap = AttackerCapability::full(&fx.home);
-    let sched = StrategyRegistry::builtin()
-        .get("dp")
-        .expect("builtin dp")
-        .scheduler
-        .clone();
-    let mut attacked = 0.0;
-    let mut benign = 0.0;
-    let mut detect = 0.0;
-    // Houses are the parallel axis (the fleet's par_map); the month of
-    // one house runs serially inside its slot.
-    for (d, day) in fx.month.days.iter().enumerate() {
-        let schedule = day_schedule(cx, &fx, &adm, &tag, "dp", &*sched, &cap, &table, d);
-        let out = impact::evaluate_day_with_schedule(
-            &fx.model,
-            &adm,
-            &cap,
-            day,
-            &schedule,
-            true,
-            Some(benign_costs[d]),
-        );
-        attacked += out.attacked_cost_usd;
-        benign += out.benign_cost_usd;
-        detect += out.detection_rate;
-    }
-    detect /= fx.month.days.len() as f64;
+    let attack = Attack {
+        adm: &adm,
+        adm_tag: &tag,
+        strategy_key: "dp",
+        scheduler: &WindowDpScheduler::default(),
+        cap: &cap,
+    };
+    let (attacked, benign, detect) = monthly_attack(cx, &fx, &attack, None, true);
     // The SMT slice runs under the watchdog budget: a runaway window
     // degrades deterministically instead of hanging the house. The
     // window memo keys the exact budget values, so escalated retries
     // never replay a lower budget's best-so-far fragments.
     let smt = SmtScheduler {
         budget: Some(*budget),
-        ..SmtScheduler::default()
+        ..cx.params.smt
     };
     let memo = EngineWindowMemo(cx.cache);
     let prefix = smt_prefix(&fx, &tag, "fleet", 0);
@@ -666,7 +647,7 @@ mod tests {
         let params = RunParams {
             days: 3,
             span: 20,
-            base_seed: 0,
+            ..RunParams::default()
         };
         let keys: Vec<String> = (0..32).map(|i| house_key(i, &params)).collect();
         let mut deduped = keys.clone();
@@ -684,7 +665,7 @@ mod tests {
         let params = RunParams {
             days: 3,
             span: 20,
-            base_seed: 0,
+            ..RunParams::default()
         };
         let cfg = FleetConfig {
             n_houses: 8,
@@ -735,7 +716,7 @@ mod tests {
         let params = RunParams {
             days: 3,
             span: 20,
-            base_seed: 0,
+            ..RunParams::default()
         };
         let full = FleetConfig {
             n_houses: 24,

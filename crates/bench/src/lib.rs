@@ -16,4 +16,4 @@ pub mod fleet;
 pub mod scenarios;
 
 pub use common::{write_csv, Table};
-pub use scenarios::{builtin_registry, run_exhibit};
+pub use scenarios::{builtin_registry, run_exhibit, run_exhibit_with};

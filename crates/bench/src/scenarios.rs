@@ -4,9 +4,7 @@
 //! &ScenarioCtx) -> Table` in [`crate::exhibits`] and register it here
 //! with [`FnScenario::new`].
 
-use shatter_engine::{
-    FixtureCache, FnScenario, Registry, RunConfig, RunParams, ScenarioCtx, Table,
-};
+use shatter_engine::{FixtureCache, FnScenario, Registry, RunParams, ScenarioCtx, Table};
 
 use crate::exhibits;
 
@@ -121,24 +119,30 @@ pub fn builtin_registry() -> Registry {
 ///
 /// Panics on an unknown id.
 pub fn run_exhibit(id: &str, days: usize, span: usize) -> Table {
+    run_exhibit_with(
+        id,
+        RunParams {
+            days,
+            span,
+            ..RunParams::default()
+        },
+    )
+}
+
+/// [`run_exhibit`] under arbitrary run parameters (seed, SMT settings).
+///
+/// # Panics
+///
+/// Panics on an unknown id.
+pub fn run_exhibit_with(id: &str, params: RunParams) -> Table {
     let reg = builtin_registry();
     let scenario = reg
         .get(id)
         .unwrap_or_else(|| panic!("unknown exhibit {id:?}"));
     let cache = FixtureCache::new();
-    let params = RunParams {
-        days,
-        span,
-        ..RunParams::default()
-    };
-    let cfg = RunConfig {
-        threads: 1,
-        params,
-        fail_fast: false,
-    };
     let cx = ScenarioCtx {
         cache: &cache,
-        params: cfg.params,
+        params,
         seed: shatter_engine::scenario::scenario_seed(id, params.base_seed),
         pool: shatter_engine::WorkPool::serial(),
         health: shatter_engine::HealthSink::new(),

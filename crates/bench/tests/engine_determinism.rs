@@ -1,6 +1,7 @@
 //! Engine determinism over the real exhibit registry: the same scenario
 //! set must render byte-identically across repeated runs and across
-//! thread counts, with the fixture cache active.
+//! thread counts, with the fixture cache active, and every deterministic
+//! table must match its pinned bytes.
 
 use shatter_bench::builtin_registry;
 use shatter_engine::runner::run_scenarios;
@@ -12,7 +13,7 @@ fn quick_cfg(threads: usize) -> RunConfig {
         params: RunParams {
             days: 3,
             span: 10,
-            base_seed: 0,
+            ..RunParams::default()
         },
         fail_fast: false,
     }
@@ -37,9 +38,36 @@ fn rendered_deterministic(threads: usize) -> Vec<(String, String)> {
         .collect()
 }
 
+/// FNV-1a of every deterministic table rendered at [`quick_cfg`], in
+/// registry order: a refactor must leave every clean table's bytes
+/// alone, and a change that means to move them updates these pins.
+const TABLE_PINS: [(&str, u64); 16] = [
+    ("fig3", 0xc0e3d9e4c2cc825a),
+    ("fig4", 0x8a5288ea4a25bdcd),
+    ("fig5", 0x5ef5e1c21eef1411),
+    ("fig6", 0xb11efd9229db5456),
+    ("tab3", 0x6c29b27246993e58),
+    ("tab4", 0x39145cc7d70f56c7),
+    ("tab5", 0xed2b341c080af8f8),
+    ("strategies", 0x6f53d7f169cac5d1),
+    ("fig10", 0x62e7a173bb5588b7),
+    ("tab6", 0xaf4a9473e200ecaa),
+    ("tab7", 0x6b4678d4afdee97a),
+    ("ablation", 0xed29585e4086a074),
+    ("scaled_homes", 0xb9df792d66456dfa),
+    ("capability_grid", 0x75c231e9de450c77),
+    ("defense_sweep", 0x73567a76a6d1939e),
+    ("fleet_smoke", 0xe16edb3d02aa0618),
+];
+
 #[test]
 fn suite_is_byte_identical_across_runs_and_thread_counts() {
     let serial_a = rendered_deterministic(1);
+    let hashes: Vec<(&str, u64)> = serial_a
+        .iter()
+        .map(|(id, t)| (id.as_str(), shatter_store::fnv1a_bytes(t.as_bytes())))
+        .collect();
+    assert_eq!(hashes, TABLE_PINS, "rendered tables moved off their pins");
     let serial_b = rendered_deterministic(1);
     assert_eq!(serial_a, serial_b, "repeat serial runs diverged");
     let parallel = rendered_deterministic(4);

@@ -3,8 +3,11 @@
 //! the key claim encoded in each exhibit must hold even on the quick
 //! configuration.
 
-use shatter_bench::run_exhibit;
-use shatter_bench::Table;
+use shatter_bench::{builtin_registry, run_exhibit, Table};
+use shatter_core::SmtScheduler;
+use shatter_engine::runner::run_scenarios;
+use shatter_engine::{FixtureCache, RunConfig, RunParams, ScenarioStatus};
+use shatter_smt::Budget;
 
 fn assert_well_formed(t: &Table) {
     assert!(!t.id.is_empty());
@@ -104,6 +107,40 @@ fn strategies_enumerates_registry_and_dp_is_stealthy() {
     // The SHATTER window optimizer must validate as stealthy.
     let dp_row = t.rows.iter().find(|r| r[0] == "dp").expect("dp row");
     assert_eq!(dp_row[4], "true");
+}
+
+#[test]
+fn zero_smt_budget_degrades_strategies_and_fig11() {
+    // The `repro --budget conflicts=0,pivots=0,probes=0` route: the
+    // budget rides in `RunParams::smt` and halts every SMT window that
+    // needs search. (fig11's first ten minutes solve without any, so
+    // its span covers the first hour.)
+    let cfg = RunConfig {
+        threads: 1,
+        params: RunParams {
+            days: 4,
+            span: 60,
+            smt: SmtScheduler {
+                budget: Budget::parse("conflicts=0,pivots=0,probes=0").ok(),
+                ..SmtScheduler::default()
+            },
+            ..RunParams::default()
+        },
+        fail_fast: false,
+    };
+    let reg = builtin_registry();
+    let scenarios = reg
+        .select(&["strategies".to_string(), "fig11".to_string()])
+        .expect("known ids");
+    let out = run_scenarios(&scenarios, &FixtureCache::new(), &cfg);
+    for r in &out.reports {
+        assert!(
+            matches!(r.status, ScenarioStatus::Degraded { .. }),
+            "{}: {:?}",
+            r.id,
+            r.status
+        );
+    }
 }
 
 #[test]

@@ -3,14 +3,12 @@
 //! exhibit tables once the columns that legitimately depend on the mode
 //! are masked — wall-clock timings and the `float_piv`/`fb` effort
 //! counters. Every semantic column (verdicts, objectives, schedules,
-//! SAT-core counters) must match cell for cell.
-//!
-//! This test owns its own binary because the forced-exact knob is the
-//! `SHATTER_EXACT_SIMPLEX` environment variable (process-global): tests
-//! in other binaries run SMT exhibits concurrently and must never
-//! observe the variable mid-flip.
+//! SAT-core counters) must match cell for cell. The mode reaches the
+//! exhibits through `RunParams::smt`, the `repro --exact-simplex` route.
 
-use shatter_bench::{run_exhibit, Table};
+use shatter_bench::{run_exhibit_with, Table};
+use shatter_core::SmtScheduler;
+use shatter_engine::RunParams;
 
 /// Columns whose cells may differ between numeric modes: wall-clock
 /// timings (machine noise) and the mode's own effort counters.
@@ -37,15 +35,23 @@ fn column(t: &Table, name: &str) -> usize {
 
 #[test]
 fn exhibit_tables_identical_across_numeric_modes() {
-    assert!(
-        std::env::var("SHATTER_EXACT_SIMPLEX").is_err(),
-        "test requires a clean environment"
-    );
-    let ids = ["strategies", "fig11"];
-    let fast: Vec<Table> = ids.iter().map(|id| run_exhibit(id, 4, 10)).collect();
-    std::env::set_var("SHATTER_EXACT_SIMPLEX", "1");
-    let exact: Vec<Table> = ids.iter().map(|id| run_exhibit(id, 4, 10)).collect();
-    std::env::remove_var("SHATTER_EXACT_SIMPLEX");
+    let run = |force_exact: bool| -> Vec<Table> {
+        let params = RunParams {
+            days: 4,
+            span: 10,
+            smt: SmtScheduler {
+                force_exact,
+                ..SmtScheduler::default()
+            },
+            ..RunParams::default()
+        };
+        ["strategies", "fig11"]
+            .iter()
+            .map(|id| run_exhibit_with(id, params))
+            .collect()
+    };
+    let fast = run(false);
+    let exact = run(true);
 
     let mut fast_float_pivots = 0u64;
     for (f, e) in fast.iter().zip(&exact) {

@@ -24,7 +24,7 @@ fn params() -> RunParams {
     RunParams {
         days: 2,
         span: 20,
-        base_seed: 0,
+        ..RunParams::default()
     }
 }
 

@@ -35,18 +35,19 @@ pub enum HardeningTarget {
 }
 
 /// Attack impact (attacked − benign dollars) over the given days under a
-/// capability.
+/// capability. `table` is `model`'s reward table, built once by the
+/// caller for every capability an analysis tries.
 pub fn attack_impact_usd(
     model: &EnergyModel,
+    table: &RewardTable,
     adm: &HullAdm,
     cap: &AttackerCapability,
     days: &[DayTrace],
     scheduler: &dyn Scheduler,
 ) -> f64 {
-    let table = RewardTable::build(model);
     let outcomes: Vec<_> = days
         .iter()
-        .map(|d| evaluate_day_with_table(model, &table, adm, cap, d, scheduler, true))
+        .map(|d| evaluate_day_with_table(model, table, adm, cap, d, scheduler, true))
         .collect();
     total_attacked_usd(&outcomes) - total_benign_usd(&outcomes)
 }
@@ -55,12 +56,13 @@ pub fn attack_impact_usd(
 /// removes, highest first.
 pub fn rank_hardening(
     model: &EnergyModel,
+    table: &RewardTable,
     adm: &HullAdm,
     cap: &AttackerCapability,
     days: &[DayTrace],
     scheduler: &dyn Scheduler,
 ) -> Vec<HardeningOption> {
-    let baseline = attack_impact_usd(model, adm, cap, days, scheduler);
+    let baseline = attack_impact_usd(model, table, adm, cap, days, scheduler);
     let mut options = Vec::new();
 
     for z in model.home().indoor_zones() {
@@ -69,7 +71,7 @@ pub fn rank_hardening(
         }
         let mut c = cap.clone();
         c.zones.remove(&z.id);
-        let left = attack_impact_usd(model, adm, &c, days, scheduler);
+        let left = attack_impact_usd(model, table, adm, &c, days, scheduler);
         options.push(HardeningOption {
             target: HardeningTarget::ZoneSensors(z.id),
             impact_removed_usd: baseline - left,
@@ -81,7 +83,7 @@ pub fn rank_hardening(
         }
         let mut c = cap.clone();
         c.appliances.remove(&a.id);
-        let left = attack_impact_usd(model, adm, &c, days, scheduler);
+        let left = attack_impact_usd(model, table, adm, &c, days, scheduler);
         options.push(HardeningOption {
             target: HardeningTarget::Appliance(a.id),
             impact_removed_usd: baseline - left,
@@ -101,6 +103,7 @@ pub fn rank_hardening(
 /// impact.
 pub fn greedy_hardening_plan(
     model: &EnergyModel,
+    table: &RewardTable,
     adm: &HullAdm,
     cap: &AttackerCapability,
     days: &[DayTrace],
@@ -110,7 +113,7 @@ pub fn greedy_hardening_plan(
     let mut current = cap.clone();
     let mut plan = Vec::new();
     for _ in 0..budget {
-        let ranked = rank_hardening(model, adm, &current, days, scheduler);
+        let ranked = rank_hardening(model, table, adm, &current, days, scheduler);
         let Some(best) = ranked.into_iter().next() else {
             break;
         };
@@ -127,7 +130,7 @@ pub fn greedy_hardening_plan(
         }
         plan.push(best);
     }
-    let residual = attack_impact_usd(model, adm, &current, days, scheduler);
+    let residual = attack_impact_usd(model, table, adm, &current, days, scheduler);
     (plan, residual)
 }
 
@@ -141,6 +144,7 @@ mod tests {
 
     fn setup() -> (
         EnergyModel,
+        RewardTable,
         shatter_dataset::Dataset,
         HullAdm,
         AttackerCapability,
@@ -149,15 +153,17 @@ mod tests {
         let ds = synthesize(&SynthConfig::new(HouseSpec::aras_a(), 12, 91));
         let adm = HullAdm::train(&ds.prefix_days(10), AdmKind::default_dbscan());
         let model = EnergyModel::standard(home.clone());
+        let table = RewardTable::build(&model);
         let cap = AttackerCapability::full(&home);
-        (model, ds, adm, cap)
+        (model, table, ds, adm, cap)
     }
 
     #[test]
     fn ranking_covers_all_assets() {
-        let (model, ds, adm, cap) = setup();
+        let (model, table, ds, adm, cap) = setup();
         let ranked = rank_hardening(
             &model,
+            &table,
             &adm,
             &cap,
             &ds.days[10..11],
@@ -173,9 +179,10 @@ mod tests {
 
     #[test]
     fn hardening_never_helps_the_attacker_much() {
-        let (model, ds, adm, cap) = setup();
+        let (model, table, ds, adm, cap) = setup();
         let ranked = rank_hardening(
             &model,
+            &table,
             &adm,
             &cap,
             &ds.days[10..11],
@@ -195,11 +202,11 @@ mod tests {
 
     #[test]
     fn greedy_plan_reduces_residual_impact() {
-        let (model, ds, adm, cap) = setup();
+        let (model, table, ds, adm, cap) = setup();
         let days = &ds.days[10..11];
         let sched = WindowDpScheduler::default();
-        let baseline = attack_impact_usd(&model, &adm, &cap, days, &sched);
-        let (plan, residual) = greedy_hardening_plan(&model, &adm, &cap, days, &sched, 3);
+        let baseline = attack_impact_usd(&model, &table, &adm, &cap, days, &sched);
+        let (plan, residual) = greedy_hardening_plan(&model, &table, &adm, &cap, days, &sched, 3);
         assert!(!plan.is_empty());
         assert!(
             residual <= baseline + 1e-9,
@@ -211,9 +218,10 @@ mod tests {
     fn zone_hardening_dominates_appliance_hardening() {
         // Paper §VII-D: "the defense mechanism should focus on securing
         // occupancy and IAQ measurements compared to appliances."
-        let (model, ds, adm, cap) = setup();
+        let (model, table, ds, adm, cap) = setup();
         let ranked = rank_hardening(
             &model,
+            &table,
             &adm,
             &cap,
             &ds.days[10..12],

@@ -309,30 +309,13 @@ pub trait Scheduler {
 
     /// Like [`Scheduler::schedule_occupant_zones`], with a
     /// cross-invocation [`WindowMemo`] for schedulers whose synthesis
-    /// decomposes into cacheable fragments (the SMT window solver).
-    /// `prefix` must identify every solver input not encoded in the
-    /// fragment keys: the day trace, the reward table contents and the
-    /// ADM. Schedulers without cacheable structure ignore the memo.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_occupant_zones_memo(
-        &self,
-        o: OccupantId,
-        table: &RewardTable,
-        adm: &HullAdm,
-        cap: &AttackerCapability,
-        actual: &DayTrace,
-        memo: &dyn WindowMemo,
-        prefix: &str,
-    ) -> Vec<ZoneId> {
-        let _ = (memo, prefix);
-        self.schedule_occupant_zones(o, table, adm, cap, actual)
-    }
-
-    /// Like [`Scheduler::schedule_occupant_zones_memo`], additionally
-    /// reporting solver-effort statistics. Schedulers without a solver
-    /// core (DP, greedy, rules) report zeros — only the SMT scheduler
-    /// overrides this, which is how the SAT-core counters reach the
-    /// exhibit tables.
+    /// decomposes into cacheable fragments (the SMT window solver), and
+    /// reporting solver-effort statistics. `prefix` must identify every
+    /// solver input not encoded in the fragment keys: the day trace, the
+    /// reward table contents and the ADM. Schedulers without a solver
+    /// core (DP, greedy, rules) ignore the memo and report zeros — only
+    /// the SMT scheduler overrides this, which is how the SAT-core
+    /// counters reach the exhibit tables.
     #[allow(clippy::too_many_arguments)]
     fn schedule_occupant_zones_memo_stats(
         &self,
@@ -344,8 +327,9 @@ pub trait Scheduler {
         memo: &dyn WindowMemo,
         prefix: &str,
     ) -> (Vec<ZoneId>, crate::SmtStats) {
+        let _ = (memo, prefix);
         (
-            self.schedule_occupant_zones_memo(o, table, adm, cap, actual, memo, prefix),
+            self.schedule_occupant_zones(o, table, adm, cap, actual),
             crate::SmtStats::default(),
         )
     }

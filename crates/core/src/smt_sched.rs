@@ -64,10 +64,9 @@ pub struct SmtScheduler {
     /// ([`NumericMode::ExactOnly`]) instead of the certified float fast
     /// path. Schedules are byte-identical either way (the fast path
     /// re-certifies every verdict exactly); the knob keeps the pure
-    /// rational reference pipeline runnable end to end. The default
-    /// honours the `SHATTER_EXACT_SIMPLEX` environment variable (`1` or
-    /// `true`), which is how `repro` exposes it. Window memo keys carry
-    /// the mode, so replayed effort counters always match it.
+    /// rational reference pipeline runnable end to end (`repro
+    /// --exact-simplex`). Off by default. Window memo keys carry the
+    /// mode, so replayed effort counters always match it.
     pub force_exact: bool,
     /// Per-window resource budget in deterministic effort units
     /// (conflicts / pivots / OMT probes — never wall time). Re-installed
@@ -76,9 +75,8 @@ pub struct SmtScheduler {
     /// that exhausts its budget degrades — it commits the best schedule
     /// verified so far, or falls back to mirroring actual behaviour —
     /// and is counted in [`SmtStats::degraded_windows`]; it never hangs
-    /// or panics. The default honours the `SHATTER_BUDGET` environment
-    /// variable (`conflicts=N,pivots=N,probes=N`), which is how `repro
-    /// --budget` exposes it. Budgeted runs key their window-memo entries
+    /// or panics. Unlimited by default; `repro --budget` sets it for a
+    /// whole run. Budgeted runs key their window-memo entries
     /// separately from unbudgeted ones.
     pub budget: Option<Budget>,
 }
@@ -89,32 +87,10 @@ impl Default for SmtScheduler {
             horizon: 10,
             tol_microusd: 1.0,
             reuse_solver: true,
-            force_exact: exact_simplex_env(),
-            budget: budget_env(),
+            force_exact: false,
+            budget: None,
         }
     }
-}
-
-/// True when the `SHATTER_EXACT_SIMPLEX` environment variable asks for
-/// the forced-exact simplex reference pipeline (`"1"` or `"true"`).
-fn exact_simplex_env() -> bool {
-    std::env::var("SHATTER_EXACT_SIMPLEX")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false)
-}
-
-/// Per-window budget from the `SHATTER_BUDGET` environment variable
-/// (`conflicts=N,pivots=N,probes=N`), `None` when unset or empty.
-///
-/// # Panics
-///
-/// Panics on a malformed spec — a silently ignored budget would report
-/// optimal-looking results that were never bounded.
-fn budget_env() -> Option<Budget> {
-    let spec = std::env::var("SHATTER_BUDGET").ok()?;
-    let budget =
-        Budget::parse(&spec).unwrap_or_else(|e| panic!("invalid SHATTER_BUDGET {spec:?}: {e}"));
-    (!budget.is_unlimited()).then_some(budget)
 }
 
 /// Solver effort: the one counters type for a window solve, an occupant
@@ -696,28 +672,6 @@ impl Scheduler for SmtScheduler {
     ) -> Vec<ZoneId> {
         self.schedule_occupant(o, table, adm, cap, actual, MINUTES_PER_DAY)
             .0
-    }
-
-    fn schedule_occupant_zones_memo(
-        &self,
-        o: OccupantId,
-        table: &RewardTable,
-        adm: &HullAdm,
-        cap: &AttackerCapability,
-        actual: &DayTrace,
-        memo: &dyn WindowMemo,
-        prefix: &str,
-    ) -> Vec<ZoneId> {
-        self.schedule_occupant_memo(
-            o,
-            table,
-            adm,
-            cap,
-            actual,
-            MINUTES_PER_DAY,
-            Some((memo, prefix)),
-        )
-        .0
     }
 
     fn schedule_occupant_zones_memo_stats(

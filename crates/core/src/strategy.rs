@@ -4,7 +4,7 @@
 //!
 //! Every entry pairs a stable key (CLI/table-friendly) with a shared,
 //! thread-safe scheduler instance. The builtin set covers the paper's
-//! four schedule generators; downstream code can register more.
+//! four schedule generators.
 
 use std::sync::Arc;
 
@@ -25,40 +25,29 @@ pub struct StrategyEntry {
 }
 
 /// Ordered registry of attack strategies.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct StrategyRegistry {
     entries: Vec<StrategyEntry>,
 }
 
 impl StrategyRegistry {
-    /// Empty registry.
-    pub fn new() -> StrategyRegistry {
-        StrategyRegistry::default()
-    }
-
     /// The paper's four schedule generators: `biota`, `greedy`, `dp`
-    /// (the SHATTER window optimizer), and `smt` (the formal encoding).
-    pub fn builtin() -> StrategyRegistry {
-        let mut reg = StrategyRegistry::new();
-        reg.register("biota", false, Arc::new(BiotaScheduler));
-        reg.register("greedy", true, Arc::new(GreedyScheduler));
-        reg.register("dp", true, Arc::new(WindowDpScheduler::default()));
-        reg.register("smt", true, Arc::new(SmtScheduler::default()));
-        reg
-    }
-
-    /// Registers a strategy at the end of the order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate key.
-    pub fn register(&mut self, key: &'static str, adm_aware: bool, scheduler: SharedScheduler) {
-        assert!(self.get(key).is_none(), "duplicate strategy key {key:?}");
-        self.entries.push(StrategyEntry {
+    /// (the SHATTER window optimizer), and `smt` (the formal encoding,
+    /// configured by `smt`).
+    pub fn builtin(smt: SmtScheduler) -> StrategyRegistry {
+        let entry = |key, adm_aware, scheduler: SharedScheduler| StrategyEntry {
             key,
             adm_aware,
             scheduler,
-        });
+        };
+        StrategyRegistry {
+            entries: vec![
+                entry("biota", false, Arc::new(BiotaScheduler)),
+                entry("greedy", true, Arc::new(GreedyScheduler)),
+                entry("dp", true, Arc::new(WindowDpScheduler::default())),
+                entry("smt", true, Arc::new(smt)),
+            ],
+        }
     }
 
     /// Looks up a strategy by key.
@@ -70,21 +59,6 @@ impl StrategyRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &StrategyEntry> {
         self.entries.iter()
     }
-
-    /// Registered keys in order.
-    pub fn keys(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|e| e.key).collect()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +67,9 @@ mod tests {
 
     #[test]
     fn builtin_covers_the_papers_generators() {
-        let reg = StrategyRegistry::builtin();
-        assert_eq!(reg.keys(), ["biota", "greedy", "dp", "smt"]);
+        let reg = StrategyRegistry::builtin(SmtScheduler::default());
+        let keys: Vec<&str> = reg.iter().map(|e| e.key).collect();
+        assert_eq!(keys, ["biota", "greedy", "dp", "smt"]);
         assert!(!reg.get("biota").expect("biota registered").adm_aware);
         assert!(reg.get("dp").expect("dp registered").adm_aware);
         assert_eq!(
@@ -105,12 +80,5 @@ mod tests {
             "Greedy (Algorithm 2)"
         );
         assert!(reg.get("nope").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate strategy key")]
-    fn duplicate_key_rejected() {
-        let mut reg = StrategyRegistry::builtin();
-        reg.register("dp", true, Arc::new(WindowDpScheduler::default()));
     }
 }

@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use shatter_adm::{AdmKind, HullAdm};
+use shatter_core::SmtScheduler;
 use shatter_dataset::episodes::Episode;
 use shatter_dataset::{Dataset, HouseSpec};
 
@@ -18,7 +19,7 @@ use crate::pool::WorkPool;
 use crate::table::Table;
 
 /// Shared run parameters every scenario sees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunParams {
     /// Dataset length in days for month-scale exhibits.
     pub days: usize,
@@ -26,6 +27,10 @@ pub struct RunParams {
     pub span: usize,
     /// Base seed mixed into each scenario's deterministic seed.
     pub base_seed: u64,
+    /// The formal scheduler every SMT-running scenario starts from
+    /// (numeric mode and per-window budget; `repro --exact-simplex` /
+    /// `--budget`). Scenarios override only the fields they sweep.
+    pub smt: SmtScheduler,
 }
 
 impl Default for RunParams {
@@ -34,6 +39,7 @@ impl Default for RunParams {
             days: 30,
             span: 60,
             base_seed: 0,
+            smt: SmtScheduler::default(),
         }
     }
 }

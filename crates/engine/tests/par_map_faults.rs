@@ -20,7 +20,7 @@ fn ctx(cache: &FixtureCache, extra_slots: usize) -> ScenarioCtx<'_> {
         params: RunParams {
             days: 2,
             span: 20,
-            base_seed: 0,
+            ..RunParams::default()
         },
         seed: 0,
         pool: WorkPool::new(extra_slots),

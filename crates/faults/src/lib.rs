@@ -9,12 +9,13 @@
 //! solver events (pivots, window solves), never by wall time, so a
 //! serial chaos run fires the same fault at the same point every time.
 //!
-//! Plans come from the `SHATTER_FAULTS` environment variable or
-//! [`install`] (the `repro --inject` path). The syntax is a
-//! comma-separated list of `scenario/site/kind[@hit]` rules, e.g.
+//! Plans are installed by the embedding program through [`install`] or
+//! [`install_str`] (`repro --inject PLAN`); the library reads no
+//! environment variables. The syntax is a comma-separated list of
+//! `scenario/site/kind[@hit]` rules, e.g.
 //!
 //! ```text
-//! SHATTER_FAULTS='fig3/scenario.run/panic,strategies/smt.window/budget@2'
+//! repro --inject 'fig3/scenario.run/panic,strategies/smt.window/budget@2'
 //! ```
 //!
 //! `kind` is one of `panic`, `overflow`, `budget`, `io`; `scenario` may
@@ -42,7 +43,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// What an armed fault rule does when it fires. The *site* decides the
 /// mechanics: `panic` unwinds (isolation path), `overflow` forces the
@@ -145,7 +146,6 @@ struct PlanState {
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
 static STATE: OnceLock<Mutex<PlanState>> = OnceLock::new();
 
 thread_local! {
@@ -159,20 +159,6 @@ fn state() -> &'static Mutex<PlanState> {
             counters: HashMap::new(),
         })
     })
-}
-
-/// Reads `SHATTER_FAULTS` once per process (all entry points call this;
-/// after the first call it is a single atomic check).
-fn ensure_env() {
-    ENV_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("SHATTER_FAULTS") {
-            if !v.trim().is_empty() {
-                let specs =
-                    parse_plan(&v).unwrap_or_else(|e| panic!("invalid SHATTER_FAULTS plan: {e}"));
-                install(specs);
-            }
-        }
-    });
 }
 
 /// Installs (appends) fault rules and arms the harness. Rules are
@@ -198,7 +184,6 @@ pub fn install_str(plan: &str) -> Result<(), String> {
 /// the previous scope afterwards (also on unwind, so an injected panic
 /// leaves no stale scope behind). A no-op wrapper while unarmed.
 pub fn with_scenario<R>(id: &str, f: impl FnOnce() -> R) -> R {
-    ensure_env();
     if !ARMED.load(Ordering::Relaxed) {
         return f();
     }
@@ -218,7 +203,6 @@ pub fn with_scenario<R>(id: &str, f: impl FnOnce() -> R) -> R {
 /// outside any [`with_scenario`]). Pool fan-out captures this on the
 /// submitting thread and re-establishes it on workers via [`scoped`].
 pub fn current_scenario() -> Option<String> {
-    ensure_env();
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
@@ -242,7 +226,6 @@ fn spec_matches_scope(spec_scenario: &str, scope: Option<&str>) -> bool {
 /// scheduler uses this to bypass the shared window memo under injection
 /// so faulted fragments never leak into clean scenarios.
 pub fn scenario_armed() -> bool {
-    ensure_env();
     if !ARMED.load(Ordering::Relaxed) {
         return false;
     }
@@ -258,7 +241,6 @@ pub fn scenario_armed() -> bool {
 /// this consult. Each rule fires at most once — its `hit` index is
 /// passed exactly once by the monotone counter.
 pub fn hit(site: &str) -> Option<FaultKind> {
-    ensure_env();
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }

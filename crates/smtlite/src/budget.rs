@@ -66,8 +66,7 @@ impl Budget {
     }
 
     /// Parses a `conflicts=N,pivots=N,probes=N` spec (any subset, any
-    /// order), the syntax of the `SHATTER_BUDGET` environment variable
-    /// and `repro --budget`.
+    /// order), the syntax of `repro --budget` and `--house-budget`.
     pub fn parse(spec: &str) -> Result<Budget, String> {
         let mut budget = Budget::UNLIMITED;
         for part in spec.split(',') {
