@@ -11,9 +11,18 @@
 //! horizon — because those are where per-call capability masks and
 //! per-zone appliance lists could diverge from the `BTreeSet` queries
 //! they replace.
+//!
+//! A second pin covers the formal scheduler: its zone rows and every
+//! `SmtStats` counter, so a change to the SAT core, the simplex or the
+//! rational arithmetic that alters the search, not only the schedule,
+//! fails it. Its hash was computed before the theory check compiled
+//! its atoms once (cached columns, integer-fast `Rat`, row-local
+//! refresh).
 
 use shatter_adm::{AdmKind, HullAdm};
-use shatter_core::{impact, AttackerCapability, RewardTable, Scheduler, WindowDpScheduler};
+use shatter_core::{
+    impact, AttackerCapability, RewardTable, Scheduler, SmtScheduler, SmtStats, WindowDpScheduler,
+};
 use shatter_dataset::{synthesize, HouseSpec, SynthConfig};
 use shatter_hvac::EnergyModel;
 use shatter_smarthome::{ApplianceId, OccupantId, ZoneId};
@@ -114,5 +123,88 @@ fn day_kernel_outputs_match_pin() {
     assert_eq!(
         hash, KERNEL_OUTPUTS,
         "a day kernel changed its output: {hash:#018x}"
+    );
+}
+
+/// Hash of the formal scheduler's zone rows and every [`SmtStats`]
+/// counter over the first four hours of day 10, for each occupant of
+/// both houses, under full capability and under a zone subset, with the
+/// run count and the summed decisions and pivots (non-vacuity). The
+/// counters pin the search itself: a solver change that keeps schedules
+/// but takes a different path through the CDCL core or the simplex
+/// moves the hash.
+fn smt_effort_hash() -> (u64, usize, u64, u64) {
+    let smt = SmtScheduler::default();
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut runs, mut decisions, mut pivots) = (0, 0, 0);
+    for spec in [HouseSpec::aras_a(), HouseSpec::aras_b()] {
+        let month = synthesize(&SynthConfig::new(spec.clone(), 12, spec.canonical_seed));
+        let adm = HullAdm::train(&month.prefix_days(10), AdmKind::default_kmeans());
+        let model = EnergyModel::standard(spec.home.build());
+        let table = RewardTable::build(&model);
+        let full = AttackerCapability::full(model.home());
+        let day = &month.days[10];
+        for cap in [full.clone(), full.with_zone_access([ZoneId(1), ZoneId(3)])] {
+            for o in 0..day.minutes[0].occupants.len() {
+                let (row, stats) =
+                    smt.schedule_occupant(OccupantId(o), &table, &adm, &cap, day, 240);
+                for z in &row {
+                    h.word(z.index() as u64);
+                }
+                let SmtStats {
+                    windows,
+                    fallbacks,
+                    theory_conflicts,
+                    sat_decisions,
+                    sat_propagations,
+                    sat_learned,
+                    sat_restarts,
+                    sat_gc_clauses,
+                    sat_learnt_live,
+                    float_pivots,
+                    exact_fallbacks,
+                    degraded_windows,
+                    retried_windows,
+                    bin_props,
+                } = stats;
+                for v in [
+                    windows,
+                    fallbacks,
+                    theory_conflicts,
+                    sat_decisions,
+                    sat_propagations,
+                    sat_learned,
+                    sat_restarts,
+                    sat_gc_clauses,
+                    sat_learnt_live,
+                    float_pivots,
+                    exact_fallbacks,
+                    degraded_windows,
+                    retried_windows,
+                    bin_props,
+                ] {
+                    h.word(v);
+                }
+                runs += 1;
+                decisions += sat_decisions;
+                pivots += float_pivots;
+            }
+        }
+    }
+    (h.0, runs, decisions, pivots)
+}
+
+/// Pinned before the theory check compiled its atoms once (same inputs,
+/// same hash order).
+const SMT_EFFORT: u64 = 0x0ccd_24e3_8d8c_8f65;
+
+#[test]
+fn smt_schedules_and_effort_match_pin() {
+    let (hash, runs, decisions, pivots) = smt_effort_hash();
+    assert_eq!(runs, 8);
+    assert!(decisions > 0 && pivots > 0, "vacuous runs");
+    assert_eq!(
+        hash, SMT_EFFORT,
+        "the formal scheduler changed its schedule or search effort: {hash:#018x}"
     );
 }

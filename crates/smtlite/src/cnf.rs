@@ -1,25 +1,45 @@
 //! Tseitin transformation from [`Formula`] to CNF over the CDCL solver's
 //! variables, with a registry mapping theory atoms to propositional
-//! variables (the "Boolean skeleton" of lazy SMT).
+//! variables (the "Boolean skeleton" of lazy SMT). Each atom is compiled
+//! once, at registration, into the form the simplex consumes.
 
-use std::collections::HashMap;
-
-use crate::ast::{Atom, BoolVar, Formula, LinExpr, Rel};
+use crate::ast::{Atom, BoolVar, Formula, Rel};
+use crate::hash::WordMap;
 use crate::sat::{Lit, SatSolver};
+use crate::simplex::{BoundKind, DeltaRat};
 use crate::Rat;
 
-/// Canonical hash key for an atom (sorted coefficient list + constant + op).
-type AtomKey = (Vec<(usize, Rat)>, Rat, u8);
-
-fn atom_key(a: &Atom) -> AtomKey {
-    let coeffs: Vec<(usize, Rat)> = a.expr.coeffs.iter().map(|(v, c)| (v.index(), *c)).collect();
-    let op = match a.op {
-        Rel::Le => 0u8,
-        Rel::Lt => 1,
-        Rel::Eq => 2,
-    };
-    (coeffs, a.expr.constant, op)
+/// A registered theory atom, compiled once at registration: the linear
+/// form `Σ c·x` (constant folded out, sorted by variable) and the
+/// right-hand side, so the atom reads `form ≤ rhs`, or `form < rhs` when
+/// `strict`.
+#[derive(Debug, Clone)]
+pub(crate) struct TheoryAtom {
+    /// The SAT variable standing for the atom.
+    pub(crate) var: usize,
+    pub(crate) form: Vec<(Rat, usize)>,
+    pub(crate) rhs: Rat,
+    pub(crate) strict: bool,
 }
+
+impl TheoryAtom {
+    /// The simplex bound asserting the atom (`positive`) or its negation.
+    pub(crate) fn bound(&self, positive: bool) -> (BoundKind, DeltaRat) {
+        match (self.strict, positive) {
+            // form <= rhs
+            (false, true) => (BoundKind::Upper, DeltaRat::standard(self.rhs)),
+            // ¬(form <= rhs)  =>  form > rhs
+            (false, false) => (BoundKind::Lower, DeltaRat::plus_eps(self.rhs)),
+            // form < rhs
+            (true, true) => (BoundKind::Upper, DeltaRat::minus_eps(self.rhs)),
+            // ¬(form < rhs)  =>  form >= rhs
+            (true, false) => (BoundKind::Lower, DeltaRat::standard(self.rhs)),
+        }
+    }
+}
+
+/// Registry key of an atom: its compiled `(form, rhs, strict)`.
+type AtomKey = (Vec<(Rat, usize)>, Rat, bool);
 
 /// Undo record for [`Encoder::pop`]: registry entries added since the
 /// matching push (the SAT-level state is checkpointed by `SatSolver`'s
@@ -37,16 +57,17 @@ pub struct Encoder {
     /// The underlying CDCL solver.
     pub sat: SatSolver,
     /// SAT variable per registered theory atom (Le/Lt only; Eq is split).
-    atom_vars: HashMap<AtomKey, usize>,
-    /// Registered atoms with their SAT variables, in registration order —
-    /// a `Vec` so the theory-bound gathering in the DPLL(T) loop iterates
+    atom_vars: WordMap<AtomKey, usize>,
+    /// Registered atoms in registration order — a `Vec` so the
+    /// theory-bound gathering in the DPLL(T) loop iterates
     /// deterministically (HashMap order would leak into simplex column
     /// allocation and conflict explanations, i.e. into the models).
     /// Crate-visible so the solver can borrow it alongside `sat` (the
     /// theory hook reads atoms while the CDCL core searches).
-    pub(crate) atoms: Vec<(usize, Atom)>,
-    /// SAT variable per user-facing Boolean variable.
-    bool_vars: HashMap<usize, usize>,
+    pub(crate) atoms: Vec<TheoryAtom>,
+    /// SAT variable per user-facing Boolean variable, indexed by
+    /// [`BoolVar`] (`None` until first encoded).
+    bool_vars: Vec<Option<usize>>,
     /// Cached constant-true literal.
     lit_true: Option<Lit>,
     /// Assertion-trail checkpoints mirroring `sat`'s frames.
@@ -72,11 +93,11 @@ impl Encoder {
     /// Restores the registry and SAT solver to the matching push.
     pub(crate) fn pop(&mut self) {
         let f = self.frames.pop().expect("pop without matching push");
-        for (_, a) in self.atoms.drain(f.n_atoms..) {
-            self.atom_vars.remove(&atom_key(&a));
+        for a in self.atoms.drain(f.n_atoms..) {
+            self.atom_vars.remove(&(a.form, a.rhs, a.strict));
         }
         for b in f.added_bools {
-            self.bool_vars.remove(&b);
+            self.bool_vars[b] = None;
         }
         self.lit_true = f.lit_true;
         self.sat.pop();
@@ -96,33 +117,49 @@ impl Encoder {
 
     /// SAT variable backing a user Boolean variable.
     pub fn bool_sat_var(&mut self, b: BoolVar) -> usize {
-        if let Some(&v) = self.bool_vars.get(&b.index()) {
+        let i = b.index();
+        if let Some(&Some(v)) = self.bool_vars.get(i) {
             return v;
         }
         let v = self.sat.new_var();
-        self.bool_vars.insert(b.index(), v);
+        if i >= self.bool_vars.len() {
+            self.bool_vars.resize(i + 1, None);
+        }
+        self.bool_vars[i] = Some(v);
         if let Some(f) = self.frames.last_mut() {
-            f.added_bools.push(b.index());
+            f.added_bools.push(i);
         }
         v
     }
 
-    /// SAT variable for a (Le/Lt) atom, registering it on first sight.
+    /// SAT variable for a (Le/Lt) atom, compiling and registering it on
+    /// first sight.
     fn atom_sat_var(&mut self, a: &Atom) -> usize {
         debug_assert!(a.op != Rel::Eq, "Eq atoms are split before encoding");
-        let key = atom_key(a);
+        // Σcx + k ⋈ 0  =>  Σcx ⋈ −k.
+        let form = a.expr.coeffs.iter().map(|(x, c)| (*c, x.index())).collect();
+        let key: AtomKey = (form, -a.expr.constant, a.op == Rel::Lt);
         if let Some(&v) = self.atom_vars.get(&key) {
             return v;
         }
         let v = self.sat.new_var();
+        self.atoms.push(TheoryAtom {
+            var: v,
+            form: key.0.clone(),
+            rhs: key.1,
+            strict: key.2,
+        });
         self.atom_vars.insert(key, v);
-        self.atoms.push((v, a.clone()));
         v
     }
 
     /// The SAT value of a user Boolean variable in a model, if allocated.
     pub fn bool_value(&self, b: BoolVar, model: &[bool]) -> Option<bool> {
-        self.bool_vars.get(&b.index()).map(|&v| model[v])
+        self.bool_vars
+            .get(b.index())
+            .copied()
+            .flatten()
+            .map(|v| model[v])
     }
 
     /// Encodes a formula to a literal equisatisfiable with it.
@@ -216,19 +253,10 @@ impl Encoder {
     }
 }
 
-/// Re-export used by the solver driver: a linear expression without its
-/// constant (folded into the bound), as (coeff, var-index) pairs.
-pub(crate) fn strip_expr(e: &LinExpr) -> (Vec<(Rat, usize)>, Rat) {
-    (
-        e.coeffs.iter().map(|(v, c)| (*c, v.index())).collect(),
-        e.constant,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::RealVar;
+    use crate::ast::{LinExpr, RealVar};
     use crate::sat::SatVerdict;
 
     #[test]

@@ -46,6 +46,7 @@
 pub mod ast;
 mod budget;
 mod cnf;
+mod hash;
 mod rational;
 pub mod sat;
 pub mod simplex;

@@ -19,9 +19,16 @@ impl std::error::Error for RatOverflow {}
 
 /// An exact rational number over `i128`.
 ///
-/// Always stored normalized: `gcd(num, den) == 1`, `den > 0`. The simplex
+/// Always stored normalized: `gcd(num, den) == 1`, `den > 0`, and
+/// neither part is `i128::MIN` (whose magnitude does not fit `i128`, so
+/// negating it, or taking its `gcd`, would overflow). The simplex
 /// tableau pivots on these; exactness is what keeps hull-boundary
 /// constraints from mis-classifying points the way floats would.
+///
+/// Integers (`den == 1`) take fast paths in [`Rat::new`], `+`, `*`,
+/// [`Rat::try_add`] and [`Rat::try_mul`] that skip the `gcd` and the
+/// `i128` divisions; results and overflow conditions are those of the
+/// general formulas.
 ///
 /// # Panics
 ///
@@ -48,6 +55,24 @@ fn gcd(mut a: i128, mut b: i128) -> i128 {
     a
 }
 
+/// `a·b` as a 256-bit `(high, low)` pair.
+fn wide_mul(a: u128, b: u128) -> (u128, u128) {
+    const LOW: u128 = u64::MAX as u128;
+    let (a1, a0) = (a >> 64, a & LOW);
+    let (b1, b0) = (b >> 64, b & LOW);
+    let (p00, p01, p10, p11) = (a0 * b0, a0 * b1, a1 * b0, a1 * b1);
+    // Bits 64..192 of the product, before carries out of bit 128.
+    let mid = (p00 >> 64) + (p01 & LOW) + (p10 & LOW);
+    let low = (p00 & LOW) | (mid << 64);
+    let high = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+    (high, low)
+}
+
+#[cold]
+fn overflow_panic() -> ! {
+    panic!("rational arithmetic overflow");
+}
+
 impl Rat {
     /// Zero.
     pub const ZERO: Rat = Rat { num: 0, den: 1 };
@@ -58,19 +83,37 @@ impl Rat {
     ///
     /// # Panics
     ///
-    /// Panics if `den == 0`.
+    /// Panics if `den == 0`, or with "rational arithmetic overflow" if
+    /// either part is `i128::MIN`.
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "rational with zero denominator");
-        let g = gcd(num, den).max(1);
-        let sign = if den < 0 { -1 } else { 1 };
-        Rat {
+        Rat::reduce(num, den).unwrap_or_else(|_| overflow_panic())
+    }
+
+    /// `num / den` (`den != 0`) in normal form, or `RatOverflow` when
+    /// either part is `i128::MIN`.
+    fn reduce(num: i128, den: i128) -> Result<Rat, RatOverflow> {
+        if num == i128::MIN || den == i128::MIN {
+            return Err(RatOverflow);
+        }
+        if den == 1 {
+            return Ok(Rat { num, den });
+        }
+        let g = gcd(num, den);
+        let sign = den.signum();
+        Ok(Rat {
             num: sign * num / g,
             den: sign * den / g,
-        }
+        })
     }
 
     /// Integer constant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == i128::MIN`.
     pub const fn int(n: i128) -> Rat {
+        assert!(n != i128::MIN, "rational arithmetic overflow");
         Rat { num: n, den: 1 }
     }
 
@@ -96,9 +139,15 @@ impl Rat {
         self.den
     }
 
-    /// Conversion to `f64` (may round).
+    /// Conversion to `f64` (may round): `num as f64 / den as f64`.
+    /// Parts that fit `i64` convert through it, which rounds the same
+    /// integer to the same `f64` (both conversions are correctly
+    /// rounded) in one instruction instead of a software `i128` routine.
     pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
+        match (i64::try_from(self.num), i64::try_from(self.den)) {
+            (Ok(n), Ok(d)) => n as f64 / d as f64,
+            _ => self.num as f64 / self.den as f64,
+        }
     }
 
     /// True iff the value is zero.
@@ -134,16 +183,9 @@ impl Rat {
         }
     }
 
-    fn checked(num: Option<i128>, den: Option<i128>) -> Rat {
-        let (Some(n), Some(d)) = (num, den) else {
-            panic!("rational arithmetic overflow");
-        };
-        Rat::new(n, d)
-    }
-
     fn try_checked(num: Option<i128>, den: Option<i128>) -> Result<Rat, RatOverflow> {
         match (num, den) {
-            (Some(n), Some(d)) => Ok(Rat::new(n, d)),
+            (Some(n), Some(d)) => Rat::reduce(n, d),
             _ => Err(RatOverflow),
         }
     }
@@ -151,6 +193,10 @@ impl Rat {
     /// Non-panicking addition: `Err(RatOverflow)` if the result cannot be
     /// represented over `i128`.
     pub fn try_add(self, rhs: Rat) -> Result<Rat, RatOverflow> {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::try_checked(self.num.checked_add(rhs.num), Some(1));
+        }
+        // a/b + c/d = (a*d + c*b) / (b*d), reduced via gcd(b, d) first.
         let g = gcd(self.den, rhs.den).max(1);
         let lb = self.den / g;
         let rb = rhs.den / g;
@@ -169,6 +215,9 @@ impl Rat {
 
     /// Non-panicking multiplication; see [`Rat::try_add`].
     pub fn try_mul(self, rhs: Rat) -> Result<Rat, RatOverflow> {
+        if self.den == 1 && rhs.den == 1 {
+            return Rat::try_checked(self.num.checked_mul(rhs.num), Some(1));
+        }
         let g1 = gcd(self.num, rhs.den).max(1);
         let g2 = gcd(rhs.num, self.den).max(1);
         Rat::try_checked(
@@ -190,16 +239,7 @@ impl Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
-        // a/b + c/d = (a*d + c*b) / (b*d), reduced via gcd(b, d) first.
-        let g = gcd(self.den, rhs.den).max(1);
-        let lb = self.den / g;
-        let rb = rhs.den / g;
-        Rat::checked(
-            self.num
-                .checked_mul(rb)
-                .and_then(|x| rhs.num.checked_mul(lb).and_then(|y| x.checked_add(y))),
-            self.den.checked_mul(rb),
-        )
+        self.try_add(rhs).unwrap_or_else(|_| overflow_panic())
     }
 }
 
@@ -213,12 +253,7 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
-        let g1 = gcd(self.num, rhs.den).max(1);
-        let g2 = gcd(rhs.num, self.den).max(1);
-        Rat::checked(
-            (self.num / g1).checked_mul(rhs.num / g2),
-            (self.den / g2).checked_mul(rhs.den / g1),
-        )
+        self.try_mul(rhs).unwrap_or_else(|_| overflow_panic())
     }
 }
 
@@ -253,13 +288,21 @@ impl Ord for Rat {
         // Compare a/b vs c/d  <=>  a*d vs c*b (b, d > 0).
         let left = self.num.checked_mul(other.den);
         let right = other.num.checked_mul(self.den);
-        match (left, right) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            // Fall back to float comparison on overflow (distant values).
-            _ => self
-                .to_f64()
-                .partial_cmp(&other.to_f64())
-                .unwrap_or(Ordering::Equal),
+        if let (Some(l), Some(r)) = (left, right) {
+            return l.cmp(&r);
+        }
+        // A cross product left i128, so both numerators are nonzero.
+        // Signs first, then the 256-bit magnitudes of a*d and c*b.
+        let signs = self.num.signum().cmp(&other.num.signum());
+        if signs != Ordering::Equal {
+            return signs;
+        }
+        let l = wide_mul(self.num.unsigned_abs(), other.den.unsigned_abs());
+        let r = wide_mul(other.num.unsigned_abs(), self.den.unsigned_abs());
+        if self.num > 0 {
+            l.cmp(&r)
+        } else {
+            r.cmp(&l)
         }
     }
 }
@@ -371,6 +414,47 @@ mod tests {
     #[should_panic(expected = "reciprocal of zero")]
     fn try_div_by_zero_panics() {
         let _ = Rat::ONE.try_div(Rat::ZERO);
+    }
+
+    #[test]
+    fn ordering_is_exact_when_cross_products_overflow() {
+        // 1 + 1/(big-1) < 1 + 1/(big-2): both cross products leave i128
+        // and the two values agree to far more digits than an f64 holds.
+        let big = i128::MAX / 4;
+        let a = Rat::new(big, big - 1);
+        let b = Rat::new(big - 1, big - 2);
+        assert_ne!(a, b);
+        assert_eq!(a.cmp(&b), Ordering::Less);
+        assert_eq!(b.cmp(&a), Ordering::Greater);
+        assert_eq!((-a).cmp(&-b), Ordering::Greater);
+        assert_eq!(a.cmp(&-b), Ordering::Greater);
+        assert_eq!(a.cmp(&a), Ordering::Equal);
+        // (2^128 - 1)² = 2^256 - 2^129 + 1.
+        assert_eq!(wide_mul(u128::MAX, u128::MAX), (u128::MAX - 1, 1));
+        assert_eq!(wide_mul(1 << 64, 1 << 64), (1, 0));
+    }
+
+    #[test]
+    fn results_equal_to_i128_min_overflow() {
+        // -2^126 + -2^126 = i128::MIN, whose negation does not fit i128.
+        let half = Rat::int(-(1 << 126));
+        assert_eq!(half.try_add(half), Err(RatOverflow));
+        assert_eq!(half.try_sub(-half), Err(RatOverflow));
+        assert_eq!(half.try_mul(Rat::int(2)), Err(RatOverflow));
+        assert_eq!(Rat::int(-2).try_mul(-half), Err(RatOverflow));
+        // The general (fractional) paths too.
+        let third = Rat::new(-(1 << 126), 3);
+        assert_eq!(third.try_add(third), Err(RatOverflow));
+        // One step inside the range still works.
+        let near = Rat::int(-(1 << 126) + 1);
+        assert_eq!(near.try_add(half), Ok(Rat::int(i128::MIN + 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "rational arithmetic overflow")]
+    fn operators_panic_on_i128_min_results() {
+        let half = Rat::int(-(1 << 126));
+        let _ = half + half;
     }
 
     #[test]

@@ -16,6 +16,23 @@
 //! one OMT search warm-start from the last feasible basis instead of
 //! re-pivoting from the origin.
 //!
+//! Every entry point runs one solve loop over bounds that name their
+//! linear form by index; a column resolver maps the index to a column
+//! when the bound is asserted. The public wrappers resolve each
+//! [`BoundConstraint`]'s form through the slack registry; the DPLL(T)
+//! solver resolves its compiled atoms through a per-atom column cache,
+//! so a theory check asserts bounds without rebuilding, sorting or
+//! hashing any linear form. Either way a column is allocated at the
+//! moment its first bound is asserted, so column numbering, and with it
+//! Bland order, does not depend on the cache.
+//!
+//! Before the Bland loop, nonbasic values outside their new bounds are
+//! clamped onto them, and only the basic rows over a clamped column are
+//! recomputed. That is exact because every basic value equals its row's
+//! value at each solve's entry: pivots update the basics they touch,
+//! new slacks are evaluated at creation, and `Solver::pop` only ever
+//! swaps in a consistent clone.
+//!
 //! # Two-phase numerics
 //!
 //! All tableau state lives in exact `i128` rationals — the ground truth
@@ -47,10 +64,12 @@
 //! ([`Simplex::set_pivot_limit`]) surfaces as [`SimplexHalt::Budget`]
 //! between pivots, leaving the tableau valid.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::{Add, Mul, Neg, Sub};
 
+use crate::hash::WordMap;
 use crate::rational::RatOverflow;
 use crate::Rat;
 
@@ -113,8 +132,8 @@ impl DeltaRat {
     }
 
     /// Concretizes with a specific ε value.
-    pub fn concretize(self, eps: Rat) -> Rat {
-        self.r + self.d * eps
+    fn try_concretize(self, eps: Rat) -> Result<Rat, RatOverflow> {
+        self.r.try_add(self.d.try_mul(eps)?)
     }
 
     fn try_add_dr(self, o: DeltaRat) -> Result<DeltaRat, RatOverflow> {
@@ -212,6 +231,23 @@ pub struct BoundConstraint {
     pub kind: BoundKind,
     /// Identifier echoed back in conflict explanations.
     pub id: usize,
+}
+
+/// A bound as the one solve loop consumes it: the linear form it
+/// constrains is named by an index the caller's column resolver maps to
+/// a column when the bound is asserted, so columns are allocated in
+/// assertion order (and with them Bland order) whether or not the
+/// caller has the column cached.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FormBound {
+    /// Index handed to the column resolver.
+    pub(crate) form: usize,
+    /// The bound value (possibly with an ε part for strict bounds).
+    pub(crate) bound: DeltaRat,
+    /// Which side is constrained.
+    pub(crate) kind: BoundKind,
+    /// Identifier echoed back in conflict explanations.
+    pub(crate) id: usize,
 }
 
 /// A bound with the id of the atom that asserted it, as stored per
@@ -374,7 +410,7 @@ pub struct Simplex {
     /// Column -> real-variable index (`None` for slack columns).
     col_var: Vec<Option<usize>>,
     /// Distinct multi-term linear form (sorted by var) -> slack column.
-    form_slack: HashMap<Vec<(Rat, usize)>, usize>,
+    form_slack: WordMap<Vec<(Rat, usize)>, usize>,
     /// Basic columns' defining rows over nonbasic columns (`None` =
     /// nonbasic), indexed by column — index order *is* Bland order.
     rows: Vec<Option<SparseRow>>,
@@ -388,6 +424,9 @@ pub struct Simplex {
     flower: Vec<f64>,
     fupper: Vec<f64>,
     arena: RowArena,
+    /// Per column: moved by the current solve's clamp pass (all `false`
+    /// between solves).
+    moved: Vec<bool>,
     mode: NumericMode,
     stats: SimplexStats,
     /// Set when an overflow aborted mid-pivot: the tableau invariants no
@@ -448,6 +487,12 @@ impl Simplex {
         self.rows[v].is_some()
     }
 
+    /// Columns allocated so far; column indices below it stay valid for
+    /// the life of this tableau and of its clones.
+    pub(crate) fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
     fn set_value(&mut self, c: usize, v: DeltaRat) {
         self.value[c] = v;
         self.fvalue[c] = v.r.to_f64();
@@ -498,6 +543,7 @@ impl Simplex {
         self.upper.push(None);
         self.flower.push(0.0);
         self.fupper.push(0.0);
+        self.moved.push(false);
         c
     }
 
@@ -515,21 +561,28 @@ impl Simplex {
     /// binds the variable's own column; any other form gets (or reuses)
     /// a slack column whose defining row is expressed over the *current*
     /// nonbasic columns (substituting rows of already-basic variables,
-    /// so the new definition composes with prior pivots).
-    fn try_column_for(&mut self, expr: &[(Rat, usize)]) -> Result<usize, RatOverflow> {
+    /// so the new definition composes with prior pivots). A form
+    /// already sorted by variable, as compiled atoms are, is looked up
+    /// without a copy.
+    pub(crate) fn try_column_for(&mut self, expr: &[(Rat, usize)]) -> Result<usize, RatOverflow> {
         if expr.len() == 1 && expr[0].0 == Rat::ONE {
             return Ok(self.var_column(expr[0].1));
         }
-        let mut key: Vec<(Rat, usize)> = expr.to_vec();
-        key.sort_by_key(|&(_, v)| v);
-        if let Some(&c) = self.form_slack.get(&key) {
+        let key: Cow<'_, [(Rat, usize)]> = if expr.is_sorted_by_key(|&(_, v)| v) {
+            Cow::Borrowed(expr)
+        } else {
+            let mut key = expr.to_vec();
+            key.sort_by_key(|&(_, v)| v);
+            Cow::Owned(key)
+        };
+        if let Some(&c) = self.form_slack.get(&*key) {
             return Ok(c);
         }
         // Resolve (allocating) every variable column up front, then
         // accumulate Σ c·(column or its defining row) by sorted merges,
         // ping-ponging between two recycled buffers.
         let mut terms: Vec<(Rat, usize)> = Vec::with_capacity(key.len());
-        for &(c, v) in &key {
+        for &(c, v) in key.iter() {
             let col = self.var_column(v);
             terms.push((c, col));
         }
@@ -547,7 +600,7 @@ impl Simplex {
         self.arena.release(next);
         let v = self.try_row_value(&acc)?;
         let s = self.new_col(None);
-        self.form_slack.insert(key, s);
+        self.form_slack.insert(key.into_owned(), s);
         self.set_value(s, v);
         self.rows[s] = Some(acc);
         Ok(s)
@@ -681,35 +734,28 @@ impl Simplex {
 
     /// [`Simplex::check_assignment`] that reports `i128` overflow (or an
     /// exhausted pivot budget) as [`SimplexHalt`] instead of panicking.
-    /// After an *overflow* the tableau is poisoned: every further `try_*`
-    /// call returns `Err` until the owner replaces it (e.g. restoring a
-    /// pre-error clone). A *budget* halt does not poison.
+    /// After an overflow *while solving* the tableau is poisoned: every
+    /// further `try_*` call returns `Err` until the owner replaces it
+    /// (e.g. restoring a pre-error clone). A *budget* halt does not
+    /// poison, nor does an overflow while extracting the model, which
+    /// leaves the feasible tableau untouched.
     pub fn try_check_assignment(
         &mut self,
         bounds: &[BoundConstraint],
     ) -> Result<SimplexResult, SimplexHalt> {
         Ok(match self.try_assert_and_solve(bounds)? {
             Some(ids) => SimplexResult::Infeasible(ids),
-            // Feasible: concretize ε and return original-variable values.
-            None => SimplexResult::Feasible(self.concretize()),
+            None => SimplexResult::Feasible(self.try_model()?),
         })
     }
 
     /// The tightest lower/upper bounds (with the asserting ids) currently
-    /// asserted on a column. Valid after [`Simplex::assert_and_solve`] /
-    /// [`Simplex::check_assignment`]; the DPLL(T) driver reads these to
-    /// propagate theory-implied bound literals — any feasible point keeps
-    /// the column's form within the returned interval. Resolve the column
-    /// once via [`Simplex::column_index`] and cache it.
+    /// asserted on a column. Valid after a solve; the DPLL(T) solver
+    /// reads these to propagate theory-implied bound literals — any
+    /// feasible point keeps the column's form within the returned
+    /// interval.
     pub(crate) fn asserted_bounds_at(&self, col: usize) -> (AssertedBound, AssertedBound) {
         (self.lower[col], self.upper[col])
-    }
-
-    /// Resolves (allocating on first sight) the column of `expr`;
-    /// crate-visible so the DPLL(T) hook can cache the mapping.
-    pub(crate) fn column_index(&mut self, expr: &[(Rat, usize)]) -> usize {
-        self.try_column_for(expr)
-            .expect("rational arithmetic overflow")
     }
 
     /// [`Simplex::check_assignment`] without the model extraction: the
@@ -733,10 +779,32 @@ impl Simplex {
         &mut self,
         bounds: &[BoundConstraint],
     ) -> Result<Option<Vec<usize>>, SimplexHalt> {
+        let asserted: Vec<FormBound> = bounds
+            .iter()
+            .enumerate()
+            .map(|(form, b)| FormBound {
+                form,
+                bound: b.bound,
+                kind: b.kind,
+                id: b.id,
+            })
+            .collect();
+        self.try_solve(&asserted, |spx, i| spx.try_column_for(&bounds[i].expr))
+    }
+
+    /// Decides `bounds`, resolving each bound's column through `column`
+    /// when the bound is asserted; the one solve every entry point runs.
+    /// Halts as [`Simplex::try_assert_and_solve`] does, poisoning the
+    /// tableau on overflow.
+    pub(crate) fn try_solve(
+        &mut self,
+        bounds: &[FormBound],
+        column: impl FnMut(&mut Simplex, usize) -> Result<usize, RatOverflow>,
+    ) -> Result<Option<Vec<usize>>, SimplexHalt> {
         if self.poisoned {
             return Err(SimplexHalt::Overflow);
         }
-        match self.solve_core(bounds) {
+        match self.solve_core(bounds, column) {
             Ok(r) => Ok(r),
             Err(halt) => {
                 if halt == SimplexHalt::Overflow {
@@ -752,7 +820,8 @@ impl Simplex {
 
     fn solve_core(
         &mut self,
-        bounds: &[BoundConstraint],
+        bounds: &[FormBound],
+        mut column: impl FnMut(&mut Simplex, usize) -> Result<usize, RatOverflow>,
     ) -> Result<Option<Vec<usize>>, SimplexHalt> {
         // Retract every bound from the previous call.
         for b in &mut self.lower {
@@ -764,7 +833,7 @@ impl Simplex {
 
         // Assert bounds, detecting immediate lower>upper conflicts.
         for b in bounds {
-            let col = self.try_column_for(&b.expr)?;
+            let col = column(self, b.form)?;
             let fb = b.bound.r.to_f64();
             match b.kind {
                 BoundKind::Lower => {
@@ -806,6 +875,7 @@ impl Simplex {
 
         // Move nonbasic values inside their bounds, keeping in-range
         // values where they are (the warm start).
+        let mut any_moved = false;
         for v in 0..self.n_cols {
             if self.is_basic(v) {
                 continue;
@@ -813,6 +883,8 @@ impl Simplex {
             if let Some((l, _)) = self.lower[v] {
                 if self.cmp_dr(self.value[v], self.fvalue[v], l, self.flower[v]) == Ordering::Less {
                     self.set_value(v, l);
+                    self.moved[v] = true;
+                    any_moved = true;
                     continue;
                 }
             }
@@ -821,16 +893,19 @@ impl Simplex {
                     == Ordering::Greater
                 {
                     self.set_value(v, u);
+                    self.moved[v] = true;
+                    any_moved = true;
                 }
             }
         }
-        for b in 0..self.n_cols {
-            let Some(row) = self.rows[b].take() else {
-                continue;
-            };
-            let v = self.try_row_value(&row);
-            self.rows[b] = Some(row);
-            self.set_value(b, v?);
+        // Every basic value equals its row's value on entry — pivots
+        // update the basics they touch, new slacks are evaluated at
+        // creation and `Solver::pop` restores a consistent clone — so
+        // only rows over a nonbasic the clamp moved need recomputing.
+        if any_moved {
+            let refreshed = self.refresh_moved_rows();
+            self.moved.fill(false);
+            refreshed?;
         }
 
         // Main Bland-rule loop: smallest-index violated basic, then
@@ -950,33 +1025,51 @@ impl Simplex {
         }
     }
 
-    /// Chooses a concrete ε small enough that all strict bounds stay
-    /// strict, then maps the delta-valued assignment of the *variable*
-    /// columns (slacks skipped) to plain rationals.
-    fn concretize(&self) -> HashMap<usize, Rat> {
+    /// Recomputes the value of every basic row containing a column the
+    /// clamp pass marked as moved.
+    fn refresh_moved_rows(&mut self) -> Result<(), RatOverflow> {
+        for b in 0..self.n_cols {
+            let Some(row) = self.rows[b].as_deref() else {
+                continue;
+            };
+            if !row.iter().any(|&(c, _)| self.moved[c]) {
+                continue;
+            }
+            let v = self.try_row_value(row)?;
+            self.set_value(b, v);
+        }
+        Ok(())
+    }
+
+    /// The model of a feasible solve: chooses a concrete ε small enough
+    /// that all strict bounds stay strict, then maps the delta-valued
+    /// assignment of the *variable* columns (slacks skipped) to plain
+    /// rationals. Reads the tableau only, so an overflow here leaves it
+    /// consistent.
+    pub(crate) fn try_model(&self) -> Result<HashMap<usize, Rat>, RatOverflow> {
         let mut eps = Rat::ONE;
         for v in 0..self.n_cols {
             let val = self.value[v];
             if let Some((l, _)) = self.lower[v] {
                 // need val.r + val.d e >= l.r + l.d e
                 //   =>  (val.d - l.d) e >= l.r - val.r
-                let dd = val.d - l.d;
-                let rr = val.r - l.r;
+                let dd = val.d.try_sub(l.d)?;
+                let rr = val.r.try_sub(l.r)?;
                 if dd.is_negative() && rr.is_positive() {
-                    eps = eps.min(rr / (-dd));
+                    eps = eps.min(rr.try_div(-dd)?);
                 }
             }
             if let Some((u, _)) = self.upper[v] {
-                let dd = u.d - val.d;
-                let rr = u.r - val.r;
+                let dd = u.d.try_sub(val.d)?;
+                let rr = u.r.try_sub(val.r)?;
                 if dd.is_negative() && rr.is_positive() {
-                    eps = eps.min(rr / (-dd));
+                    eps = eps.min(rr.try_div(-dd)?);
                 }
             }
         }
-        let eps = eps * Rat::new(1, 2);
+        let eps = eps.try_mul(Rat::new(1, 2))?;
         (0..self.n_cols)
-            .filter_map(|c| self.col_var[c].map(|v| (v, self.value[c].concretize(eps))))
+            .filter_map(|c| self.col_var[c].map(|v| Ok((v, self.value[c].try_concretize(eps)?))))
             .collect()
     }
 }
@@ -1306,6 +1399,35 @@ mod tests {
             lower(vec![(1, 0)], huge, 1),
             lower(vec![(1, 1)], huge, 2),
         ]);
+    }
+
+    #[test]
+    fn model_overflow_is_reported_without_poisoning() {
+        // x >= 1/q1, x < 10^6/q2 is feasible, but choosing ε subtracts
+        // the two bounds, whose common denominator q1·q2 ≈ 10^40 leaves
+        // i128 (q1, q2 coprime).
+        let (q1, q2) = (100_000_000_000_000_000_039, 100_000_000_000_000_000_129);
+        let bounds = vec![
+            BoundConstraint {
+                expr: vec![(Rat::ONE, 0)],
+                bound: DeltaRat::standard(Rat::new(1, q1)),
+                kind: BoundKind::Lower,
+                id: 0,
+            },
+            BoundConstraint {
+                expr: vec![(Rat::ONE, 0)],
+                bound: DeltaRat::minus_eps(Rat::new(1_000_000, q2)),
+                kind: BoundKind::Upper,
+                id: 1,
+            },
+        ];
+        let mut s = Simplex::new();
+        assert!(matches!(
+            s.try_check_assignment(&bounds),
+            Err(SimplexHalt::Overflow)
+        ));
+        // The solve itself finished, so the tableau stays usable.
+        assert_eq!(s.try_assert_and_solve(&bounds), Ok(None));
     }
 
     #[test]

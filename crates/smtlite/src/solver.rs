@@ -1,13 +1,23 @@
+//! The lazy DPLL(T) solver: the CDCL core searches the Boolean skeleton
+//! and consults the simplex on partial and complete assignments.
+//!
+//! Theory atoms arrive compiled from the encoder (linear form sorted by
+//! variable, folded right-hand side, strictness), and the solver caches
+//! each atom's simplex column the first time a check resolves it. A
+//! consult therefore only gathers which atoms are assigned and hands
+//! their bounds to the simplex by column. [`Solver::pop`] truncates the
+//! cache to the restored atom count and forgets every column the
+//! restored tableau does not have, so those atoms resolve afresh, in the
+//! order a solver that never saw the popped frame would resolve them.
+
 use std::collections::HashMap;
 
-use crate::ast::{Atom, BoolVar, Formula, LinExpr, RealVar, Rel};
+use crate::ast::{BoolVar, Formula, LinExpr, RealVar};
 use crate::budget::Budget;
-use crate::cnf::{strip_expr, Encoder};
+use crate::cnf::{Encoder, TheoryAtom};
+use crate::rational::RatOverflow;
 use crate::sat::{Lit, SatStats, SatVerdict, Theory, TheoryResult, TheoryView};
-use crate::simplex::{
-    BoundConstraint, BoundKind, DeltaRat, NumericMode, Simplex, SimplexHalt, SimplexResult,
-    SimplexStats,
-};
+use crate::simplex::{FormBound, NumericMode, Simplex, SimplexHalt, SimplexStats};
 use crate::Rat;
 
 /// A satisfying assignment.
@@ -126,6 +136,9 @@ fn halted_panic(cause: HaltCause) -> ! {
     }
 }
 
+/// Entry of [`Solver::atom_cols`] whose column is not resolved yet.
+const UNRESOLVED: usize = usize::MAX;
+
 /// Checkpoint for [`Solver::pop`].
 #[derive(Debug, Clone)]
 struct SolverFrame {
@@ -147,7 +160,9 @@ struct SolverFrame {
 ///   literals without asserting them, retaining everything the CDCL core
 ///   learns for later calls;
 /// - the simplex tableau persists between checks, warm-starting each
-///   theory validation from the previous feasible basis;
+///   theory validation from the previous feasible basis, and so does
+///   each registered atom's compiled bound and simplex column, so a
+///   theory check only gathers which atoms are assigned;
 /// - [`Solver::push`]/[`Solver::pop`] checkpoint the whole stack
 ///   (clauses, variables, atom registry, tableau, heuristics), and `pop`
 ///   restores it *exactly* — a popped solver continues byte-for-byte
@@ -163,6 +178,10 @@ pub struct Solver {
     n_reals: usize,
     n_bools: usize,
     simplex: Simplex,
+    /// Per registered atom (same order as the encoder's atoms): its
+    /// simplex column, cached when a theory check first resolves it
+    /// ([`UNRESOLVED`] until then).
+    atom_cols: Vec<usize>,
     frames: Vec<SolverFrame>,
     /// OMT probe cap from the active [`Budget`] (`None` = unlimited).
     probe_limit: Option<u64>,
@@ -292,6 +311,16 @@ impl Solver {
         self.simplex.set_numeric_mode(mode);
         self.simplex.set_pivot_limit(pivot_limit);
         self.enc.pop();
+        // The restored tableau lacks the columns allocated inside the
+        // frame: forget them, and the popped atoms, so they resolve
+        // afresh in the order a solver that never saw the frame would.
+        self.atom_cols.truncate(self.enc.atoms.len());
+        let n_cols = self.simplex.n_cols();
+        for col in &mut self.atom_cols {
+            if *col >= n_cols {
+                *col = UNRESOLVED;
+            }
+        }
     }
 
     /// Decides the asserted conjunction. Returns a model when satisfiable.
@@ -332,14 +361,15 @@ impl Solver {
     /// core backtracks to level zero; an overflow-poisoned tableau needs
     /// the enclosing [`Solver::pop`] to restore a clean checkpoint).
     pub fn check_full(&mut self, assumptions: &[Lit]) -> CheckOutcome {
+        self.atom_cols.resize(self.enc.atoms.len(), UNRESOLVED);
         let mut theory = SimplexTheory {
             atoms: &self.enc.atoms,
+            cols: &mut self.atom_cols,
             simplex: &mut self.simplex,
             conflicts: 0,
             model: None,
             halt: None,
             bounds: Vec::new(),
-            atom_cols: Vec::new(),
             last_assigned: usize::MAX,
         };
         let verdict = self.enc.sat.solve_with(assumptions, Some(&mut theory));
@@ -502,8 +532,10 @@ impl Solver {
 /// owns the warm-started simplex for the duration of one check and maps
 /// between atom SAT variables and simplex bounds.
 struct SimplexTheory<'a> {
-    /// Registered atoms `(sat_var, atom)` in registration order.
-    atoms: &'a [(usize, Atom)],
+    /// Registered atoms in registration order.
+    atoms: &'a [TheoryAtom],
+    /// Per atom (same order as `atoms`): its cached simplex column.
+    cols: &'a mut [usize],
     simplex: &'a mut Simplex,
     /// Theory conflicts found during this check.
     conflicts: u64,
@@ -512,58 +544,71 @@ struct SimplexTheory<'a> {
     /// Why the simplex halted this check, when it did ([`TheoryResult::Halt`]).
     halt: Option<HaltCause>,
     /// Reused bound buffer (no per-consult allocation).
-    bounds: Vec<BoundConstraint>,
-    /// Per atom (same order as `atoms`): its simplex column and its
-    /// positive-polarity upper bound, resolved lazily once per check —
-    /// the implied-bound scan then reads the column bounds directly
-    /// instead of re-building (clone + sort + hash) the linear form on
-    /// every consult.
-    atom_cols: Vec<(usize, DeltaRat)>,
+    bounds: Vec<FormBound>,
     /// Assigned-atom count at the previous consult: a cheap partial
     /// fingerprint — if unchanged, the bound set is almost surely the
     /// same and the (sound-to-skip) partial re-check is elided.
     last_assigned: usize,
 }
 
+/// Column of atom `i`'s form: cached, or resolved (allocating it on
+/// first sight) and cached now.
+fn atom_column(
+    simplex: &mut Simplex,
+    atoms: &[TheoryAtom],
+    cols: &mut [usize],
+    i: usize,
+) -> Result<usize, RatOverflow> {
+    if cols[i] == UNRESOLVED {
+        cols[i] = simplex.try_column_for(&atoms[i].form)?;
+    }
+    Ok(cols[i])
+}
+
 impl Theory for SimplexTheory<'_> {
     fn consult(&mut self, view: TheoryView<'_>, complete: bool) -> TheoryResult {
-        // Fingerprint first, allocation after: skipped consults must not
-        // pay the bound-construction cost (atom_to_bound clones each
-        // atom's linear form).
+        // Fingerprint first: skipped consults must not pay for gathering
+        // the bounds.
         let assigned = self
             .atoms
             .iter()
-            .filter(|&&(sat_var, _)| view.value(sat_var).is_some())
+            .filter(|atom| view.value(atom.var).is_some())
             .count();
         if !complete && assigned == self.last_assigned {
             return TheoryResult::Ok;
         }
         self.last_assigned = assigned;
         self.bounds.clear();
-        for &(sat_var, ref atom) in self.atoms {
-            if let Some(positive) = view.value(sat_var) {
-                self.bounds.push(atom_to_bound(atom, positive, sat_var));
+        for (form, atom) in self.atoms.iter().enumerate() {
+            if let Some(positive) = view.value(atom.var) {
+                let (kind, bound) = atom.bound(positive);
+                self.bounds.push(FormBound {
+                    form,
+                    bound,
+                    kind,
+                    id: atom.var,
+                });
             }
         }
-        let conflict_ids = if complete {
-            match self.simplex.try_check_assignment(&self.bounds) {
-                Ok(SimplexResult::Feasible(reals)) => {
+        let (atoms, cols) = (self.atoms, &mut *self.cols);
+        let solved = self
+            .simplex
+            .try_solve(&self.bounds, |spx, i| atom_column(spx, atoms, cols, i));
+        let conflict_ids = match solved {
+            Ok(None) if complete => match self.simplex.try_model() {
+                Ok(reals) => {
                     self.model = Some(reals);
                     return TheoryResult::Ok;
                 }
-                Ok(SimplexResult::Infeasible(ids)) => Some(ids),
-                Err(halt) => {
-                    self.halt = Some(halt.into());
+                Err(RatOverflow) => {
+                    self.halt = Some(HaltCause::Overflow);
                     return TheoryResult::Halt;
                 }
-            }
-        } else {
-            match self.simplex.try_assert_and_solve(&self.bounds) {
-                Ok(ids) => ids,
-                Err(halt) => {
-                    self.halt = Some(halt.into());
-                    return TheoryResult::Halt;
-                }
+            },
+            Ok(ids) => ids,
+            Err(halt) => {
+                self.halt = Some(halt.into());
+                return TheoryResult::Halt;
             }
         };
         if let Some(ids) = conflict_ids {
@@ -580,29 +625,25 @@ impl Theory for SimplexTheory<'_> {
         // `expr ≤ c` is true whenever u ≤ c (premise: the atom asserting
         // u) and false whenever l > c (premise: the atom asserting l).
         let mut implied: Vec<(Lit, Vec<Lit>)> = Vec::new();
-        for (i, &(sat_var, _)) in self.atoms.iter().enumerate() {
-            if view.value(sat_var).is_some() {
+        for (i, atom) in self.atoms.iter().enumerate() {
+            if view.value(atom.var).is_some() {
                 continue;
             }
-            while self.atom_cols.len() <= i {
-                let (next_var, ref next_atom) = self.atoms[self.atom_cols.len()];
-                let b = atom_to_bound(next_atom, true, next_var);
-                let col = self.simplex.column_index(&b.expr);
-                self.atom_cols.push((col, b.bound));
-            }
-            let (col, atom_bound) = self.atom_cols[i];
+            let col = atom_column(self.simplex, self.atoms, self.cols, i)
+                .expect("rational arithmetic overflow");
+            let (_, atom_bound) = atom.bound(true);
             let (lower, upper) = self.simplex.asserted_bounds_at(col);
             if let Some((u, uid)) = upper {
                 if u <= atom_bound {
                     let premise = view.asserted_lit(uid).expect("bound ids are asserted");
-                    implied.push((Lit::pos(sat_var), vec![premise]));
+                    implied.push((Lit::pos(atom.var), vec![premise]));
                     continue;
                 }
             }
             if let Some((l, lid)) = lower {
                 if l > atom_bound {
                     let premise = view.asserted_lit(lid).expect("bound ids are asserted");
-                    implied.push((Lit::neg(sat_var), vec![premise]));
+                    implied.push((Lit::neg(atom.var), vec![premise]));
                 }
             }
         }
@@ -611,32 +652,6 @@ impl Theory for SimplexTheory<'_> {
         } else {
             TheoryResult::Implied(implied)
         }
-    }
-}
-
-/// Converts an asserted theory literal into a simplex bound.
-///
-/// Atom is `expr ⋈ 0` with `⋈ ∈ {≤, <}` (equalities were split by the
-/// encoder). With constant `k` folded out: `Σcx ⋈ −k`.
-fn atom_to_bound(atom: &Atom, positive: bool, id: usize) -> BoundConstraint {
-    let (expr, k) = strip_expr(&atom.expr);
-    let rhs = -k;
-    let (kind, bound) = match (atom.op, positive) {
-        // Σcx <= rhs
-        (Rel::Le, true) => (BoundKind::Upper, DeltaRat::standard(rhs)),
-        // ¬(Σcx <= rhs)  =>  Σcx > rhs
-        (Rel::Le, false) => (BoundKind::Lower, DeltaRat::plus_eps(rhs)),
-        // Σcx < rhs
-        (Rel::Lt, true) => (BoundKind::Upper, DeltaRat::minus_eps(rhs)),
-        // ¬(Σcx < rhs)  =>  Σcx >= rhs
-        (Rel::Lt, false) => (BoundKind::Lower, DeltaRat::standard(rhs)),
-        (Rel::Eq, _) => unreachable!("Eq atoms split during encoding"),
-    };
-    BoundConstraint {
-        expr,
-        bound,
-        kind,
-        id,
     }
 }
 

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 
-use shatter_smt::ast::{Formula, LinExpr};
+use shatter_smt::ast::{BoolVar, Formula, LinExpr, RealVar};
 use shatter_smt::sat::{Lit, SatSolver, SatVerdict};
-use shatter_smt::{NumericMode, Rat, Solver};
+use shatter_smt::{NumericMode, Rat, RatOverflow, SatStats, SimplexStats, Solver};
 
 // ---------- SAT layer -----------------------------------------------------
 
@@ -340,5 +340,202 @@ proptest! {
         prop_assert_eq!(fast.is_some(), delta >= 0);
         prop_assert_eq!(fstats.pivots, estats.pivots);
         prop_assert!(fstats.exact_fallbacks > 0, "near-tie comparison must fall back");
+    }
+}
+
+// ---------- Theory-check caches ----------------------------------------------
+
+/// One bound atom `Σ cᵢ·xᵢ ≤ k` (`≥ k` when `ge`), asserted directly or
+/// behind a fresh guard literal.
+type AtomSpec = (Vec<i64>, i64, bool, bool);
+
+fn arb_atoms(n: usize) -> impl Strategy<Value = Vec<AtomSpec>> {
+    prop::collection::vec(
+        (
+            prop::collection::vec(-3i64..4, n..n + 1),
+            -20i64..21,
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        1..6,
+    )
+}
+
+/// Asserts `atoms` over `xs`; returns the guard of each guarded atom.
+fn assert_atoms(s: &mut Solver, xs: &[RealVar], atoms: &[AtomSpec]) -> Vec<BoolVar> {
+    let mut guards = Vec::new();
+    for (coeffs, k, ge, guarded) in atoms {
+        let form = LinExpr::sum(coeffs.iter().zip(xs).map(|(&c, &x)| (Rat::from(c), x)), 0);
+        let atom = if *ge { form.ge(*k) } else { form.le(*k) };
+        if *guarded {
+            let p = s.new_bool();
+            s.assert_formula(Formula::implies(Formula::Bool(p), atom));
+            guards.push(p);
+        } else {
+            s.assert_formula(atom);
+        }
+    }
+    guards
+}
+
+/// Verdict, model and effort of one `check`, as counter deltas.
+type Observed = (Option<(Vec<Rat>, Vec<bool>)>, SatStats, SimplexStats, u64);
+
+fn observe(s: &mut Solver, xs: &[RealVar], ps: &[BoolVar]) -> Observed {
+    let (sat, spx, conflicts) = (s.sat_stats(), s.simplex_stats(), s.theory_conflicts);
+    let model = s.check().map(|m| {
+        (
+            xs.iter().map(|&x| m.real_exact(x)).collect(),
+            ps.iter().map(|&p| m.bool(p)).collect(),
+        )
+    });
+    (
+        model,
+        s.sat_stats().since(sat),
+        s.simplex_stats().since(spx),
+        s.theory_conflicts - conflicts,
+    )
+}
+
+proptest! {
+    /// The per-atom column cache survives push/pop exactly: atoms
+    /// registered before `push` but first resolved inside the frame
+    /// (allocating slack columns the pop discards), frame atoms over
+    /// pre-push forms and over new forms — after `pop` the solver must
+    /// search, answer and count effort exactly like a fresh solver that
+    /// saw only the base assertions.
+    #[test]
+    fn column_cache_survives_push_pop(
+        (n, base, late, frame) in (2usize..4).prop_flat_map(|n| {
+            (Just(n), arb_atoms(n), arb_atoms(n), arb_atoms(n + 1))
+        }),
+        shifts in prop::collection::vec(-5i64..6, 1..6),
+    ) {
+        // Base: a box, guarded atoms, a check; then atoms registered
+        // after that check, so no column is resolved for them yet.
+        let setup = |s: &mut Solver| {
+            let xs: Vec<RealVar> = (0..n).map(|_| s.new_real()).collect();
+            for &x in &xs {
+                s.assert_formula(LinExpr::var(x).ge(-50));
+                s.assert_formula(LinExpr::var(x).le(50));
+            }
+            let mut ps = assert_atoms(s, &xs, &base);
+            let first = observe(s, &xs, &ps);
+            ps.extend(assert_atoms(s, &xs, &late));
+            (xs, ps, first)
+        };
+        let mut s = Solver::new();
+        let (xs, ps, first) = setup(&mut s);
+        s.push();
+        let y = s.new_real();
+        let mut frame_vars = xs.clone();
+        frame_vars.push(y);
+        assert_atoms(&mut s, &frame_vars, &frame);
+        // Pre-push forms under new right-hand sides.
+        let reused: Vec<AtomSpec> = base
+            .iter()
+            .zip(&shifts)
+            .map(|((c, k, ge, g), d)| (c.clone(), k + d, *ge, *g))
+            .collect();
+        assert_atoms(&mut s, &xs, &reused);
+        observe(&mut s, &xs, &ps);
+        s.pop();
+        let after_pop = observe(&mut s, &xs, &ps);
+        let again = observe(&mut s, &xs, &ps);
+
+        let mut fresh = Solver::new();
+        let (_, _, fresh_first) = setup(&mut fresh);
+        prop_assert_eq!(&first, &fresh_first);
+        prop_assert_eq!(&after_pop, &observe(&mut fresh, &xs, &ps));
+        prop_assert_eq!(&again, &observe(&mut fresh, &xs, &ps));
+    }
+}
+
+/// Integers and fractions from small to the `i128` edges: `kind` picks
+/// a small integer, an integer near ±2^126 or ±`i128::MAX`, a small
+/// fraction, or a fraction with a huge numerator or denominator.
+fn arb_rat() -> impl Strategy<Value = Rat> {
+    (0u8..6, -1000i64..1000, 1i64..1000, 0u64..u64::MAX).prop_map(|(kind, a, b, bits)| {
+        let (a, b, bits) = (i128::from(a), i128::from(b), i128::from(bits));
+        let sign = if a < 0 { -1 } else { 1 };
+        match kind {
+            0 => Rat::int(a),
+            1 => Rat::int(sign * ((1 << 126) + a)),
+            2 => Rat::int(sign * (i128::MAX - a.abs())),
+            3 => Rat::new(a, b),
+            4 => Rat::new(sign * (bits << 60 | a.abs()), b),
+            _ => Rat::new(a, (bits << 63) + b),
+        }
+    })
+}
+
+fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.abs(), b.abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The general formulas the integer fast paths must reproduce:
+/// checked `i128` cross products, reduced by their `gcd`; a part equal
+/// to `i128::MIN` counts as overflow.
+fn reduced(num: Option<i128>, den: Option<i128>) -> Result<Rat, RatOverflow> {
+    match (num, den) {
+        (Some(n), Some(d)) if n != i128::MIN && d != i128::MIN => {
+            let g = gcd(n, d);
+            Ok(Rat::new(n / g, d / g))
+        }
+        _ => Err(RatOverflow),
+    }
+}
+
+fn general_add(a: Rat, b: Rat) -> Result<Rat, RatOverflow> {
+    let g = gcd(a.denom(), b.denom());
+    let (lb, rb) = (a.denom() / g, b.denom() / g);
+    reduced(
+        a.numer()
+            .checked_mul(rb)
+            .and_then(|x| b.numer().checked_mul(lb).and_then(|y| x.checked_add(y))),
+        a.denom().checked_mul(rb),
+    )
+}
+
+fn general_mul(a: Rat, b: Rat) -> Result<Rat, RatOverflow> {
+    let (g1, g2) = (gcd(a.numer(), b.denom()), gcd(b.numer(), a.denom()));
+    reduced(
+        (a.numer() / g1).checked_mul(b.numer() / g2),
+        (a.denom() / g2).checked_mul(b.denom() / g1),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// `Rat`'s integer fast paths and `i64` float conversion change no
+    /// bit: add, mul (checked and operator forms) and `to_f64` agree
+    /// with the general formulas on mixed integer and fractional
+    /// operands, and on two integers overflow is reported exactly when
+    /// the exact result leaves the `i128` range.
+    #[test]
+    fn rat_fast_paths_match_general_formulas(a in arb_rat(), b in arb_rat()) {
+        let (sum, product) = (general_add(a, b), general_mul(a, b));
+        prop_assert_eq!(a.try_add(b), sum);
+        prop_assert_eq!(a.try_mul(b), product);
+        if let Ok(sum) = sum {
+            prop_assert_eq!(a + b, sum);
+        }
+        if let Ok(product) = product {
+            prop_assert_eq!(a * b, product);
+        }
+        for r in [a, b].into_iter().chain(sum).chain(product) {
+            let general = r.numer() as f64 / r.denom() as f64;
+            prop_assert_eq!(r.to_f64().to_bits(), general.to_bits());
+        }
+        if a.denom() == 1 && b.denom() == 1 {
+            let leaves = |exact: Option<i128>| exact.is_none_or(|v| v == i128::MIN);
+            prop_assert_eq!(sum.is_err(), leaves(a.numer().checked_add(b.numer())));
+            prop_assert_eq!(product.is_err(), leaves(a.numer().checked_mul(b.numer())));
+        }
     }
 }
