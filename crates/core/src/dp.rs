@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use shatter_adm::{HullAdm, StayProfile};
 use shatter_dataset::DayTrace;
-use shatter_smarthome::{ApplianceId, Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
+use shatter_smarthome::{Activity, ApplianceId, Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
 
 use crate::schedule::Scheduler;
 use crate::{AttackerCapability, RewardTable};
@@ -88,48 +88,16 @@ impl WindowDpScheduler {
                     && cap.can_attack_at(t as Minute))
         };
 
-        // Expected appliance-trigger reward for *reporting* o in zone z at
-        // minute t (Algorithm 1 preconditions that are schedule-independent:
-        // attacker reach, appliance off, zone actually safe, occupant
-        // actually elsewhere). The minStay window is state-dependent and
-        // applied at transition time. Only zones holding an appliance the
-        // attacker can trigger are evaluated (the rest stay zero), in one
-        // pass over the day's records: `bonus[t * n_zones + z]`.
-        let mut bonus = vec![0.0; t_end * n_zones];
-        if self.trigger_aware {
-            let mut zone_apps: Vec<Vec<ApplianceId>> = vec![Vec::new(); n_zones];
-            for d in (0..table.n_appliances()).map(ApplianceId) {
-                if cap.appliances.contains(&d) {
-                    zone_apps[table.appliance_zone(d).index()].push(d);
-                }
-            }
-            for (t, rec) in actual.minutes.iter().enumerate() {
-                if !cap.can_attack_at(t as Minute) {
-                    continue;
-                }
-                for (z, apps) in zone_apps.iter().enumerate() {
-                    let zid = ZoneId(z);
-                    if apps.is_empty() || act_zone[t] == zid {
-                        continue;
-                    }
-                    let zone_safe = rec
-                        .occupants
-                        .iter()
-                        .all(|os| os.zone != zid || os.activity.is_unaware());
-                    if !zone_safe {
-                        continue;
-                    }
-                    let activity = table.best_activity(o, zid, t as Minute);
-                    bonus[t * n_zones + z] = apps
-                        .iter()
-                        .filter(|&&d| {
-                            !rec.appliances[d.index()] && table.appliance_linked_to(d, activity)
-                        })
-                        .map(|&d| table.appliance_rate(d, t as Minute))
-                        .sum();
-                }
-            }
-        }
+        // The occupant's reward rows, fetched once: `rates[z][t]` is
+        // `table.rate(o, z, t)`.
+        let rates: Vec<&[f64]> = (0..n_zones).map(|z| table.rate_row(o, ZoneId(z))).collect();
+
+        // Expected appliance-trigger reward, `bonus[t * n_zones + z]`.
+        let bonus = if self.trigger_aware {
+            trigger_bonus(o, table, cap, actual, &act_zone)
+        } else {
+            vec![0.0; t_end * n_zones]
+        };
         // Per-zone stay-bound profiles: every ADM primitive the loops
         // below consult answers from these flat tables instead of walking
         // hull geometry per query.
@@ -137,7 +105,7 @@ impl WindowDpScheduler {
             .map(|z| adm.stay_profile(o, ZoneId(z)))
             .collect();
         let slot_reward = |z: ZoneId, arrival: u32, t: usize| -> f64 {
-            let base = table.rate(o, z, t as Minute);
+            let base = rates[z.index()][t];
             let b = bonus[t * n_zones + z.index()];
             if b <= 0.0 {
                 return base;
@@ -190,7 +158,7 @@ impl WindowDpScheduler {
         next.push(Node {
             zone: act_zone[0],
             arrival: 0,
-            value: table.rate(o, act_zone[0], 0),
+            value: rates[act_zone[0].index()][0],
             parent: usize::MAX,
             shadow: true,
         });
@@ -206,7 +174,6 @@ impl WindowDpScheduler {
         let mut dedup_pos = vec![0u32; n_zones * t_end];
 
         for t in 1..t_end {
-            let minute = t as Minute;
             let prev = &nodes[starts[t - 1]..];
             next.clear();
             // Dedup non-shadow nodes by (zone, arrival); shadow nodes are
@@ -239,7 +206,7 @@ impl WindowDpScheduler {
                         Node {
                             zone: act_zone[t],
                             arrival: act_arrival[t],
-                            value: p.value + table.rate(o, act_zone[t], minute),
+                            value: p.value + rates[act_zone[t].index()][t],
                             parent: pi,
                             shadow: true,
                         },
@@ -263,7 +230,7 @@ impl WindowDpScheduler {
                                 Node {
                                     zone: z,
                                     arrival: t as u32,
-                                    value: p.value + table.rate(o, z, minute),
+                                    value: p.value + rates[z.index()][t],
                                     parent: pi,
                                     shadow: false,
                                 },
@@ -322,7 +289,7 @@ impl WindowDpScheduler {
                             Node {
                                 zone: act_zone[t],
                                 arrival: t as u32,
-                                value: p.value + table.rate(o, act_zone[t], minute),
+                                value: p.value + rates[act_zone[t].index()][t],
                                 parent: pi,
                                 shadow: true,
                             },
@@ -358,7 +325,7 @@ impl WindowDpScheduler {
                         .iter()
                         .map(|n| n.value)
                         .fold(f64::NEG_INFINITY, f64::max)
-                        + table.rate(o, act_zone[t], minute),
+                        + rates[act_zone[t].index()][t],
                     parent: prev
                         .iter()
                         .enumerate()
@@ -449,6 +416,65 @@ impl WindowDpScheduler {
     }
 }
 
+/// Expected appliance-trigger reward for *reporting* `o` in zone z at
+/// minute t, as `bonus[t * n_zones + z]`: the Algorithm 1 preconditions
+/// that do not depend on the schedule (attacker reach, appliance off,
+/// zone actually safe, occupant actually elsewhere — `act_zone[t]`). The
+/// minStay window is state-dependent and applied at transition time.
+///
+/// Only zones holding an appliance the attacker can trigger are
+/// evaluated (the rest stay zero), in one pass over the day's records.
+/// Each minute marks its unsafe zones (an aware occupant is actually
+/// there) once, and every row the pass reads — best activities,
+/// appliance rates — is fetched once before it. A cell sums its zone's
+/// appliances in id order.
+fn trigger_bonus(
+    o: OccupantId,
+    table: &RewardTable,
+    cap: &AttackerCapability,
+    actual: &DayTrace,
+    act_zone: &[ZoneId],
+) -> Vec<f64> {
+    let n_zones = table.n_zones();
+    let mut bonus = vec![0.0; MINUTES_PER_DAY * n_zones];
+    let mut zone_apps: Vec<Vec<(ApplianceId, &[f64])>> = vec![Vec::new(); n_zones];
+    for d in (0..table.n_appliances()).map(ApplianceId) {
+        if cap.appliances.contains(&d) {
+            zone_apps[table.appliance_zone(d).index()].push((d, table.appliance_rate_row(d)));
+        }
+    }
+    let best: Vec<&[Activity]> = (0..n_zones)
+        .map(|z| table.best_activity_row(o, ZoneId(z)))
+        .collect();
+    let mut unsafe_zone = vec![false; n_zones];
+    for (t, rec) in actual.minutes.iter().enumerate() {
+        if !cap.can_attack_at(t as Minute) {
+            continue;
+        }
+        unsafe_zone.fill(false);
+        for os in &rec.occupants {
+            if !os.activity.is_unaware() {
+                unsafe_zone[os.zone.index()] = true;
+            }
+        }
+        let row = &mut bonus[t * n_zones..(t + 1) * n_zones];
+        for (z, apps) in zone_apps.iter().enumerate() {
+            if apps.is_empty() || unsafe_zone[z] || act_zone[t].index() == z {
+                continue;
+            }
+            let activity = best[z][t];
+            row[z] = apps
+                .iter()
+                .filter(|&&(d, _)| {
+                    !rec.appliances[d.index()] && table.appliance_linked_to(d, activity)
+                })
+                .map(|&(_, r)| r[t])
+                .sum();
+        }
+    }
+    bonus
+}
+
 impl Scheduler for WindowDpScheduler {
     fn schedule_occupant_zones(
         &self,
@@ -471,7 +497,7 @@ mod tests {
     use super::*;
     use crate::AttackSchedule;
     use shatter_adm::AdmKind;
-    use shatter_dataset::{synthesize, HouseSpec, SynthConfig};
+    use shatter_dataset::{synthesize, HouseSpec, OccupantState, SynthConfig};
     use shatter_hvac::EnergyModel;
     use shatter_smarthome::houses;
 
@@ -547,6 +573,80 @@ mod tests {
             restricted <= full + 1e-9,
             "restricted {restricted} vs full {full}"
         );
+    }
+
+    /// The flat bonus pass equals a per-zone scan through the table's
+    /// public lookups, summed in the same order (`==` on the sums: an
+    /// empty one may be -0.0). Synthesized days never leave a rewarded
+    /// zone to an unaware occupant (the one linked case, a shower, runs
+    /// the hair dryer), so two hours of each day are rewritten: occupant
+    /// 1 showers in the bathroom (unaware, zone safe), then uses the
+    /// toilet there (aware, zone unsafe), with every appliance off.
+    #[test]
+    fn trigger_bonus_matches_per_zone_scan() {
+        let (ds, _, table, full) = setup();
+        let bathroom = ZoneId(4);
+        let subset = full
+            .clone()
+            .with_appliance_access([ApplianceId(0), ApplianceId(4), ApplianceId(11)])
+            .with_timeslots(300, 1300);
+        let (mut unaware_rewarded, mut aware_blocked) = (0, 0);
+        for cap in [full, subset] {
+            for day in &ds.days[10..12] {
+                let mut day = day.clone();
+                for (t, rec) in day.minutes.iter_mut().enumerate().skip(600).take(120) {
+                    rec.occupants[1] = OccupantState {
+                        zone: bathroom,
+                        activity: if t < 660 {
+                            Activity::HavingShower
+                        } else {
+                            Activity::Toileting
+                        },
+                    };
+                    rec.appliances.fill(false);
+                }
+                for o in (0..day.minutes[0].occupants.len()).map(OccupantId) {
+                    let act_zone: Vec<ZoneId> = day
+                        .minutes
+                        .iter()
+                        .map(|r| r.occupants[o.index()].zone)
+                        .collect();
+                    let bonus = trigger_bonus(o, &table, &cap, &day, &act_zone);
+                    for (t, rec) in day.minutes.iter().enumerate() {
+                        let minute = t as Minute;
+                        for z in (0..table.n_zones()).map(ZoneId) {
+                            let safe = rec
+                                .occupants
+                                .iter()
+                                .all(|os| os.zone != z || os.activity.is_unaware());
+                            let activity = table.best_activity(o, z, minute);
+                            let reward: f64 = (0..table.n_appliances())
+                                .map(ApplianceId)
+                                .filter(|&d| {
+                                    table.appliance_zone(d) == z
+                                        && cap.appliances.contains(&d)
+                                        && !rec.appliances[d.index()]
+                                        && table.appliance_linked_to(d, activity)
+                                })
+                                .map(|d| table.appliance_rate(d, minute))
+                                .sum();
+                            let reachable = cap.can_attack_at(minute) && act_zone[t] != z;
+                            let expect = if reachable && safe { reward } else { 0.0 };
+                            let got = bonus[t * table.n_zones() + z.index()];
+                            assert_eq!(got, expect, "occupant {o:?} minute {t} zone {z:?}");
+                            let occupied = rec.occupants.iter().any(|os| os.zone == z);
+                            if occupied && got > 0.0 {
+                                unaware_rewarded += 1;
+                            }
+                            if occupied && reachable && !safe && reward > 0.0 {
+                                aware_blocked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(unaware_rewarded > 0 && aware_blocked > 0, "vacuous days");
     }
 
     #[test]

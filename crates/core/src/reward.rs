@@ -108,6 +108,22 @@ impl RewardTable {
         }
     }
 
+    /// [`RewardTable::rate`] of `o` in `z` for every minute of the day.
+    pub(crate) fn rate_row(&self, o: OccupantId, z: ZoneId) -> &[f64] {
+        &self.rate[o.index()][z.index()]
+    }
+
+    /// [`RewardTable::best_activity`] of `o` in `z` for every minute of
+    /// the day.
+    pub(crate) fn best_activity_row(&self, o: OccupantId, z: ZoneId) -> &[Activity] {
+        &self.best_activity[o.index()][z.index()]
+    }
+
+    /// [`RewardTable::appliance_rate`] of `d` for every minute of the day.
+    pub(crate) fn appliance_rate_row(&self, d: shatter_smarthome::ApplianceId) -> &[f64] {
+        &self.appliance_rate[d.index()]
+    }
+
     /// Number of appliances covered.
     pub fn n_appliances(&self) -> usize {
         self.appliance_zone.len()

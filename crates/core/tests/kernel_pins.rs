@@ -10,9 +10,12 @@
 //! occupant, a zone subset, a trigger-blind objective and a short
 //! horizon — because those are where per-call capability masks and
 //! per-zone appliance lists could diverge from the `BTreeSet` queries
-//! they replace.
+//! they replace. A second day-kernel pin runs a generated 12-zone,
+//! 3-occupant home under full capability and the appliance subset; its
+//! hash was computed before pricing reused the controller decision
+//! across unchanged minutes and the DP's trigger bonus read flat rows.
 //!
-//! A second pin covers the formal scheduler: its zone rows and every
+//! A third pin covers the formal scheduler: its zone rows and every
 //! `SmtStats` counter, so a change to the SAT core, the simplex or the
 //! rational arithmetic that alters the search, not only the schedule,
 //! fails it. Its hash was computed before the theory check compiled
@@ -54,11 +57,7 @@ fn shapes(full: &AttackerCapability) -> Vec<(WindowDpScheduler, AttackerCapabili
     one_occupant.occupants = [OccupantId(0)].into_iter().collect();
     vec![
         (dp, full.clone().with_timeslots(600, 1200)),
-        (
-            dp,
-            full.clone()
-                .with_appliance_access([ApplianceId(0), ApplianceId(1), ApplianceId(2)]),
-        ),
+        (dp, appliance_subset(full)),
         (dp, one_occupant),
         (dp, full.clone().with_zone_access([ZoneId(1), ZoneId(3)])),
         (
@@ -72,44 +71,76 @@ fn shapes(full: &AttackerCapability) -> Vec<(WindowDpScheduler, AttackerCapabili
     ]
 }
 
-/// Hash of every run's DP zone rows, `validate` verdict, both pricing
-/// legs, trigger minutes, detection rate and divergence, with the run
-/// count and the summed trigger minutes and divergence (non-vacuity).
-fn kernel_hash() -> (u64, usize, usize, usize) {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let (mut runs, mut triggered, mut divergence) = (0, 0, 0);
-    for spec in [HouseSpec::aras_a(), HouseSpec::aras_b()] {
-        let month = synthesize(&SynthConfig::new(spec.clone(), 12, spec.canonical_seed));
-        let adm = HullAdm::train(&month.prefix_days(10), AdmKind::default_kmeans());
-        let model = EnergyModel::standard(spec.home.build());
-        let table = RewardTable::build(&model);
-        let full = AttackerCapability::full(model.home());
-        for (sched, cap) in shapes(&full) {
-            for day in &month.days[10..12] {
-                let s = sched.schedule(&table, &adm, &cap, day);
-                for row in &s.zones {
-                    for z in row {
-                        h.word(z.index() as u64);
-                    }
+/// The appliance-subset shape: appliances {0, 1, 2} only.
+fn appliance_subset(full: &AttackerCapability) -> AttackerCapability {
+    full.clone()
+        .with_appliance_access([ApplianceId(0), ApplianceId(1), ApplianceId(2)])
+}
+
+/// The scaled home's shapes: full capability and the appliance subset.
+fn scaled_shapes(full: &AttackerCapability) -> Vec<(WindowDpScheduler, AttackerCapability)> {
+    let dp = WindowDpScheduler::default();
+    vec![(dp, full.clone()), (dp, appliance_subset(full))]
+}
+
+/// Run count and summed trigger minutes and divergence of a hashed
+/// batch of runs (non-vacuity).
+#[derive(Default)]
+struct Tally {
+    runs: usize,
+    triggered: usize,
+    divergence: usize,
+}
+
+/// Hashes every run of `spec` (12-day canonical month, K-Means ADM on
+/// the first 10 days, days 10–11) under each of `shapes`: DP zone rows,
+/// `validate` verdict, both pricing legs, trigger minutes, detection
+/// rate and divergence.
+fn hash_house(
+    h: &mut Fnv,
+    tally: &mut Tally,
+    spec: &HouseSpec,
+    shapes: fn(&AttackerCapability) -> Vec<(WindowDpScheduler, AttackerCapability)>,
+) {
+    let month = synthesize(&SynthConfig::new(spec.clone(), 12, spec.canonical_seed));
+    let adm = HullAdm::train(&month.prefix_days(10), AdmKind::default_kmeans());
+    let model = EnergyModel::standard(spec.home.build());
+    let table = RewardTable::build(&model);
+    let full = AttackerCapability::full(model.home());
+    for (sched, cap) in shapes(&full) {
+        for day in &month.days[10..12] {
+            let s = sched.schedule(&table, &adm, &cap, day);
+            for row in &s.zones {
+                for z in row {
+                    h.word(z.index() as u64);
                 }
-                h.bytes(format!("{:?}", s.validate(&adm, &cap, day)).as_bytes());
-                for triggering in [false, true] {
-                    let out = impact::evaluate_day_with_schedule(
-                        &model, &adm, &cap, day, &s, triggering, None,
-                    );
-                    h.word(out.benign_cost_usd.to_bits());
-                    h.word(out.attacked_cost_usd.to_bits());
-                    h.word(out.triggered_minutes as u64);
-                    h.word(out.detection_rate.to_bits());
-                    h.word(out.divergence as u64);
-                    triggered += out.triggered_minutes;
-                    divergence += out.divergence;
-                }
-                runs += 1;
             }
+            h.bytes(format!("{:?}", s.validate(&adm, &cap, day)).as_bytes());
+            for triggering in [false, true] {
+                let out = impact::evaluate_day_with_schedule(
+                    &model, &adm, &cap, day, &s, triggering, None,
+                );
+                h.word(out.benign_cost_usd.to_bits());
+                h.word(out.attacked_cost_usd.to_bits());
+                h.word(out.triggered_minutes as u64);
+                h.word(out.detection_rate.to_bits());
+                h.word(out.divergence as u64);
+                tally.triggered += out.triggered_minutes;
+                tally.divergence += out.divergence;
+            }
+            tally.runs += 1;
         }
     }
-    (h.0, runs, triggered, divergence)
+}
+
+/// Hash of every ARAS A/B run under the six [`shapes`], with its tally.
+fn kernel_hash() -> (u64, Tally) {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut tally = Tally::default();
+    for spec in [HouseSpec::aras_a(), HouseSpec::aras_b()] {
+        hash_house(&mut h, &mut tally, &spec, shapes);
+    }
+    (h.0, tally)
 }
 
 /// Pinned before the flat-kernel rewrite (same inputs, same hash order).
@@ -117,12 +148,36 @@ const KERNEL_OUTPUTS: u64 = 0x695d_3760_09d8_86bb;
 
 #[test]
 fn day_kernel_outputs_match_pin() {
-    let (hash, runs, triggered, divergence) = kernel_hash();
-    assert_eq!(runs, 24);
-    assert!(triggered > 0 && divergence > 0, "vacuous runs");
+    let (hash, tally) = kernel_hash();
+    assert_eq!(tally.runs, 24);
+    assert!(tally.triggered > 0 && tally.divergence > 0, "vacuous runs");
     assert_eq!(
         hash, KERNEL_OUTPUTS,
         "a day kernel changed its output: {hash:#018x}"
+    );
+}
+
+/// Pinned before the controller decision was reused across unchanged
+/// minutes and the trigger-bonus pass read flat rows (same inputs, same
+/// hash order).
+const SCALED_KERNEL_OUTPUTS: u64 = 0x5bd8_c3d5_93dd_2df1;
+
+/// A generated 12-zone, 3-occupant home: more appliance zones for the
+/// DP's bonus pass to visit and more occupants per priced record than
+/// either ARAS house. (Zones past the four ARAS room archetypes report
+/// `Activity::Other`, which no appliance links to, so only zones 1–4
+/// can earn a bonus.)
+#[test]
+fn scaled_home_kernel_outputs_match_pin() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut tally = Tally::default();
+    hash_house(&mut h, &mut tally, &HouseSpec::scaled(12, 3), scaled_shapes);
+    assert_eq!(tally.runs, 4);
+    assert!(tally.triggered > 0 && tally.divergence > 0, "vacuous runs");
+    assert_eq!(
+        h.0, SCALED_KERNEL_OUTPUTS,
+        "a day kernel changed its output on the scaled home: {:#018x}",
+        h.0
     );
 }
 

@@ -1,19 +1,23 @@
 use shatter_dataset::MinuteRecord;
 use shatter_smarthome::{
-    activity_pollutant_cfm, co2_emission_cfm, heat_radiation_watts, Home, Minute, ZoneId,
+    activity_pollutant_cfm, co2_emission_cfm, heat_radiation_watts, Home, ZoneId,
 };
 
-use crate::params::{ControllerParams, OutdoorModel};
+use crate::params::ControllerParams;
 
 /// CFM × ΔT(°F) → watts conversion factor (the paper's 0.3167 constant:
 /// 1.08 BTU/h per CFM·°F ≈ 0.3167 W).
 pub(crate) const CFM_DT_TO_WATTS: f64 = 0.3167;
 
-/// Per-minute actuation decided by a controller.
+/// Actuation decided by a controller for one sensor record.
 ///
-/// A decision is reusable: [`Controller::control_into`] overwrites it in
-/// place, keeping its buffers (and the zone-load scratch the controller
-/// sizes airflow from) across minutes.
+/// A decision is a function of `(home, record, params)` only, so it holds
+/// for every minute that reports the same record; [`DayPricer`] keeps it
+/// across such runs of minutes. Its buffers are reusable too:
+/// [`Controller::control_into`] overwrites it in place, keeping them (and
+/// the zone-load scratch the controller sizes airflow from).
+///
+/// [`DayPricer`]: crate::DayPricer
 #[derive(Debug, Clone, Default)]
 pub struct ControlDecision {
     /// Total supply airflow per zone (CFM), indexed by zone id.
@@ -59,18 +63,19 @@ impl ControlDecision {
 /// airflow decision.
 ///
 /// Implementations receive the (possibly attacker-falsified) sensor view of
-/// the home: per-occupant zone/activity and appliance on/off states.
+/// the home: per-occupant zone/activity and appliance on/off states. The
+/// decision depends on the home, that record and the control parameters
+/// only — never on the minute or the outdoor weather, which enter the
+/// energy of a slot (Eq. 3), not its airflow.
 pub trait Controller {
-    /// Computes the actuation for one sampling slot into `out`,
-    /// overwriting it and reusing its buffers (no allocation once `out`
-    /// has been sized for the home).
+    /// Computes the actuation for `record` into `out`, overwriting it and
+    /// reusing its buffers (no allocation once `out` has been sized for
+    /// the home).
     fn control_into(
         &self,
         home: &Home,
         record: &MinuteRecord,
-        minute: Minute,
         params: &ControllerParams,
-        outdoor: &OutdoorModel,
         out: &mut ControlDecision,
     );
 
@@ -79,12 +84,10 @@ pub trait Controller {
         &self,
         home: &Home,
         record: &MinuteRecord,
-        minute: Minute,
         params: &ControllerParams,
-        outdoor: &OutdoorModel,
     ) -> ControlDecision {
         let mut out = ControlDecision::default();
-        self.control_into(home, record, minute, params, outdoor, &mut out);
+        self.control_into(home, record, params, &mut out);
         out
     }
 }
@@ -155,9 +158,7 @@ impl Controller for DchvacController {
         &self,
         home: &Home,
         record: &MinuteRecord,
-        _minute: Minute,
         params: &ControllerParams,
-        _outdoor: &OutdoorModel,
         out: &mut ControlDecision,
     ) {
         out.reset(home, record);
@@ -218,9 +219,7 @@ impl Controller for AshraeController {
         &self,
         home: &Home,
         record: &MinuteRecord,
-        _minute: Minute,
         params: &ControllerParams,
-        _outdoor: &OutdoorModel,
         out: &mut ControlDecision,
     ) {
         out.reset(home, record);
@@ -276,13 +275,7 @@ mod tests {
     #[test]
     fn empty_home_needs_no_airflow_under_dchvac() {
         let home = houses::aras_house_a();
-        let d = DchvacController.control(
-            &home,
-            &everyone_out(&home),
-            600,
-            &ControllerParams::default(),
-            &OutdoorModel::default(),
-        );
+        let d = DchvacController.control(&home, &everyone_out(&home), &ControllerParams::default());
         assert_eq!(d.total_cfm(), 0.0);
     }
 
@@ -292,9 +285,7 @@ mod tests {
         let d = AshraeController::default().control(
             &home,
             &everyone_out(&home),
-            600,
             &ControllerParams::default(),
-            &OutdoorModel::default(),
         );
         assert!(d.total_cfm() > 0.0, "62.1 floor applies to empty zones");
     }
@@ -303,7 +294,6 @@ mod tests {
     fn more_intense_activity_needs_more_air() {
         let home = houses::aras_house_a();
         let p = ControllerParams::default();
-        let w = OutdoorModel::default();
         let mk = |act: Activity| {
             record(
                 &home,
@@ -319,8 +309,8 @@ mod tests {
                 ],
             )
         };
-        let calm = DchvacController.control(&home, &mk(Activity::ReadingBook), 600, &p, &w);
-        let busy = DchvacController.control(&home, &mk(Activity::Cleaning), 600, &p, &w);
+        let calm = DchvacController.control(&home, &mk(Activity::ReadingBook), &p);
+        let busy = DchvacController.control(&home, &mk(Activity::Cleaning), &p);
         assert!(busy.cfm(ZoneId(2)) > calm.cfm(ZoneId(2)));
     }
 
@@ -328,7 +318,6 @@ mod tests {
     fn appliance_heat_raises_cooling_airflow() {
         let home = houses::aras_house_a();
         let p = ControllerParams::default();
-        let w = OutdoorModel::default();
         let mut rec = record(
             &home,
             vec![
@@ -342,7 +331,7 @@ mod tests {
                 },
             ],
         );
-        let base = DchvacController.control(&home, &rec, 1100, &p, &w);
+        let base = DchvacController.control(&home, &rec, &p);
         // Turn on the hair dryer (1800 W × 0.6 heat fraction).
         let dryer = home
             .appliances()
@@ -350,7 +339,7 @@ mod tests {
             .position(|a| a.name == "Hair Dryer")
             .unwrap();
         rec.appliances[dryer] = true;
-        let with_dryer = DchvacController.control(&home, &rec, 1100, &p, &w);
+        let with_dryer = DchvacController.control(&home, &rec, &p);
         assert!(with_dryer.cfm(ZoneId(4)) > base.cfm(ZoneId(4)));
     }
 
@@ -358,7 +347,6 @@ mod tests {
     fn airflow_clamped_to_vav_limit() {
         let home = houses::aras_house_a();
         let p = ControllerParams::default();
-        let w = OutdoorModel::default();
         // Absurd load: 2 occupants cleaning + all kitchen appliances on.
         let mut rec = record(
             &home,
@@ -378,7 +366,7 @@ mod tests {
                 rec.appliances[i] = true;
             }
         }
-        let d = DchvacController.control(&home, &rec, 600, &p, &w);
+        let d = DchvacController.control(&home, &rec, &p);
         assert!(d.cfm(ZoneId(3)) <= p.max_zone_cfm);
     }
 
@@ -386,7 +374,6 @@ mod tests {
     fn fresh_fraction_bounded() {
         let home = houses::aras_house_a();
         let p = ControllerParams::default();
-        let w = OutdoorModel::default();
         let rec = record(
             &home,
             vec![
@@ -404,7 +391,7 @@ mod tests {
             &DchvacController as &dyn Controller,
             &AshraeController::default(),
         ] {
-            let d = c.control(&home, &rec, 200, &p, &w);
+            let d = c.control(&home, &rec, &p);
             for f in &d.fresh_fraction {
                 assert!((0.0..=1.0).contains(f));
             }

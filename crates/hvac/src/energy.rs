@@ -51,13 +51,24 @@ impl DayCost {
 /// Eq. 3 + Eq. 4 over one day, fed one minute record at a time in minute
 /// order: the accumulation behind [`EnergyModel::day_cost`], and the
 /// whole pricing loop for callers that build each minute's record in a
-/// reused buffer instead of materializing a [`DayTrace`]. Pricing a
-/// minute allocates nothing once the first minute has sized the
-/// controller's decision buffers.
+/// reused buffer instead of materializing a [`DayTrace`].
+///
+/// Records come in runs: a day of sensor readings changes a few dozen
+/// times, not 1,440. A [`ControlDecision`] depends on the record alone
+/// (see [`Controller`]), so the pricer keeps the last record and reuses
+/// its decision and its appliance watts while the record is unchanged;
+/// only a changed record calls the controller. Every minute still
+/// computes its own outdoor temperature, HVAC watts and Eq. 4 price, so
+/// the result is bit-identical to deciding afresh each minute. Pricing a
+/// minute allocates nothing once the first minute has sized the buffers.
 pub struct DayPricer<'a> {
     model: &'a EnergyModel,
     controller: &'a dyn Controller,
+    /// The record `decision` and `appliance_w` were computed from;
+    /// meaningful once `minute > 0`.
+    last: MinuteRecord,
     decision: ControlDecision,
+    appliance_w: f64,
     minute: Minute,
     peak_kwh: f64,
     hvac_usd: f64,
@@ -70,7 +81,12 @@ impl<'a> DayPricer<'a> {
         DayPricer {
             model,
             controller,
+            last: MinuteRecord {
+                occupants: Vec::new(),
+                appliances: Vec::new(),
+            },
             decision: ControlDecision::default(),
+            appliance_w: 0.0,
             minute: 0,
             peak_kwh: 0.0,
             hvac_usd: 0.0,
@@ -82,9 +98,17 @@ impl<'a> DayPricer<'a> {
     /// its cost at the battery-adjusted price (Eq. 4), accumulated.
     pub fn push(&mut self, record: &MinuteRecord) -> MinuteEnergy {
         let minute = self.minute;
+        if minute == 0 || *record != self.last {
+            let model = self.model;
+            self.controller
+                .control_into(&model.home, record, &model.params, &mut self.decision);
+            self.appliance_w = model.appliance_watts(record);
+            self.last.occupants.clone_from(&record.occupants);
+            self.last.appliances.clone_from(&record.appliances);
+        }
         let e = self
             .model
-            .minute_energy_into(self.controller, record, minute, &mut self.decision);
+            .slot_energy(&self.decision, self.appliance_w, minute);
         if self.model.pricing.is_peak(minute) {
             self.peak_kwh += e.total_kwh();
         }
@@ -157,25 +181,29 @@ impl EnergyModel {
         record: &MinuteRecord,
         minute: Minute,
     ) -> MinuteEnergy {
-        self.minute_energy_into(controller, record, minute, &mut ControlDecision::default())
+        let decision = controller.control(&self.home, record, &self.params);
+        self.slot_energy(&decision, self.appliance_watts(record), minute)
     }
 
-    /// [`EnergyModel::minute_energy`] deciding into a reused `decision`.
-    fn minute_energy_into(
+    /// Electrical draw of the appliances `record` reports on, watts.
+    fn appliance_watts(&self, record: &MinuteRecord) -> f64 {
+        record
+            .appliances
+            .iter()
+            .zip(self.home.appliances())
+            .filter(|(&on, _)| on)
+            .map(|(_, a)| a.power_watts)
+            .sum()
+    }
+
+    /// Eq. 3 at `minute` for a decided slot: the AHU's draw under
+    /// `decision` at the minute's outdoor temperature plus `appliance_w`.
+    fn slot_energy(
         &self,
-        controller: &dyn Controller,
-        record: &MinuteRecord,
+        decision: &ControlDecision,
+        appliance_w: f64,
         minute: Minute,
-        decision: &mut ControlDecision,
     ) -> MinuteEnergy {
-        controller.control_into(
-            &self.home,
-            record,
-            minute,
-            &self.params,
-            &self.outdoor,
-            decision,
-        );
         let t_out = self.outdoor.temp_at(minute);
         let dt_min = self.params.sample_minutes;
         let mut hvac_w = 0.0;
@@ -189,16 +217,9 @@ impl EnergyModel {
             let dt = (t_mix - self.params.supply_temp_f).max(0.0);
             hvac_w += q * dt * CFM_DT_TO_WATTS;
         }
-        let appl_w: f64 = record
-            .appliances
-            .iter()
-            .zip(self.home.appliances())
-            .filter(|(&on, _)| on)
-            .map(|(_, a)| a.power_watts)
-            .sum();
         MinuteEnergy {
             hvac_kwh: hvac_w * dt_min / 60_000.0,
-            appliance_kwh: appl_w * dt_min / 60_000.0,
+            appliance_kwh: appliance_w * dt_min / 60_000.0,
         }
     }
 

@@ -1,13 +1,16 @@
 //! Property-based tests on the control model: monotonicity and physical
-//! sanity of the DCHVAC equations under arbitrary occupant states.
+//! sanity of the DCHVAC equations under arbitrary occupant states, and
+//! bit-identity of day pricing that reuses a decision across unchanged
+//! minutes with pricing that decides afresh every minute.
 
 use proptest::prelude::*;
 
-use shatter_dataset::{MinuteRecord, OccupantState};
+use shatter_dataset::{DayTrace, MinuteRecord, OccupantState};
 use shatter_hvac::{
-    AshraeController, Controller, ControllerParams, DchvacController, EnergyModel, OutdoorModel,
+    AshraeController, Controller, ControllerParams, DayCost, DchvacController, EnergyModel,
+    MinuteEnergy,
 };
-use shatter_smarthome::{houses, Activity, ZoneId};
+use shatter_smarthome::{houses, Activity, ZoneId, MINUTES_PER_DAY};
 
 fn arb_record() -> impl Strategy<Value = MinuteRecord> {
     let occ = (0usize..5, 0usize..27).prop_map(|(z, a)| OccupantState {
@@ -24,16 +27,146 @@ fn arb_record() -> impl Strategy<Value = MinuteRecord> {
         })
 }
 
+/// One run of a generated day: how its record differs from the previous
+/// run's, and how many minutes it lasts.
+#[derive(Debug, Clone)]
+enum Change {
+    /// An unrelated random record.
+    Fresh(MinuteRecord),
+    /// The previous record with these appliances toggled.
+    Appliances(Vec<bool>),
+    /// The previous record with one occupant's activity replaced.
+    Activity(usize, Activity),
+    /// The previous record with one occupant moved.
+    Zone(usize, ZoneId),
+}
+
+fn arb_run() -> impl Strategy<Value = (Change, usize)> {
+    (
+        0u8..4,
+        arb_record(),
+        prop::collection::vec(any::<bool>(), 13..=13),
+        (0usize..2, 0usize..27, 0usize..5),
+        // Half the runs last a single minute.
+        (any::<bool>(), 2usize..=90),
+    )
+        .prop_map(|(kind, rec, toggles, (o, a, z), (single, len))| {
+            let change = match kind {
+                0 => Change::Fresh(rec),
+                1 => Change::Appliances(toggles),
+                2 => Change::Activity(o, Activity::ALL[a]),
+                _ => Change::Zone(o, ZoneId(z)),
+            };
+            (change, if single { 1 } else { len })
+        })
+}
+
+/// A day built from `runs` in order, cut at 1,440 minutes; a short run
+/// list is padded by extending its last record.
+fn arb_day() -> impl Strategy<Value = DayTrace> {
+    (arb_record(), prop::collection::vec(arb_run(), 20..=90)).prop_map(|(first, runs)| {
+        let mut rec = first;
+        let mut minutes = Vec::with_capacity(MINUTES_PER_DAY);
+        for (change, len) in runs {
+            match change {
+                Change::Fresh(r) => rec = r,
+                Change::Appliances(toggles) => {
+                    for (on, flip) in rec.appliances.iter_mut().zip(toggles) {
+                        *on ^= flip;
+                    }
+                }
+                Change::Activity(o, a) => rec.occupants[o].activity = a,
+                Change::Zone(o, z) => rec.occupants[o].zone = z,
+            }
+            minutes.extend(std::iter::repeat_n(rec.clone(), len));
+        }
+        minutes.resize(MINUTES_PER_DAY, rec);
+        DayTrace { day: 0, minutes }
+    })
+}
+
+/// Prices `day` with no reuse: every minute calls [`Controller::control`]
+/// and recomputes Eq. 3 (AHU draw against the mixed-air temperature plus
+/// appliance draw) and Eq. 4 (battery-shaved time-of-use price).
+fn reference_day_cost(model: &EnergyModel, ctl: &dyn Controller, day: &DayTrace) -> DayCost {
+    let (home, p) = (model.home(), &model.params);
+    let mut cost = DayCost::default();
+    let mut peak_kwh = 0.0;
+    for (t, rec) in day.minutes.iter().enumerate() {
+        let minute = t as u32;
+        let d = ctl.control(home, rec, p);
+        let t_out = model.outdoor.temp_at(minute);
+        let mut hvac_w = 0.0;
+        for z in home.zones() {
+            let q = d.zone_cfm[z.id.index()];
+            if q <= 0.0 {
+                continue;
+            }
+            let f = d.fresh_fraction[z.id.index()];
+            let t_mix = f * t_out + (1.0 - f) * p.zone_setpoint_f;
+            // 0.3167 W per CFM·°F, as in Eq. 2.
+            hvac_w += q * (t_mix - p.supply_temp_f).max(0.0) * 0.3167;
+        }
+        let appliance_w: f64 = rec
+            .appliances
+            .iter()
+            .zip(home.appliances())
+            .filter(|(&on, _)| on)
+            .map(|(_, a)| a.power_watts)
+            .sum();
+        let e = MinuteEnergy {
+            hvac_kwh: hvac_w * p.sample_minutes / 60_000.0,
+            appliance_kwh: appliance_w * p.sample_minutes / 60_000.0,
+        };
+        if model.pricing.is_peak(minute) {
+            peak_kwh += e.total_kwh();
+        }
+        let price = model.pricing.price_at(minute, peak_kwh);
+        cost.hvac_usd += e.hvac_kwh * price;
+        cost.appliance_usd += e.appliance_kwh * price;
+        cost.minutes.push(e);
+    }
+    cost
+}
+
 proptest! {
+    /// Pricing a day through `DayPricer`, which reuses the decision and
+    /// appliance watts across runs of unchanged records, is bit-identical
+    /// to deciding and pricing every minute afresh, under both
+    /// controllers, for days mixing single-minute runs, appliance-only
+    /// changes and activity-only changes.
+    #[test]
+    fn reused_decisions_price_bit_identically(day in arb_day()) {
+        let model = EnergyModel::standard(houses::aras_house_a());
+        let changes = day.minutes.windows(2).filter(|w| w[0] != w[1]).count();
+        prop_assert!(changes > 0, "a day of one record");
+        for ctl in [&DchvacController as &dyn Controller, &AshraeController::default()] {
+            let fast = model.day_cost(ctl, &day);
+            let slow = reference_day_cost(&model, ctl, &day);
+            prop_assert_eq!(fast.minutes.len(), MINUTES_PER_DAY);
+            for (t, (a, b)) in fast.minutes.iter().zip(&slow.minutes).enumerate() {
+                prop_assert_eq!(a.hvac_kwh.to_bits(), b.hvac_kwh.to_bits(), "hvac at {}", t);
+                prop_assert_eq!(
+                    a.appliance_kwh.to_bits(),
+                    b.appliance_kwh.to_bits(),
+                    "appliances at {}",
+                    t
+                );
+            }
+            prop_assert_eq!(fast.hvac_usd.to_bits(), slow.hvac_usd.to_bits());
+            prop_assert_eq!(fast.appliance_usd.to_bits(), slow.appliance_usd.to_bits());
+            prop_assert_eq!(fast.total_usd().to_bits(), slow.total_usd().to_bits());
+        }
+    }
+
     /// Airflow is always within [0, max_zone_cfm] per zone and zero for
     /// unconditioned zones, for both controllers.
     #[test]
-    fn airflow_bounds(rec in arb_record(), minute in 0u32..1440) {
+    fn airflow_bounds(rec in arb_record()) {
         let home = houses::aras_house_a();
         let p = ControllerParams::default();
-        let w = OutdoorModel::default();
         for ctl in [&DchvacController as &dyn Controller, &AshraeController::default()] {
-            let d = ctl.control(&home, &rec, minute, &p, &w);
+            let d = ctl.control(&home, &rec, &p);
             for z in home.zones() {
                 let q = d.zone_cfm[z.id.index()];
                 prop_assert!((0.0..=p.max_zone_cfm).contains(&q));
@@ -49,10 +182,9 @@ proptest! {
     /// Adding an occupant to a conditioned zone never reduces that zone's
     /// airflow under the demand-controlled policy.
     #[test]
-    fn extra_occupant_monotonicity(rec in arb_record(), minute in 0u32..1440, act_i in 0usize..27) {
+    fn extra_occupant_monotonicity(rec in arb_record(), act_i in 0usize..27) {
         let home = houses::aras_house_a();
         let p = ControllerParams::default();
-        let w = OutdoorModel::default();
         // Base: occupant 0 pinned outside (so the variant strictly adds a
         // person to the livingroom).
         let mut base_rec = rec.clone();
@@ -60,13 +192,13 @@ proptest! {
             zone: ZoneId(0),
             activity: Activity::GoingOut,
         };
-        let base = DchvacController.control(&home, &base_rec, minute, &p, &w);
+        let base = DchvacController.control(&home, &base_rec, &p);
         let mut more = base_rec.clone();
         more.occupants[0] = OccupantState {
             zone: ZoneId(2),
             activity: Activity::ALL[act_i],
         };
-        let after = DchvacController.control(&home, &more, minute, &p, &w);
+        let after = DchvacController.control(&home, &more, &p);
         prop_assert!(after.zone_cfm[2] >= base.zone_cfm[2] - 1e-9);
     }
 
@@ -91,12 +223,11 @@ proptest! {
     /// The ASHRAE baseline never ventilates a conditioned zone below its
     /// 62.1 floor.
     #[test]
-    fn ashrae_respects_ventilation_floor(rec in arb_record(), minute in 0u32..1440) {
+    fn ashrae_respects_ventilation_floor(rec in arb_record()) {
         let home = houses::aras_house_a();
         let p = ControllerParams::default();
-        let w = OutdoorModel::default();
         let ctl = AshraeController::default();
-        let d = ctl.control(&home, &rec, minute, &p, &w);
+        let d = ctl.control(&home, &rec, &p);
         for z in home.indoor_zones() {
             let occupancy = rec
                 .occupants
