@@ -76,7 +76,7 @@ fn bench_decide_propagate(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let mut s = pigeonhole(n);
-                assert_eq!(s.solve(), SatVerdict::Unsat);
+                assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
                 black_box(s.stats)
             })
         });
@@ -91,7 +91,7 @@ fn bench_gc_cycle(c: &mut Criterion) {
         b.iter(|| {
             let mut s = pigeonhole(7);
             s.set_gc_budget(8);
-            assert_eq!(s.solve(), SatVerdict::Unsat);
+            assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
             assert!(s.stats.gc_clauses > 0, "GC must actually run");
             black_box(s.stats)
         })
@@ -107,7 +107,7 @@ fn bench_assumption_chain(c: &mut Criterion) {
         b.iter(|| {
             for i in 0..20 {
                 let a = if i % 2 == 0 { guard } else { guard.negated() };
-                let v = s.solve_under(&[a]);
+                let v = s.solve(&[a], None);
                 assert!(matches!(v, SatVerdict::Sat(_)));
             }
             black_box(s.stats)
@@ -123,7 +123,7 @@ fn bench_minimization(c: &mut Criterion) {
         // Surface the clause-shrink ratio once per size so the bench
         // log shows what the ccmin pass buys, not just its cost.
         let mut probe = pigeonhole(n);
-        assert_eq!(probe.solve(), SatVerdict::Unsat);
+        assert_eq!(probe.solve(&[], None), SatVerdict::Unsat);
         eprintln!(
             "sat_core/minimize: pigeonhole {n}: {} literals minimized over {} learnts",
             probe.stats.minimized, probe.stats.learned
@@ -131,7 +131,7 @@ fn bench_minimization(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let mut s = pigeonhole(n);
-                assert_eq!(s.solve(), SatVerdict::Unsat);
+                assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
                 assert!(s.stats.minimized > 0, "ccmin removed nothing");
                 black_box(s.stats.minimized)
             })
@@ -165,7 +165,7 @@ fn bench_binary_propagation(c: &mut Criterion) {
         b.iter(|| {
             for i in 0..20 {
                 let a = if i % 2 == 0 { root } else { root.negated() };
-                assert!(matches!(s.solve_under(&[a]), SatVerdict::Sat(_)));
+                assert!(matches!(s.solve(&[a], None), SatVerdict::Sat(_)));
             }
             assert!(s.stats.bin_props > 0, "binary layer never propagated");
             black_box(s.stats.bin_props)
@@ -182,12 +182,12 @@ fn bench_push_pop_restore(c: &mut Criterion) {
         // cost visible; each frame's refuted subproblem reorders
         // activities before the pop restores the outer state.
         let (mut s, guard) = guarded_chain(500);
-        assert!(matches!(s.solve_under(&[guard]), SatVerdict::Sat(_)));
+        assert!(matches!(s.solve(&[guard], None), SatVerdict::Sat(_)));
         b.iter(|| {
             for _ in 0..20 {
                 s.push();
                 add_pigeonhole(&mut s, 5);
-                assert_eq!(s.solve(), SatVerdict::Unsat);
+                assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
                 s.pop();
             }
             black_box(s.stats.conflicts)

@@ -36,7 +36,7 @@ fn bench_sat(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let mut s = pigeonhole(n);
-                black_box(s.solve())
+                black_box(s.solve(&[], None))
             })
         });
     }

@@ -521,8 +521,9 @@ impl Scenario for FleetScenario {
 /// fleet sizes, cold (empty blob store) versus warm (a second run over
 /// the store the cold leg just filled). Each leg gets a private
 /// [`FixtureCache`] over the same on-disk store and a fresh
-/// [`HealthSink`], so the warm leg's speedup comes purely from the disk
-/// tier — exactly what a second `repro --fleet N --store DIR` pays.
+/// [`HealthSink`](shatter_engine::HealthSink), so the warm leg's speedup
+/// comes purely from the disk tier — exactly what a second
+/// `repro --fleet N --store DIR` pays.
 /// Timing columns make this exhibit nondeterministic by construction;
 /// the `disk_hits` column is the deterministic witness that the warm
 /// leg actually replayed fixtures instead of recomputing them.

@@ -1,4 +1,5 @@
-//! Registry wiring: every paper exhibit as an engine [`Scenario`].
+//! Registry wiring: every paper exhibit as an engine
+//! [`Scenario`](shatter_engine::Scenario).
 //!
 //! Adding a workload is ~5 lines: write a `fn my_exhibit(cx:
 //! &ScenarioCtx) -> Table` in [`crate::exhibits`] and register it here

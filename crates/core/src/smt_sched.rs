@@ -36,8 +36,8 @@ use crate::{AttackerCapability, RewardTable};
 ///
 /// # Incremental solving
 ///
-/// The solver is carried across a day's windows through a
-/// [`WindowEncoder`]: the window-shape *template* (the `x`/`y` variables
+/// The solver is carried across a day's windows through a window
+/// encoder: the window-shape *template* (the `x`/`y` variables
 /// and the exactly-one rows, which only depend on the window span and
 /// zone count) is encoded once per span, and each window pushes only its
 /// specific reward/boundary/capability constraints onto the assertion
@@ -53,8 +53,6 @@ use crate::{AttackerCapability, RewardTable};
 pub struct SmtScheduler {
     /// Optimization window `I` in slots (paper: 10).
     pub horizon: usize,
-    /// Objective tolerance in micro-dollars for the OMT binary search.
-    pub tol_microusd: f64,
     /// Carry one solver (template clauses, learned-clause reuse inside a
     /// window, warm simplex) across the day's windows. `false` rebuilds
     /// a fresh solver per window — the slow reference path kept for the
@@ -85,13 +83,17 @@ impl Default for SmtScheduler {
     fn default() -> Self {
         SmtScheduler {
             horizon: 10,
-            tol_microusd: 1.0,
             reuse_solver: true,
             force_exact: false,
             budget: None,
         }
     }
 }
+
+/// Termination gap of the OMT binary search, in micro-dollars. The
+/// objective is integer micro-dollars, and a gap of at most 1 pins the
+/// converged bracket inside one integer, so the rounded optimum is exact.
+const TOL_MICROUSD: f64 = 1.0;
 
 /// Solver effort: the one counters type for a window solve, an occupant
 /// chain, or a whole exhibit. A [`WindowSolution`] embeds the effort its
@@ -209,7 +211,6 @@ struct WindowProblem<'a> {
     horizon: usize,
     boundary: Option<(ZoneId, u32)>,
     day_end: usize,
-    tol_microusd: f64,
     /// Per-window resource budget, re-installed before the OMT search.
     budget: Option<Budget>,
     in_range: &'a (dyn Fn(ZoneId, u32, u32) -> bool + Sync),
@@ -383,10 +384,7 @@ impl WindowEncoder {
             self.solver.set_budget(budget);
         }
         let (model, value, degraded, overflow) =
-            match self
-                .solver
-                .maximize_budgeted(&objective, 0.0, hi, p.tol_microusd)
-            {
+            match self.solver.maximize(&objective, 0.0, hi, TOL_MICROUSD) {
                 OmtOutcome::Optimal { model, value } => (Some(model), Some(value), false, false),
                 OmtOutcome::Degraded { model, cause, .. } => {
                     (Some(model), None, true, cause == HaltCause::Overflow)
@@ -418,9 +416,7 @@ impl WindowEncoder {
                 live,
                 degraded,
             ),
-            // The objective is integer micro-dollars and `tol <= 1` pins
-            // the converged bracket inside one integer, so the rounded
-            // optimum is exact.
+            // Exact: see `TOL_MICROUSD`.
             objective: value.map(|v| v.round() as i64),
             overflow,
         }
@@ -472,10 +468,10 @@ impl SmtScheduler {
 
     /// Like [`SmtScheduler::schedule_occupant`], memoizing each window's
     /// solution through `memo` when given. Keys carry the window span,
-    /// boundary stay, capability signature, final-window flag and
-    /// objective tolerance; `prefix` must identify everything else the
-    /// solver sees — the day trace, the reward table contents and the
-    /// ADM — or unrelated solves will alias.
+    /// boundary stay, capability signature and final-window flag, plus
+    /// the numeric mode and budget; `prefix` must identify everything
+    /// else the solver sees — the day trace, the reward table contents
+    /// and the ADM — or unrelated solves will alias.
     ///
     /// The keys stay valid under solver reuse because every window solve
     /// starts from the popped template state: a window's solution is a
@@ -571,7 +567,6 @@ impl SmtScheduler {
                 horizon,
                 boundary,
                 day_end: until,
-                tol_microusd: self.tol_microusd,
                 budget: self.budget.filter(|b| !b.is_unlimited()),
                 in_range: &in_range,
                 can_extend: &can_extend,
@@ -598,17 +593,15 @@ impl SmtScheduler {
                     let ex = if self.force_exact { "/ex" } else { "" };
                     let key = match boundary {
                         Some((bz, ba)) => format!(
-                            "{prefix}/o{}/w{w}+{horizon}/b{}:{ba}/c{:016x}/f{is_final}/tol{}{ex}{budget_key}",
+                            "{prefix}/o{}/w{w}+{horizon}/b{}:{ba}/c{:016x}/f{is_final}{ex}{budget_key}",
                             o.index(),
                             bz.index(),
                             cap.signature(),
-                            self.tol_microusd,
                         ),
                         None => format!(
-                            "{prefix}/o{}/w{w}+{horizon}/b-/c{:016x}/f{is_final}/tol{}{ex}{budget_key}",
+                            "{prefix}/o{}/w{w}+{horizon}/b-/c{:016x}/f{is_final}{ex}{budget_key}",
                             o.index(),
                             cap.signature(),
-                            self.tol_microusd,
                         ),
                     };
                     // The fragment stores the solver effort alongside the

@@ -18,7 +18,9 @@
 //!   occupant/zone — the ADM's feature space (paper Eq. 5–7),
 //! - [`attacks::biota_attack_episodes`]: naive rule-constrained FDI attack
 //!   samples in episode space, used to score ADMs (paper Table IV, Fig. 5),
-//! - [`csvio`]: flat CSV round-tripping of datasets.
+//! - the `shatter_store::Blob` codec of [`Dataset`] and of episode sets
+//!   ([`episodes_to_blob`] / [`episodes_from_blob`]): the one persisted
+//!   dataset format, written by the engine's fixture store.
 //!
 //! # Examples
 //!
@@ -33,9 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arasio;
 pub mod attacks;
-pub mod csvio;
 pub mod episodes;
 mod persist;
 mod schema;

@@ -1,6 +1,7 @@
 //! The tabular exhibit format scenarios produce: header plus string
 //! rows, renderable as aligned text, CSV, or a JSON object.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -64,12 +65,14 @@ impl Table {
         out
     }
 
-    /// CSV form.
+    /// CSV form (RFC 4180): a cell containing `,`, `"`, CR or LF is
+    /// quoted, with its quotes doubled; every other cell is written
+    /// verbatim.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
+        for row in std::iter::once(&self.header).chain(&self.rows) {
+            let cells: Vec<Cow<'_, str>> = row.iter().map(|cell| csv_cell(cell)).collect();
+            let _ = writeln!(out, "{}", cells.join(","));
         }
         out
     }
@@ -102,6 +105,15 @@ impl Table {
         }
         out.push_str("]}");
         out
+    }
+}
+
+/// One CSV cell, quoted only when its content requires it.
+fn csv_cell(cell: &str) -> Cow<'_, str> {
+    if cell.contains([',', '"', '\r', '\n']) {
+        Cow::Owned(format!("\"{}\"", cell.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(cell)
     }
 }
 
@@ -150,9 +162,10 @@ mod tests {
 
     #[test]
     fn render_and_csv() {
-        let t = sample();
+        let mut t = sample();
+        t.push(vec!["2".into(), "two\nlines".into()]);
         assert!(t.render().contains("== t1 — Sample =="));
-        assert!(t.to_csv().starts_with("a,b\n"));
+        assert_eq!(t.to_csv(), "a,b\n1,\"x\"\"y\"\n2,\"two\nlines\"\n");
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl LinExpr {
         }
     }
 
-    /// Adds a constant in place.
-    pub fn add_constant(&mut self, k: impl Into<Rat>) {
-        self.constant = self.constant + k.into();
-    }
-
     /// Evaluates under an assignment (missing variables default to 0).
     pub fn eval(&self, assignment: &dyn Fn(RealVar) -> Rat) -> Rat {
         let mut v = self.constant;
@@ -175,16 +170,6 @@ impl LinExpr {
             op: Rel::Eq,
         })
     }
-
-    /// The atom `self ≤ other`.
-    pub fn le_expr(&self, other: &LinExpr) -> Formula {
-        self.minus(other).le(0)
-    }
-
-    /// The atom `self = other`.
-    pub fn eq_expr(&self, other: &LinExpr) -> Formula {
-        self.minus(other).eq(0)
-    }
 }
 
 /// Relational operator of an atom (`expr ⋈ 0`).
@@ -226,8 +211,6 @@ pub enum Formula {
     Or(Vec<Formula>),
     /// Implication.
     Implies(Box<Formula>, Box<Formula>),
-    /// Bi-implication.
-    Iff(Box<Formula>, Box<Formula>),
 }
 
 impl Formula {
@@ -260,11 +243,6 @@ impl Formula {
     /// Implication helper.
     pub fn implies(a: Formula, b: Formula) -> Formula {
         Formula::Implies(Box::new(a), Box::new(b))
-    }
-
-    /// Bi-implication helper.
-    pub fn iff(a: Formula, b: Formula) -> Formula {
-        Formula::Iff(Box::new(a), Box::new(b))
     }
 
     /// "Exactly one of the given Booleans" — the paper's Eq. 18 pattern

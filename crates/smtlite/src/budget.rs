@@ -8,15 +8,15 @@
 
 /// Per-solve resource limits (`None` = unlimited). Thread one through
 /// [`crate::Solver::set_budget`]; exhaustion surfaces as
-/// [`crate::HaltCause`] through [`crate::Solver::check_full`] /
-/// [`crate::Solver::maximize_budgeted`] instead of a hang or a panic.
+/// [`crate::HaltCause`] through [`crate::Solver::check`] /
+/// [`crate::Solver::maximize`] instead of a hang or a panic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// CDCL conflicts allowed across the solve (all probes combined).
     pub max_conflicts: Option<u64>,
     /// Simplex pivots allowed across the solve.
     pub max_pivots: Option<u64>,
-    /// OMT binary-search probes allowed per `maximize_budgeted` call.
+    /// OMT binary-search probes allowed per `maximize` call.
     pub max_probes: Option<u64>,
 }
 

@@ -184,17 +184,6 @@ impl Encoder {
                 let lb = self.encode(b);
                 self.tseitin_and(&[la.negated(), lb.negated()]).negated()
             }
-            Formula::Iff(a, b) => {
-                let la = self.encode(a);
-                let lb = self.encode(b);
-                let y = Lit::pos(self.sat.new_var());
-                // y <-> (la <-> lb)
-                self.sat.add_clause(&[y.negated(), la.negated(), lb]);
-                self.sat.add_clause(&[y.negated(), la, lb.negated()]);
-                self.sat.add_clause(&[y, la, lb]);
-                self.sat.add_clause(&[y, la.negated(), lb.negated()]);
-                y
-            }
         }
     }
 
@@ -265,7 +254,7 @@ mod tests {
         let a = BoolVar(0);
         let b = BoolVar(1);
         enc.assert_formula(&Formula::and([Formula::Bool(a), Formula::Bool(b)]));
-        let SatVerdict::Sat(m) = enc.sat.solve() else {
+        let SatVerdict::Sat(m) = enc.sat.solve(&[], None) else {
             panic!()
         };
         assert_eq!(enc.bool_value(a, &m), Some(true));
@@ -278,7 +267,7 @@ mod tests {
         let a = BoolVar(0);
         enc.assert_formula(&Formula::Bool(a));
         enc.assert_formula(&Formula::not(Formula::Bool(a)));
-        assert_eq!(enc.sat.solve(), SatVerdict::Unsat);
+        assert_eq!(enc.sat.solve(&[], None), SatVerdict::Unsat);
     }
 
     #[test]
@@ -304,9 +293,9 @@ mod tests {
     fn constant_atoms_fold() {
         let mut enc = Encoder::new();
         enc.assert_formula(&LinExpr::constant(-1).le(0)); // trivially true
-        assert!(matches!(enc.sat.solve(), SatVerdict::Sat(_)));
+        assert!(matches!(enc.sat.solve(&[], None), SatVerdict::Sat(_)));
         enc.assert_formula(&LinExpr::constant(1).le(0)); // trivially false
-        assert_eq!(enc.sat.solve(), SatVerdict::Unsat);
+        assert_eq!(enc.sat.solve(&[], None), SatVerdict::Unsat);
     }
 
     #[test]
@@ -314,7 +303,7 @@ mod tests {
         let mut enc = Encoder::new();
         let vars = [BoolVar(0), BoolVar(1), BoolVar(2)];
         enc.assert_formula(&Formula::exactly_one(&vars));
-        let SatVerdict::Sat(m) = enc.sat.solve() else {
+        let SatVerdict::Sat(m) = enc.sat.solve(&[], None) else {
             panic!()
         };
         let on = vars
@@ -322,18 +311,5 @@ mod tests {
             .filter(|&&v| enc.bool_value(v, &m) == Some(true))
             .count();
         assert_eq!(on, 1);
-    }
-
-    #[test]
-    fn iff_encoding() {
-        let mut enc = Encoder::new();
-        let a = BoolVar(0);
-        let b = BoolVar(1);
-        enc.assert_formula(&Formula::iff(Formula::Bool(a), Formula::Bool(b)));
-        enc.assert_formula(&Formula::Bool(a));
-        let SatVerdict::Sat(m) = enc.sat.solve() else {
-            panic!()
-        };
-        assert_eq!(enc.bool_value(b, &m), Some(true));
     }
 }

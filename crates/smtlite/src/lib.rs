@@ -23,10 +23,16 @@
 //!   strengthening run entirely inside one solver via guard assumptions
 //!   (the OMT loop the attack scheduler calls).
 //!
+//! Each layer has one solve entry, and each reports budget exhaustion
+//! and `i128` overflow as a value: [`sat::SatSolver::solve`] returns
+//! [`sat::SatVerdict::Unknown`], [`simplex::Simplex::check`] a
+//! [`SimplexHalt`], and [`Solver::check`] / [`Solver::maximize`] a
+//! [`HaltCause`].
+//!
 //! # Examples
 //!
 //! ```
-//! use shatter_smt::{ast::LinExpr, Solver};
+//! use shatter_smt::{ast::LinExpr, CheckOutcome, Solver};
 //!
 //! let mut solver = Solver::new();
 //! let x = solver.new_real();
@@ -35,7 +41,9 @@
 //! solver.assert_formula(LinExpr::var(x).plus(&LinExpr::var(y)).le(4));
 //! solver.assert_formula(LinExpr::var(x).ge(1));
 //! solver.assert_formula(LinExpr::var(y).ge(2));
-//! let model = solver.check().expect("satisfiable");
+//! let CheckOutcome::Sat(model) = solver.check() else {
+//!     panic!("satisfiable")
+//! };
 //! let (xv, yv) = (model.real(x), model.real(y));
 //! assert!(xv + yv <= 4.000001 && xv >= 0.999999 && yv >= 1.999999);
 //! ```
@@ -56,4 +64,4 @@ pub use budget::Budget;
 pub use rational::{Rat, RatOverflow};
 pub use sat::SatStats;
 pub use simplex::{NumericMode, SimplexHalt, SimplexStats};
-pub use solver::{CheckOutcome, HaltCause, Model, OmtOutcome, SatResult, Solver};
+pub use solver::{CheckOutcome, HaltCause, Model, OmtOutcome, Solver};

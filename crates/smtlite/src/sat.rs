@@ -11,14 +11,12 @@
 //! - clauses may be added between [`SatSolver::solve`] calls, and learned
 //!   clauses are retained across calls (the OMT binary search re-solves
 //!   the same skeleton ~20 times per window);
-//! - [`SatSolver::solve_under`] decides the clause set under a list of
-//!   *assumption* literals without asserting them — the failed subset is
-//!   recoverable via [`SatSolver::last_conflict_core`];
-//! - [`SatSolver::solve_with`] additionally consults a [`Theory`] during
-//!   the search: theory conflicts are analyzed *in place* like Boolean
-//!   conflicts (no solve-from-scratch per blocking clause), and
-//!   theory-implied literals enter the trail through attached lemma
-//!   clauses;
+//! - [`SatSolver::solve`] decides the clause set under a list of
+//!   *assumption* literals without asserting them;
+//! - the same call optionally consults a [`Theory`] during the search:
+//!   theory conflicts are analyzed *in place* like Boolean conflicts (no
+//!   solve-from-scratch per blocking clause), and theory-implied literals
+//!   enter the trail through attached lemma clauses;
 //! - [`SatSolver::push`]/[`SatSolver::pop`] checkpoint the assertion
 //!   trail: `pop` removes every clause and variable added since the
 //!   matching `push` and restores the heuristic state (activity, phase,
@@ -516,8 +514,6 @@ pub struct SatSolver {
     /// Reusable DFS stack for `lit_redundant` (cleared per call, so
     /// conflict analysis stays allocation-free after warm-up).
     min_stack: Vec<(Lit, usize, usize)>,
-    /// Failed assumption subset of the last `solve_under` Unsat verdict.
-    last_core: Vec<Lit>,
     /// Assertion-trail checkpoints.
     frames: Vec<SatFrame>,
     /// Absolute cap on `stats.conflicts` (`None` = unlimited): the
@@ -559,7 +555,6 @@ impl Default for SatSolver {
             min_removable: Vec::new(),
             min_poison: Vec::new(),
             min_stack: Vec::new(),
-            last_core: Vec::new(),
             frames: Vec::new(),
             conflict_limit: None,
             stats: SatStats::default(),
@@ -775,11 +770,6 @@ impl SatSolver {
         // layout (the total order (activity, index) makes either
         // replay-safe — pinned by `order_heap_restore_matches_rebuild`).
         self.order.restore(&self.activity, f.n_vars);
-    }
-
-    /// Current push depth.
-    pub fn depth(&self) -> usize {
-        self.frames.len()
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<usize>) -> bool {
@@ -1069,52 +1059,6 @@ impl SatSolver {
         }
     }
 
-    /// Computes the subset of assumptions responsible for forcing
-    /// `failed` false, by walking reasons down the trail. Result (the
-    /// failing assumption literals, `failed` included) lands in
-    /// `last_core`.
-    fn analyze_final(&mut self, failed: Lit) {
-        self.last_core.clear();
-        self.last_core.push(failed);
-        if self.trail_lim.is_empty() {
-            // ¬failed is a level-0 fact: the core is `failed` alone.
-            return;
-        }
-        let stamp = self.next_stamp();
-        self.seen[failed.var()] = stamp;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let l = self.trail[i];
-            let v = l.var();
-            if self.seen[v] != stamp {
-                continue;
-            }
-            match self.reason[v] {
-                // A decision above level 0 during the assumption phase is
-                // an assumption — including `¬failed` itself when the
-                // opposite polarity was assumed earlier.
-                None => {
-                    self.last_core.push(l);
-                }
-                Some(cr) => {
-                    for idx in 0..self.clauses.hdr(cr).len as usize {
-                        let q = self.clauses.lits(cr)[idx];
-                        if q.var() != v && self.level[q.var()] > 0 {
-                            self.seen[q.var()] = stamp;
-                        }
-                    }
-                }
-            }
-            self.seen[v] = 0;
-        }
-    }
-
-    /// The failed assumption subset of the most recent
-    /// [`SatSolver::solve_under`] `Unsat` verdict (empty when the clause
-    /// set itself is unsatisfiable with no assumptions involved).
-    pub fn last_conflict_core(&self) -> &[Lit] {
-        &self.last_core
-    }
-
     fn backtrack_to(&mut self, level: usize) {
         while self.trail_lim.len() > level {
             let lim = self.trail_lim.pop().expect("non-empty");
@@ -1394,36 +1338,25 @@ impl SatSolver {
         }
     }
 
-    /// Solves the current clause set.
-    pub fn solve(&mut self) -> SatVerdict {
-        self.solve_with(&[], None)
-    }
-
     /// Solves the current clause set under `assumptions`, without
     /// asserting them: the solver branches on each assumption first (in
-    /// order) and reports `Unsat` as soon as one is falsified —
-    /// [`SatSolver::last_conflict_core`] then names the failing subset.
-    /// Learned clauses never resolve on an assumption as a premise-free
-    /// fact (assumptions enter as decisions), so everything learned under
-    /// one assumption set remains valid for the next — the mechanism the
-    /// OMT binary search uses to share work across probes.
-    pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatVerdict {
-        self.solve_with(assumptions, None)
-    }
-
-    /// Like [`SatSolver::solve_under`], consulting `theory` during the
-    /// search (DPLL(T)): at decision checkpoints the theory sees the
-    /// partial assignment and may report an infeasible subset (resolved
-    /// in place as a conflict, without restarting the search) or imply
-    /// literals (asserted into the trail through attached lemma clauses);
-    /// every complete Boolean assignment is theory-checked before `Sat`
-    /// is returned.
-    pub fn solve_with(
+    /// order) and reports `Unsat` as soon as one is falsified. Learned
+    /// clauses never resolve on an assumption as a premise-free fact
+    /// (assumptions enter as decisions), so everything learned under one
+    /// assumption set remains valid for the next — the mechanism the OMT
+    /// binary search uses to share work across probes.
+    ///
+    /// With a `theory` (DPLL(T)), the theory sees the partial assignment
+    /// at decision checkpoints and may report an infeasible subset
+    /// (resolved in place as a conflict, without restarting the search)
+    /// or imply literals (asserted into the trail through attached lemma
+    /// clauses); every complete Boolean assignment is theory-checked
+    /// before `Sat` is returned.
+    pub fn solve(
         &mut self,
         assumptions: &[Lit],
         mut theory: Option<&mut dyn Theory>,
     ) -> SatVerdict {
-        self.last_core.clear();
         if self.unsat {
             return SatVerdict::Unsat;
         }
@@ -1460,7 +1393,6 @@ impl SatSolver {
                         self.trail_lim.push(self.trail.len());
                     }
                     0 => {
-                        self.analyze_final(a);
                         self.backtrack_to(0);
                         return SatVerdict::Unsat;
                     }
@@ -1639,7 +1571,7 @@ mod tests {
         let (n, clauses) = pigeonhole_clauses(7);
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         assert!(
             s.stats.minimized > 0,
             "no literals minimized across {} conflicts",
@@ -1659,7 +1591,7 @@ mod tests {
                 &[-3, -6, 5],
             ],
         );
-        let SatVerdict::Sat(m) = c.solve() else {
+        let SatVerdict::Sat(m) = c.solve(&[], None) else {
             panic!("expected sat")
         };
         assert!(m[0] || m[1]);
@@ -1671,7 +1603,7 @@ mod tests {
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
         let before = s.stats;
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         let delta = s.stats.since(before);
         assert_eq!(delta.minimized, s.stats.minimized);
         assert!(delta.learned > 0);
@@ -1680,7 +1612,7 @@ mod tests {
     #[test]
     fn trivial_sat() {
         let mut s = solver_with(2, &[&[1, 2]]);
-        let SatVerdict::Sat(m) = s.solve() else {
+        let SatVerdict::Sat(m) = s.solve(&[], None) else {
             panic!("expected sat")
         };
         assert!(m[0] || m[1]);
@@ -1689,14 +1621,14 @@ mod tests {
     #[test]
     fn trivial_unsat() {
         let mut s = solver_with(1, &[&[1], &[-1]]);
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
     }
 
     #[test]
     fn empty_clause_unsat() {
         let mut s = SatSolver::new();
         assert!(!s.add_clause(&[]));
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
     }
 
     #[test]
@@ -1709,7 +1641,7 @@ mod tests {
         cl.push(vec![-10]);
         let refs: Vec<&[i32]> = cl.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(10, &refs);
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
     }
 
     #[test]
@@ -1717,7 +1649,7 @@ mod tests {
         let (n, clauses) = pigeonhole_clauses(3);
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
     }
 
     #[test]
@@ -1731,7 +1663,7 @@ mod tests {
         ];
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(4, &refs);
-        let SatVerdict::Sat(m) = s.solve() else {
+        let SatVerdict::Sat(m) = s.solve(&[], None) else {
             panic!("expected sat")
         };
         for c in &clauses {
@@ -1750,7 +1682,7 @@ mod tests {
         // 3 free variables -> 8 models; block each as found.
         let mut s = solver_with(3, &[&[1, 2, 3, -1]]); // tautology, no constraint
         let mut count = 0;
-        while let SatVerdict::Sat(m) = s.solve() {
+        while let SatVerdict::Sat(m) = s.solve(&[], None) {
             count += 1;
             assert!(count <= 8, "more models than possible");
             let block: Vec<Lit> = (0..3)
@@ -1779,7 +1711,7 @@ mod tests {
         let (n, clauses) = pigeonhole_clauses(7);
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         let conflicts = s.stats.conflicts;
         let mut expect = 0u64;
         let mut budget = 0u64;
@@ -1831,7 +1763,7 @@ mod tests {
             });
             let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
             let mut s = solver_with(n, &refs);
-            let verdict = s.solve();
+            let verdict = s.solve(&[], None);
             match (brute_sat, verdict) {
                 (true, SatVerdict::Sat(_)) | (false, SatVerdict::Unsat) => {}
                 (b, v) => panic!("disagreement: brute {b}, solver {v:?}\n{clauses:?}"),
@@ -1857,11 +1789,11 @@ mod tests {
         ];
         let mut s = solver_with(6, &clauses);
         s.set_conflict_limit(Some(0));
-        assert_eq!(s.solve(), SatVerdict::Unknown);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unknown);
         // The solver stays usable: the cap is absolute against
         // cumulative stats, and lifting it finishes the proof.
         s.set_conflict_limit(None);
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         assert!(s.stats.conflicts > 0);
     }
 
@@ -1909,7 +1841,7 @@ mod tests {
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut tight = solver_with(n, &refs);
         tight.set_gc_budget(10);
-        assert_eq!(tight.solve(), SatVerdict::Unsat);
+        assert_eq!(tight.solve(&[], None), SatVerdict::Unsat);
         assert!(tight.stats.gc_clauses > 0, "GC never ran");
         assert!(tight.live_learnts() <= tight.stats.learned as usize);
     }
@@ -1942,8 +1874,8 @@ mod tests {
         let mut b = solver_with(n, &refs);
         // Verdicts agree with and without aggressive GC.
         assert_eq!(
-            matches!(a.solve(), SatVerdict::Sat(_)),
-            matches!(b.solve(), SatVerdict::Sat(_))
+            matches!(a.solve(&[], None), SatVerdict::Sat(_)),
+            matches!(b.solve(&[], None), SatVerdict::Sat(_))
         );
     }
 
@@ -1966,7 +1898,7 @@ mod tests {
     fn theory_conflict_blocks_model() {
         let mut s = solver_with(2, &[&[1], &[2, 1]]);
         // Boolean part prefers both true; theory forbids it.
-        let SatVerdict::Sat(m) = s.solve_with(&[], Some(&mut AtMostOne)) else {
+        let SatVerdict::Sat(m) = s.solve(&[], Some(&mut AtMostOne)) else {
             panic!("expected sat")
         };
         assert!(!(m[0] && m[1]));
@@ -1976,7 +1908,7 @@ mod tests {
     #[test]
     fn theory_conflict_on_forced_pair_is_unsat() {
         let mut s = solver_with(2, &[&[1], &[2]]);
-        assert_eq!(s.solve_with(&[], Some(&mut AtMostOne)), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], Some(&mut AtMostOne)), SatVerdict::Unsat);
     }
 
     /// Toy propagating theory: asserting variable 0 implies variable 1.
@@ -2002,7 +1934,7 @@ mod tests {
         for v in 2..22 {
             s.add_clause(&lits(&[v, -v])); // no-op tautologies, vars free
         }
-        let SatVerdict::Sat(m) = s.solve_with(&[], Some(&mut ZeroImpliesOne)) else {
+        let SatVerdict::Sat(m) = s.solve(&[], Some(&mut ZeroImpliesOne)) else {
             panic!("expected sat")
         };
         assert!(m[0]);
@@ -2016,39 +1948,14 @@ mod tests {
         // (a -> b), assume ¬b: a must be false; afterwards the solver is
         // still free to pick b.
         let mut s = solver_with(2, &[&[-1, 2]]);
-        let SatVerdict::Sat(m) = s.solve_under(&lits(&[-2])) else {
+        let SatVerdict::Sat(m) = s.solve(&lits(&[-2]), None) else {
             panic!("sat under ¬b")
         };
         assert!(!m[0] && !m[1]);
-        let SatVerdict::Sat(m) = s.solve_under(&lits(&[1])) else {
+        let SatVerdict::Sat(m) = s.solve(&lits(&[1]), None) else {
             panic!("sat under a")
         };
         assert!(m[0] && m[1]);
-    }
-
-    #[test]
-    fn failed_assumptions_reported_with_core() {
-        // x1 & (x1 -> x2); assuming ¬x2 is unsat, core must name ¬x2.
-        let mut s = solver_with(2, &[&[1], &[-1, 2]]);
-        assert_eq!(s.solve_under(&lits(&[-2])), SatVerdict::Unsat);
-        assert!(s.last_conflict_core().contains(&Lit::neg(1)));
-        // The clause set itself stays satisfiable.
-        assert!(matches!(s.solve(), SatVerdict::Sat(_)));
-        assert!(s.last_conflict_core().is_empty());
-    }
-
-    #[test]
-    fn conflicting_assumption_pair_names_both_in_core() {
-        // No clauses at all: assumptions [a, ¬a] must fail with a core
-        // naming both polarities — {¬a} alone would be satisfiable.
-        let mut s = solver_with(1, &[]);
-        assert_eq!(
-            s.solve_under(&[Lit::pos(0), Lit::neg(0)]),
-            SatVerdict::Unsat
-        );
-        let mut core = s.last_conflict_core().to_vec();
-        core.sort();
-        assert_eq!(core, vec![Lit::pos(0), Lit::neg(0)]);
     }
 
     #[test]
@@ -2070,12 +1977,12 @@ mod tests {
         }
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(7, &refs);
-        assert_eq!(s.solve_under(&lits(&[-7])), SatVerdict::Unsat);
+        assert_eq!(s.solve(&lits(&[-7]), None), SatVerdict::Unsat);
         let learned_once = s.stats.learned;
-        assert_eq!(s.solve_under(&lits(&[-7])), SatVerdict::Unsat);
+        assert_eq!(s.solve(&lits(&[-7]), None), SatVerdict::Unsat);
         // Second identical probe reuses the first probe's learning.
         assert!(s.stats.learned <= learned_once * 2);
-        assert!(matches!(s.solve_under(&lits(&[7])), SatVerdict::Sat(_)));
+        assert!(matches!(s.solve(&lits(&[7]), None), SatVerdict::Sat(_)));
     }
 
     // ----- push / pop ----------------------------------------------------
@@ -2086,9 +1993,9 @@ mod tests {
         s.push();
         s.add_clause(&lits(&[-1]));
         s.add_clause(&lits(&[-2]));
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         s.pop();
-        assert!(matches!(s.solve(), SatVerdict::Sat(_)));
+        assert!(matches!(s.solve(&[], None), SatVerdict::Sat(_)));
     }
 
     #[test]
@@ -2098,15 +2005,15 @@ mod tests {
         let v = s.new_var();
         s.add_clause(&[Lit::pos(v)]);
         s.add_clause(&[Lit::neg(v), Lit::pos(0)]);
-        let SatVerdict::Sat(m) = s.solve() else {
+        let SatVerdict::Sat(m) = s.solve(&[], None) else {
             panic!()
         };
         assert!(m[0] && m[v]);
         s.pop();
         assert_eq!(s.n_vars(), 1);
         // Var 0 is free again: both polarities satisfiable.
-        assert!(matches!(s.solve_under(&[Lit::neg(0)]), SatVerdict::Sat(_)));
-        assert!(matches!(s.solve_under(&[Lit::pos(0)]), SatVerdict::Sat(_)));
+        assert!(matches!(s.solve(&[Lit::neg(0)], None), SatVerdict::Sat(_)));
+        assert!(matches!(s.solve(&[Lit::pos(0)], None), SatVerdict::Sat(_)));
     }
 
     #[test]
@@ -2123,7 +2030,7 @@ mod tests {
         for c in extra {
             detoured.add_clause(&lits(c));
         }
-        let _ = detoured.solve();
+        let _ = detoured.solve(&[], None);
         detoured.pop();
 
         fresh.push();
@@ -2132,7 +2039,7 @@ mod tests {
             fresh.add_clause(&lits(c));
             detoured.add_clause(&lits(c));
         }
-        assert_eq!(fresh.solve(), detoured.solve());
+        assert_eq!(fresh.solve(&[], None), detoured.solve(&[], None));
     }
 
     #[test]
@@ -2145,7 +2052,7 @@ mod tests {
         s.push();
         s.add_clause(&lits(&[-1]));
         s.add_clause(&lits(&[-2]));
-        let _ = s.solve();
+        let _ = s.solve(&[], None);
         // Precondition: the detour really permuted a pre-push clause
         // (otherwise this test is vacuous).
         let permuted = (0..before.len()).any(|i| s.clauses.lits(i) != before.lits(i));
@@ -2160,9 +2067,9 @@ mod tests {
         s.push();
         s.add_clause(&lits(&[1]));
         s.add_clause(&lits(&[-1]));
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         s.pop();
-        assert!(matches!(s.solve(), SatVerdict::Sat(_)));
+        assert!(matches!(s.solve(&[], None), SatVerdict::Sat(_)));
     }
 
     #[test]
@@ -2196,7 +2103,7 @@ mod tests {
             c[planted] = c[planted].abs();
             s.add_clause(&lits(&c));
         }
-        assert!(matches!(s.solve(), SatVerdict::Sat(_)));
+        assert!(matches!(s.solve(&[], None), SatVerdict::Sat(_)));
         assert!(s.live_learnts() > 0, "depth-0 learnts required");
         let u = s.new_var();
         let w = s.new_var();
@@ -2225,7 +2132,7 @@ mod tests {
             s.add_clause(&shifted);
         }
         let gc_before = s.stats.gc_clauses;
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         assert!(s.stats.gc_clauses > gc_before, "in-frame GC never ran");
         s.pop();
         for v in 0..s.n_vars {
@@ -2246,7 +2153,7 @@ mod tests {
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
         s.push();
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         assert!(s.live_learnts() > 0);
         s.pop();
         assert_eq!(s.live_learnts(), 0);
@@ -2266,7 +2173,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         assert!(s.stats.propagations > 0);
         assert!(s.stats.conflicts > 0);
         assert!(s.stats.decisions > 0 || s.stats.learned > 0);
@@ -2282,7 +2189,7 @@ mod tests {
         // last — `add_clause` propagates facts eagerly and would
         // otherwise shorten each binary to a unit before attachment.
         let mut s = solver_with(6, &[&[-1, 2], &[-2, 3], &[-3, 4], &[-4, 5], &[-5, 6], &[1]]);
-        match s.solve() {
+        match s.solve(&[], None) {
             SatVerdict::Sat(model) => assert!(model.iter().all(|&b| b)),
             v => panic!("expected Sat, got {v:?}"),
         }
@@ -2297,7 +2204,7 @@ mod tests {
         // over purely binary reasons must learn the flip and land on the
         // model with 1 true.
         let mut s = solver_with(4, &[&[1, 3], &[-3, 4], &[-4, 1], &[-1, 2]]);
-        match s.solve() {
+        match s.solve(&[], None) {
             SatVerdict::Sat(model) => assert!(model[0] && model[1]),
             v => panic!("expected Sat, got {v:?}"),
         }
@@ -2313,12 +2220,12 @@ mod tests {
         s.push();
         s.add_clause(&lits(&[1]));
         s.add_clause(&lits(&[-3]));
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         s.pop();
         s.push();
         let before = s.stats.bin_props;
         s.add_clause(&lits(&[1]));
-        match s.solve() {
+        match s.solve(&[], None) {
             SatVerdict::Sat(model) => assert!(model.iter().all(|&b| b)),
             v => panic!("expected Sat, got {v:?}"),
         }
@@ -2335,7 +2242,7 @@ mod tests {
         let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
         let mut s = solver_with(n, &refs);
         s.set_gc_budget(10);
-        assert_eq!(s.solve(), SatVerdict::Unsat);
+        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         assert!(s.stats.gc_clauses > 0, "GC never ran");
         assert!(s.stats.bin_props > 0, "hole-exclusion binaries must fire");
     }

@@ -49,17 +49,7 @@ impl Model {
     }
 }
 
-/// Outcome of a `check` call (kept for API clarity; `check` returns an
-/// `Option<Model>`).
-#[derive(Debug, Clone)]
-pub enum SatResult {
-    /// Satisfiable with a model.
-    Sat(Model),
-    /// Unsatisfiable.
-    Unsat,
-}
-
-/// Why a budget-aware solve stopped early.
+/// Why a solve stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HaltCause {
     /// The CDCL conflict budget ([`Budget::max_conflicts`]) ran out.
@@ -68,8 +58,9 @@ pub enum HaltCause {
     Pivots,
     /// The OMT probe budget ([`Budget::max_probes`]) ran out.
     Probes,
-    /// `i128` rational arithmetic overflowed; the tableau is poisoned
-    /// until a [`Solver::pop`] restores a pre-overflow checkpoint.
+    /// `i128` rational arithmetic overflowed; the tableau may be
+    /// poisoned until a [`Solver::pop`] restores a pre-overflow
+    /// checkpoint.
     Overflow,
 }
 
@@ -82,8 +73,8 @@ impl From<SimplexHalt> for HaltCause {
     }
 }
 
-/// Outcome of [`Solver::check_full`]: a `check` that distinguishes
-/// budget exhaustion and numeric degradation from unsatisfiability.
+/// Outcome of [`Solver::check`]: satisfiability, with budget exhaustion
+/// and numeric degradation kept apart from unsatisfiability.
 #[derive(Debug, Clone)]
 pub enum CheckOutcome {
     /// Satisfiable with a model.
@@ -96,7 +87,7 @@ pub enum CheckOutcome {
     Halted(HaltCause),
 }
 
-/// Outcome of [`Solver::maximize_budgeted`] — the anytime OMT contract:
+/// Outcome of [`Solver::maximize`] — the anytime OMT contract:
 /// exhaustion degrades to the best verified model instead of hanging.
 #[derive(Debug, Clone)]
 pub enum OmtOutcome {
@@ -123,19 +114,6 @@ pub enum OmtOutcome {
     Halted(HaltCause),
 }
 
-/// The panic legacy (budget-unaware) entry points raise when a halt
-/// surfaces under them; the overflow message is the long-standing
-/// contract of the pre-budget API.
-fn halted_panic(cause: HaltCause) -> ! {
-    match cause {
-        HaltCause::Overflow => panic!("rational arithmetic overflow"),
-        other => panic!(
-            "solver halted ({other:?}) under a budget-unaware entry point; \
-             use check_full/maximize_budgeted with Solver::set_budget"
-        ),
-    }
-}
-
 /// Entry of [`Solver::atom_cols`] whose column is not resolved yet.
 const UNRESOLVED: usize = usize::MAX;
 
@@ -156,9 +134,8 @@ struct SolverFrame {
 ///
 /// The solver is incremental end to end:
 ///
-/// - [`Solver::check_under`] decides the assertions under *assumption*
-///   literals without asserting them, retaining everything the CDCL core
-///   learns for later calls;
+/// - every check retains everything the CDCL core learns for later
+///   calls;
 /// - the simplex tableau persists between checks, warm-starting each
 ///   theory validation from the previous feasible basis, and so does
 ///   each registered atom's compiled bound and simplex column, so a
@@ -257,10 +234,9 @@ impl Solver {
     /// as an absolute ceiling of `current cumulative counter + max`, so
     /// calling `set_budget` per window gives every window the same
     /// allowance regardless of how much earlier windows consumed.
-    /// Exhaustion surfaces through [`Solver::check_full`] /
-    /// [`Solver::maximize_budgeted`] as [`CheckOutcome::Halted`] /
-    /// [`OmtOutcome::Degraded`]; the budget-unaware entry points panic
-    /// instead. [`Budget::UNLIMITED`] lifts all limits.
+    /// Exhaustion surfaces through [`Solver::check`] /
+    /// [`Solver::maximize`] as [`CheckOutcome::Halted`] /
+    /// [`OmtOutcome::Degraded`]. [`Budget::UNLIMITED`] lifts all limits.
     pub fn set_budget(&mut self, budget: Budget) {
         let conflicts = self.enc.sat.stats.conflicts;
         self.enc
@@ -270,11 +246,6 @@ impl Solver {
         self.simplex
             .set_pivot_limit(budget.max_pivots.map(|m| pivots.saturating_add(m)));
         self.probe_limit = budget.max_probes;
-    }
-
-    /// Lifts all resource limits (same as `set_budget(Budget::UNLIMITED)`).
-    pub fn clear_budget(&mut self) {
-        self.set_budget(Budget::UNLIMITED);
     }
 
     /// Checkpoints the assertion stack: formulas asserted and variables
@@ -323,14 +294,7 @@ impl Solver {
         }
     }
 
-    /// Decides the asserted conjunction. Returns a model when satisfiable.
-    pub fn check(&mut self) -> Option<Model> {
-        self.check_under(&[])
-    }
-
-    /// Decides the asserted conjunction under `assumptions` (SAT-level
-    /// literals, typically guards created by [`Solver::maximize`])
-    /// without asserting them.
+    /// Decides the asserted conjunction.
     ///
     /// The CDCL core consults the simplex *during* the search (DPLL(T)
     /// with early theory propagation) rather than only on complete
@@ -342,25 +306,17 @@ impl Solver {
     /// clauses. All lemmas are theory-valid and persist for later calls
     /// (as reducible learnts — the clause-DB GC may age them out).
     ///
-    /// # Panics
-    ///
-    /// Panics when the solve halts early — an active [`Budget`] runs
-    /// out, or rational arithmetic overflows. Budget-aware callers use
-    /// [`Solver::check_full`] instead.
-    pub fn check_under(&mut self, assumptions: &[Lit]) -> Option<Model> {
-        match self.check_full(assumptions) {
-            CheckOutcome::Sat(m) => Some(m),
-            CheckOutcome::Unsat => None,
-            CheckOutcome::Halted(cause) => halted_panic(cause),
-        }
+    /// Budget exhaustion and rational overflow come back as
+    /// [`CheckOutcome::Halted`], leaving the solver usable (the CDCL core
+    /// backtracks to level zero; an overflow-poisoned tableau needs the
+    /// enclosing [`Solver::pop`] to restore a clean checkpoint).
+    pub fn check(&mut self) -> CheckOutcome {
+        self.check_assuming(&[])
     }
 
-    /// [`Solver::check_under`] with halts reified instead of panicking:
-    /// budget exhaustion and rational overflow come back as
-    /// [`CheckOutcome::Halted`], leaving the solver usable (the CDCL
-    /// core backtracks to level zero; an overflow-poisoned tableau needs
-    /// the enclosing [`Solver::pop`] to restore a clean checkpoint).
-    pub fn check_full(&mut self, assumptions: &[Lit]) -> CheckOutcome {
+    /// [`Solver::check`] under `assumptions` (SAT-level literals: the
+    /// probe guards of [`Solver::maximize`]), without asserting them.
+    fn check_assuming(&mut self, assumptions: &[Lit]) -> CheckOutcome {
         self.atom_cols.resize(self.enc.atoms.len(), UNRESOLVED);
         let mut theory = SimplexTheory {
             atoms: &self.enc.atoms,
@@ -372,7 +328,7 @@ impl Solver {
             bounds: Vec::new(),
             last_assigned: usize::MAX,
         };
-        let verdict = self.enc.sat.solve_with(assumptions, Some(&mut theory));
+        let verdict = self.enc.sat.solve(assumptions, Some(&mut theory));
         self.theory_conflicts += theory.conflicts;
         let halt = theory.halt;
         let assignment = match verdict {
@@ -405,8 +361,8 @@ impl Solver {
     /// the OMT loop SHATTER runs per attack window (paper Eq. 17).
     ///
     /// `lo`/`hi` bracket the objective; `tol` is the termination gap.
-    /// Returns the best model found and its objective value, or `None`
-    /// when the constraints are unsatisfiable.
+    /// The outcome is [`OmtOutcome::Optimal`] once the gap closes, or
+    /// [`OmtOutcome::Unsat`] when the assertions are unsatisfiable.
     ///
     /// The whole search runs inside this one solver: each probe asserts
     /// `guard → objective ≥ mid` for a fresh guard literal and solves
@@ -415,58 +371,26 @@ impl Solver {
     /// feasible basis. Successful probes assert their guard permanently
     /// (monotone strengthening); failed guards are permanently disabled.
     ///
+    /// Each probe counts against [`Budget::max_probes`], and halts are
+    /// values: when any limit runs out (or the tableau overflows)
+    /// mid-search, the best model *proven feasible so far* is returned as
+    /// [`OmtOutcome::Degraded`] with the cause, rather than the search
+    /// hanging or panicking. A halt before the first feasible model is
+    /// [`OmtOutcome::Halted`].
+    ///
     /// # Bracket contract
     ///
     /// The bracket is a *search range*, not a constraint. When the first
     /// feasible model's objective already reaches or exceeds `hi` — a
     /// stale caller-supplied bracket — the search space is empty and the
     /// base model is returned as-is; the returned objective may then
-    /// exceed `hi`. (Formerly this case silently clamped `hi` upward,
-    /// hiding the collapsed bracket; same result, now a documented
-    /// contract with a regression test.)
+    /// exceed `hi`.
     ///
     /// On return the strengthening assertions remain: callers that need
     /// the original assertion set afterwards should bracket the call in
     /// [`Solver::push`]/[`Solver::pop`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the search halts before any model is proven feasible
-    /// (active [`Budget`] exhausted on the base check, or rational
-    /// overflow). Budget-aware callers use
-    /// [`Solver::maximize_budgeted`], which degrades to the best
-    /// verified model instead.
-    pub fn maximize(
-        &mut self,
-        objective: &LinExpr,
-        lo: f64,
-        hi: f64,
-        tol: f64,
-    ) -> Option<(f64, Model)> {
-        match self.maximize_budgeted(objective, lo, hi, tol) {
-            OmtOutcome::Optimal { value, model } | OmtOutcome::Degraded { value, model, .. } => {
-                Some((value, model))
-            }
-            OmtOutcome::Unsat => None,
-            OmtOutcome::Halted(cause) => halted_panic(cause),
-        }
-    }
-
-    /// [`Solver::maximize`] with the anytime contract made explicit.
-    /// Runs the same guarded binary search, but counts each probe
-    /// against [`Budget::max_probes`] and reifies halts: when any limit
-    /// runs out (or the tableau overflows) mid-search, the best model
-    /// *proven feasible so far* is returned as [`OmtOutcome::Degraded`]
-    /// with the cause, rather than the search hanging or panicking. A
-    /// halt before the first feasible model is [`OmtOutcome::Halted`].
-    pub fn maximize_budgeted(
-        &mut self,
-        objective: &LinExpr,
-        lo: f64,
-        hi: f64,
-        tol: f64,
-    ) -> OmtOutcome {
-        let base_model = match self.check_full(&[]) {
+    pub fn maximize(&mut self, objective: &LinExpr, lo: f64, hi: f64, tol: f64) -> OmtOutcome {
+        let base_model = match self.check() {
             CheckOutcome::Sat(m) => m,
             CheckOutcome::Unsat => return OmtOutcome::Unsat,
             CheckOutcome::Halted(cause) => return OmtOutcome::Halted(cause),
@@ -490,7 +414,7 @@ impl Solver {
             let guard = Lit::pos(self.enc.sat.new_var());
             let bound_lit = self.enc.encode(&objective.ge(Rat::from_f64_approx(mid)));
             self.enc.sat.add_clause(&[guard.negated(), bound_lit]);
-            match self.check_full(&[guard]) {
+            match self.check_assuming(&[guard]) {
                 CheckOutcome::Sat(m) => {
                     let v = m.eval(objective).to_f64();
                     if v > best_val {
@@ -528,7 +452,7 @@ impl Solver {
     }
 }
 
-/// The DPLL(T) bridge handed to [`crate::sat::SatSolver::solve_with`]:
+/// The DPLL(T) bridge handed to [`crate::sat::SatSolver::solve`]:
 /// owns the warm-started simplex for the duration of one check and maps
 /// between atom SAT variables and simplex bounds.
 struct SimplexTheory<'a> {
@@ -629,8 +553,12 @@ impl Theory for SimplexTheory<'_> {
             if view.value(atom.var).is_some() {
                 continue;
             }
-            let col = atom_column(self.simplex, self.atoms, self.cols, i)
-                .expect("rational arithmetic overflow");
+            let Ok(col) = atom_column(self.simplex, self.atoms, self.cols, i) else {
+                // A failed resolution allocates variable columns at most,
+                // so the tableau stays consistent: halting is enough.
+                self.halt = Some(HaltCause::Overflow);
+                return TheoryResult::Halt;
+            };
             let (_, atom_bound) = atom.bound(true);
             let (lower, upper) = self.simplex.asserted_bounds_at(col);
             if let Some((u, uid)) = upper {
@@ -660,6 +588,20 @@ mod tests {
     use super::*;
     use crate::ast::Formula;
 
+    fn sat(s: &mut Solver) -> Model {
+        match s.check() {
+            CheckOutcome::Sat(m) => m,
+            other => panic!("expected sat, got {other:?}"),
+        }
+    }
+
+    fn optimal(outcome: OmtOutcome) -> (f64, Model) {
+        match outcome {
+            OmtOutcome::Optimal { value, model } => (value, model),
+            other => panic!("expected an optimum, got {other:?}"),
+        }
+    }
+
     #[test]
     fn pure_boolean_sat() {
         let mut s = Solver::new();
@@ -667,7 +609,7 @@ mod tests {
         let b = s.new_bool();
         s.assert_formula(Formula::or([Formula::Bool(a), Formula::Bool(b)]));
         s.assert_formula(Formula::not(Formula::Bool(a)));
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         assert!(!m.bool(a));
         assert!(m.bool(b));
     }
@@ -679,7 +621,7 @@ mod tests {
         let y = s.new_real();
         s.assert_formula(LinExpr::var(x).plus(&LinExpr::var(y)).eq(10));
         s.assert_formula(LinExpr::var(x).minus(&LinExpr::var(y)).eq(4));
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         assert!((m.real(x) - 7.0).abs() < 1e-9);
         assert!((m.real(y) - 3.0).abs() < 1e-9);
     }
@@ -696,7 +638,7 @@ mod tests {
             LinExpr::var(x).ge(7),
         ));
         s.assert_formula(LinExpr::var(x).le(6));
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         assert!(m.bool(p));
         assert!(m.real(x) >= 5.0 - 1e-9 && m.real(x) <= 6.0 + 1e-9);
     }
@@ -707,7 +649,7 @@ mod tests {
         let x = s.new_real();
         s.assert_formula(LinExpr::var(x).ge(5));
         s.assert_formula(LinExpr::var(x).le(4));
-        assert!(s.check().is_none());
+        assert!(matches!(s.check(), CheckOutcome::Unsat));
     }
 
     #[test]
@@ -721,7 +663,7 @@ mod tests {
         ]));
         s.assert_formula(LinExpr::var(x).ge(-5));
         s.assert_formula(LinExpr::var(x).le(15));
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         assert!(m.real(x) >= 10.0 - 1e-9 && m.real(x) <= 15.0 + 1e-9);
     }
 
@@ -731,7 +673,7 @@ mod tests {
         let x = s.new_real();
         s.assert_formula(LinExpr::var(x).gt(0));
         s.assert_formula(LinExpr::var(x).lt(1));
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         let v = m.real(x);
         assert!(v > 0.0 && v < 1.0, "witness {v}");
     }
@@ -742,7 +684,7 @@ mod tests {
         let x = s.new_real();
         s.assert_formula(LinExpr::var(x).gt(3));
         s.assert_formula(LinExpr::var(x).le(3));
-        assert!(s.check().is_none());
+        assert!(matches!(s.check(), CheckOutcome::Unsat));
     }
 
     #[test]
@@ -752,7 +694,7 @@ mod tests {
         s.assert_formula(Formula::not(LinExpr::var(x).eq(5)));
         s.assert_formula(LinExpr::var(x).ge(5));
         s.assert_formula(LinExpr::var(x).le(6));
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         assert!(m.real(x) > 5.0 && m.real(x) <= 6.0 + 1e-9);
     }
 
@@ -766,7 +708,7 @@ mod tests {
         s.assert_formula(LinExpr::var(x).ge(0));
         s.assert_formula(LinExpr::var(y).ge(0));
         let obj = LinExpr::var(x).plus(&LinExpr::var(y));
-        let (v, m) = s.maximize(&obj, 0.0, 100.0, 1e-3).expect("sat");
+        let (v, m) = optimal(s.maximize(&obj, 0.0, 100.0, 1e-3));
         assert!((v - 7.0).abs() < 0.01, "max {v}");
         assert!((m.real(x) - 4.0).abs() < 0.01);
     }
@@ -787,20 +729,21 @@ mod tests {
             Formula::and([LinExpr::var(reward).eq(3), LinExpr::var(x).eq(0)]),
         ));
         s.assert_formula(LinExpr::var(x).le(9));
-        let (v, m) = s
-            .maximize(&LinExpr::var(reward), 0.0, 20.0, 1e-3)
-            .expect("sat");
+        let (v, m) = optimal(s.maximize(&LinExpr::var(reward), 0.0, 20.0, 1e-3));
         assert!((v - 10.0).abs() < 0.01);
         assert!(m.bool(p));
     }
 
     #[test]
-    fn maximize_infeasible_returns_none() {
+    fn maximize_infeasible_returns_unsat() {
         let mut s = Solver::new();
         let x = s.new_real();
         s.assert_formula(LinExpr::var(x).ge(1));
         s.assert_formula(LinExpr::var(x).le(0));
-        assert!(s.maximize(&LinExpr::var(x), 0.0, 10.0, 1e-3).is_none());
+        assert!(matches!(
+            s.maximize(&LinExpr::var(x), 0.0, 10.0, 1e-3),
+            OmtOutcome::Unsat
+        ));
     }
 
     #[test]
@@ -812,7 +755,7 @@ mod tests {
         let x = s.new_real();
         s.assert_formula(LinExpr::var(x).ge(10));
         s.assert_formula(LinExpr::var(x).le(12));
-        let (v, m) = s.maximize(&LinExpr::var(x), 0.0, 5.0, 1e-3).expect("sat");
+        let (v, m) = optimal(s.maximize(&LinExpr::var(x), 0.0, 5.0, 1e-3));
         assert!(v >= 10.0 - 1e-9, "base objective {v}");
         assert!(v > 5.0, "objective must be allowed to exceed the stale hi");
         assert!(m.real(x) >= 10.0 - 1e-9);
@@ -829,15 +772,15 @@ mod tests {
             ..Budget::UNLIMITED
         });
         assert!(matches!(
-            s.check_full(&[]),
+            s.check(),
             CheckOutcome::Halted(HaltCause::Conflicts)
         ));
-        s.clear_budget();
-        assert!(matches!(s.check_full(&[]), CheckOutcome::Sat(_)));
+        s.set_budget(Budget::UNLIMITED);
+        assert!(matches!(s.check(), CheckOutcome::Sat(_)));
     }
 
     #[test]
-    fn pivot_budget_halts_check_full_without_poisoning() {
+    fn pivot_budget_halts_check_without_poisoning() {
         let mut s = Solver::new();
         let x = s.new_real();
         let y = s.new_real();
@@ -847,14 +790,11 @@ mod tests {
             max_pivots: Some(0),
             ..Budget::UNLIMITED
         });
-        assert!(matches!(
-            s.check_full(&[]),
-            CheckOutcome::Halted(HaltCause::Pivots)
-        ));
+        assert!(matches!(s.check(), CheckOutcome::Halted(HaltCause::Pivots)));
         // A pivot-budget halt lands between pivots: no poison, and the
         // same solver finishes once the budget is lifted.
-        s.clear_budget();
-        let m = match s.check_full(&[]) {
+        s.set_budget(Budget::UNLIMITED);
+        let m = match s.check() {
             CheckOutcome::Sat(m) => m,
             other => panic!("expected sat after lifting the budget, got {other:?}"),
         };
@@ -871,15 +811,15 @@ mod tests {
             max_probes: Some(0),
             ..Budget::UNLIMITED
         });
-        match s.maximize_budgeted(&LinExpr::var(x), 0.0, 100.0, 1e-3) {
+        match s.maximize(&LinExpr::var(x), 0.0, 100.0, 1e-3) {
             OmtOutcome::Degraded { value, cause, .. } => {
                 assert_eq!(cause, HaltCause::Probes);
                 assert!(value <= 4.0 + 1e-9, "best-so-far stays feasible: {value}");
             }
             other => panic!("expected degraded best-so-far, got {other:?}"),
         }
-        s.clear_budget();
-        let (v, _) = s.maximize(&LinExpr::var(x), 0.0, 100.0, 1e-3).expect("sat");
+        s.set_budget(Budget::UNLIMITED);
+        let (v, _) = optimal(s.maximize(&LinExpr::var(x), 0.0, 100.0, 1e-3));
         assert!((v - 4.0).abs() < 0.01);
     }
 
@@ -896,15 +836,15 @@ mod tests {
         s.assert_formula(LinExpr::var(y).le(3));
 
         s.push();
-        let (vx, _) = s.maximize(&LinExpr::var(x), 0.0, 100.0, 1e-3).expect("sat");
+        let (vx, _) = optimal(s.maximize(&LinExpr::var(x), 0.0, 100.0, 1e-3));
         s.pop();
         s.push();
-        let (vy, _) = s.maximize(&LinExpr::var(y), 0.0, 100.0, 1e-3).expect("sat");
+        let (vy, _) = optimal(s.maximize(&LinExpr::var(y), 0.0, 100.0, 1e-3));
         s.pop();
         assert!((vx - 4.0).abs() < 0.01, "x max {vx}");
         assert!((vy - 3.0).abs() < 0.01, "y max {vy}");
         // And the un-popped assertions still admit both corners.
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         assert!(m.real(x) <= 4.0 + 1e-9 && m.real(y) <= 3.0 + 1e-9);
     }
 
@@ -920,18 +860,18 @@ mod tests {
         s.assert_formula(Formula::implies(Formula::Bool(p), LinExpr::var(y).ge(100)));
         s.assert_formula(Formula::Bool(p));
         s.assert_formula(LinExpr::var(x).ge(7));
-        let m = s.check().expect("sat under pushed assertions");
+        let m = sat(&mut s);
         assert!(m.real(x) >= 7.0 - 1e-9);
         assert!(m.real(y) >= 100.0 - 1e-9);
         s.pop();
         // Pushed lower bound is gone; x can sit at 0 again.
         s.assert_formula(LinExpr::var(x).le(3));
-        let m = s.check().expect("sat after pop");
+        let m = sat(&mut s);
         assert!(m.real(x) <= 3.0 + 1e-9);
     }
 
     #[test]
-    fn check_under_guard_literals() {
+    fn check_assuming_guard_literals() {
         let mut s = Solver::new();
         let x = s.new_real();
         s.assert_formula(LinExpr::var(x).ge(0));
@@ -939,10 +879,12 @@ mod tests {
         let g = Lit::pos(s.enc.sat.new_var());
         let bound = s.enc.encode(&LinExpr::var(x).ge(8));
         s.enc.sat.add_clause(&[g.negated(), bound]);
-        let m = s.check_under(&[g]).expect("sat under guard");
+        let CheckOutcome::Sat(m) = s.check_assuming(&[g]) else {
+            panic!("sat under guard")
+        };
         assert!(m.real(x) >= 8.0 - 1e-9);
         // Without the guard the bound is not enforced.
-        let m = s.check().expect("sat");
+        let m = sat(&mut s);
         assert!(m.real(x) >= -1e-9);
     }
 
@@ -961,8 +903,8 @@ mod tests {
             s.assert_formula(LinExpr::var(x).le(3));
             s.assert_formula(LinExpr::var(y).le(3));
         }
-        let mf = fast.check().expect("sat");
-        let me = exact.check().expect("sat");
+        let mf = sat(&mut fast);
+        let me = sat(&mut exact);
         assert_eq!(mf.real_exact(RealVar(0)), me.real_exact(RealVar(0)));
         assert_eq!(mf.real_exact(RealVar(1)), me.real_exact(RealVar(1)));
         let (sf, se) = (fast.simplex_stats(), exact.simplex_stats());
@@ -975,7 +917,7 @@ mod tests {
         exact.push();
         let x = RealVar(0);
         exact.assert_formula(LinExpr::var(x).ge(1));
-        exact.check().expect("sat");
+        sat(&mut exact);
         exact.pop();
         assert_eq!(exact.numeric_mode(), NumericMode::ExactOnly);
         assert!(exact.simplex_stats().pivots >= before.pivots);
@@ -994,7 +936,7 @@ mod tests {
         s.assert_formula(LinExpr::term(2, a).plus(&LinExpr::var(b)).le(8));
         // left edge: from (2,4) to (0,0): -2x + y <= 0
         s.assert_formula(LinExpr::term(-2, a).plus(&LinExpr::var(b)).le(0));
-        let (v, m) = s.maximize(&LinExpr::var(b), 0.0, 10.0, 1e-4).expect("sat");
+        let (v, m) = optimal(s.maximize(&LinExpr::var(b), 0.0, 10.0, 1e-4));
         assert!((v - 4.0).abs() < 0.01, "max y = {v}");
         assert!((m.real(a) - 2.0).abs() < 0.1);
     }

@@ -5,7 +5,10 @@ use proptest::prelude::*;
 
 use shatter_smt::ast::{BoolVar, Formula, LinExpr, RealVar};
 use shatter_smt::sat::{Lit, SatSolver, SatVerdict};
-use shatter_smt::{NumericMode, Rat, RatOverflow, SatStats, SimplexStats, Solver};
+use shatter_smt::{
+    CheckOutcome, HaltCause, Model, NumericMode, OmtOutcome, Rat, RatOverflow, SatStats,
+    SimplexStats, Solver,
+};
 
 // ---------- SAT layer -----------------------------------------------------
 
@@ -49,7 +52,7 @@ proptest! {
             s.add_clause(&lits);
         }
         let expected = brute_force_sat(n, &clauses);
-        match s.solve() {
+        match s.solve(&[], None) {
             SatVerdict::Sat(model) => {
                 prop_assert!(expected, "solver SAT, brute force UNSAT");
                 for c in &clauses {
@@ -95,7 +98,7 @@ proptest! {
         };
         let expected = brute_force_sat(n, &clauses);
         let mut gc = build(Some(1));
-        match gc.solve() {
+        match gc.solve(&[], None) {
             SatVerdict::Sat(model) => {
                 prop_assert!(expected, "GC solver SAT, brute force UNSAT");
                 for c in &clauses {
@@ -111,10 +114,10 @@ proptest! {
         // And the default-budget solver agrees (differently-searched,
         // same verdict).
         let mut plain = build(None);
-        prop_assert_eq!(matches!(plain.solve(), SatVerdict::Sat(_)), expected);
+        prop_assert_eq!(matches!(plain.solve(&[], None), SatVerdict::Sat(_)), expected);
     }
 
-    /// Reduction under assumption probes: interleaved solve_under calls
+    /// Reduction under assumption probes: interleaved assumption solves
     /// with a constantly-firing reducer keep verdicts equal to a
     /// GC-free reference solver.
     #[test]
@@ -151,9 +154,9 @@ proptest! {
         let verdicts: Vec<(bool, bool, bool)> = solvers
             .iter_mut()
             .map(|s| {
-                let under = matches!(s.solve_under(&[assumption]), SatVerdict::Sat(_));
-                let free = matches!(s.solve(), SatVerdict::Sat(_));
-                let again = matches!(s.solve_under(&[assumption]), SatVerdict::Sat(_));
+                let under = matches!(s.solve(&[assumption], None), SatVerdict::Sat(_));
+                let free = matches!(s.solve(&[], None), SatVerdict::Sat(_));
+                let again = matches!(s.solve(&[assumption], None), SatVerdict::Sat(_));
                 (under, free, again)
             })
             .collect();
@@ -165,6 +168,26 @@ proptest! {
 }
 
 // ---------- LRA layer ------------------------------------------------------
+
+/// The model of a satisfiable check, `None` when unsatisfiable; these
+/// unbudgeted instances never halt.
+fn model(outcome: CheckOutcome) -> Option<Model> {
+    match outcome {
+        CheckOutcome::Sat(m) => Some(m),
+        CheckOutcome::Unsat => None,
+        CheckOutcome::Halted(cause) => panic!("unbudgeted check halted: {cause:?}"),
+    }
+}
+
+/// The optimum and its model, `None` when unsatisfiable; these
+/// unbudgeted instances never halt.
+fn optimum(outcome: OmtOutcome) -> Option<(f64, Model)> {
+    match outcome {
+        OmtOutcome::Optimal { value, model } => Some((value, model)),
+        OmtOutcome::Unsat => None,
+        other => panic!("unbudgeted maximize halted: {other:?}"),
+    }
+}
 
 proptest! {
     /// Random interval constraints on independent variables: satisfiable
@@ -184,7 +207,7 @@ proptest! {
             vars.push((x, lo, hi));
             feasible &= lo <= hi;
         }
-        let model = s.check();
+        let model = model(s.check());
         prop_assert_eq!(model.is_some(), feasible);
         if let Some(m) = model {
             for (x, lo, hi) in vars {
@@ -213,7 +236,7 @@ proptest! {
             total += d;
         }
         // Feasible iff the cycle's total required gain is <= 0.
-        prop_assert_eq!(s.check().is_some(), total <= 0, "cycle total {}", total);
+        prop_assert_eq!(model(s.check()).is_some(), total <= 0, "cycle total {}", total);
     }
 
     /// maximize() returns a value no less than any feasible witness we can
@@ -229,7 +252,7 @@ proptest! {
             obj = obj.plus(&LinExpr::var(x));
         }
         let total: i64 = caps.iter().sum();
-        let (v, m) = s.maximize(&obj, 0.0, total as f64 + 5.0, 1e-3).expect("feasible");
+        let (v, m) = optimum(s.maximize(&obj, 0.0, total as f64 + 5.0, 1e-3)).expect("feasible");
         prop_assert!((v - total as f64).abs() < 0.01, "max {v} expected {total}");
         prop_assert!((m.eval(&obj).to_f64() - v).abs() < 1e-9);
     }
@@ -254,7 +277,7 @@ proptest! {
             }
         }
         s.assert_formula(LinExpr::var(x).le(100));
-        let m = s.check().expect("always satisfiable");
+        let m = model(s.check()).expect("always satisfiable");
         prop_assert!(m.real(x) >= forced_min as f64 - 1e-9);
     }
 }
@@ -296,7 +319,7 @@ proptest! {
                 vars.push(x);
             }
             let hi = caps.iter().map(|&(c, _)| c).sum::<i64>() as f64 + 5.0;
-            let best = s.maximize(&obj, 0.0, hi, 1e-3).map(|(v, m)| {
+            let best = optimum(s.maximize(&obj, 0.0, hi, 1e-3)).map(|(v, m)| {
                 (
                     v.to_bits(),
                     vars.iter().map(|&x| m.real_exact(x)).collect::<Vec<Rat>>(),
@@ -332,7 +355,7 @@ proptest! {
             // ~1e-12 float margin.
             s.assert_formula(LinExpr::var(x).ge(Rat::new(a as i128, k as i128 * D)));
             s.assert_formula(LinExpr::var(x).le(Rat::new((a + delta) as i128, k as i128 * D)));
-            (s.check().map(|m| m.real_exact(x)), s.simplex_stats())
+            (model(s.check()).map(|m| m.real_exact(x)), s.simplex_stats())
         };
         let (fast, fstats) = run(NumericMode::FloatFirst);
         let (exact, estats) = run(NumericMode::ExactOnly);
@@ -383,7 +406,7 @@ type Observed = (Option<(Vec<Rat>, Vec<bool>)>, SatStats, SimplexStats, u64);
 
 fn observe(s: &mut Solver, xs: &[RealVar], ps: &[BoolVar]) -> Observed {
     let (sat, spx, conflicts) = (s.sat_stats(), s.simplex_stats(), s.theory_conflicts);
-    let model = s.check().map(|m| {
+    let model = model(s.check()).map(|m| {
         (
             xs.iter().map(|&x| m.real_exact(x)).collect(),
             ps.iter().map(|&p| m.bool(p)).collect(),
@@ -449,6 +472,38 @@ proptest! {
         prop_assert_eq!(&after_pop, &observe(&mut fresh, &xs, &ps));
         prop_assert_eq!(&again, &observe(&mut fresh, &xs, &ps));
     }
+}
+
+/// An `i128` overflow while the partial theory check resolves the column
+/// of a still-unassigned atom is a halt, not a panic. `x ≥ 10^20` puts
+/// `x` at 10^20, so the slack of `10^20·x + y` evaluates to 10^40 when
+/// the consult after the fourth decision (the six free clauses supply
+/// them) resolves it for the implied-bound scan. Popping the frame
+/// leaves a solver that answers the base assertion.
+#[test]
+fn implied_bound_scan_overflow_halts_instead_of_panicking() {
+    let big = Rat::int(10i128.pow(20));
+    let mut s = Solver::new();
+    let x = s.new_real();
+    let y = s.new_real();
+    s.assert_formula(LinExpr::var(x).ge(big));
+    s.push();
+    for _ in 0..6 {
+        let (a, b) = (s.new_bool(), s.new_bool());
+        s.assert_formula(Formula::or([Formula::Bool(a), Formula::Bool(b)]));
+    }
+    let p = s.new_bool();
+    s.assert_formula(Formula::implies(
+        Formula::Bool(p),
+        LinExpr::term(big, x).plus(&LinExpr::var(y)).le(0),
+    ));
+    assert!(matches!(
+        s.check(),
+        CheckOutcome::Halted(HaltCause::Overflow)
+    ));
+    s.pop();
+    let m = model(s.check()).expect("the base assertion is satisfiable");
+    assert!(m.real_exact(x) >= big);
 }
 
 /// Integers and fractions from small to the `i128` edges: `kind` picks

@@ -4,11 +4,10 @@
 //! Raspberry-Pi MQTT broker; the attacker ARP-spoofs into the path and
 //! rewrites packets in flight. Here, publishers hand encoded bytes to the
 //! broker, an optional *interceptor* (the MITM) may rewrite or drop them,
-//! and subscribers receive matching messages over crossbeam channels.
+//! and subscribers receive matching messages over channels.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::packet::{Packet, PacketError};
 
@@ -65,11 +64,18 @@ impl Broker {
         }
     }
 
+    /// The shared state. A panic in another holder (say, an
+    /// interceptor) leaves the counters and subscriber list consistent,
+    /// so poisoning is ignored.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Subscribes to a topic filter. Filters match exact topics or, with a
     /// trailing `/#`, whole subtrees (`"sensor/#"`).
     pub fn subscribe(&self, filter: impl Into<String>) -> Receiver<Packet> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().subscribers.push(Subscriber {
+        let (tx, rx) = channel();
+        self.lock().subscribers.push(Subscriber {
             filter: filter.into(),
             tx,
         });
@@ -78,12 +84,12 @@ impl Broker {
 
     /// Installs the MITM interceptor (at most one; replaces any previous).
     pub fn set_interceptor(&self, f: Interceptor) {
-        self.inner.lock().interceptor = Some(f);
+        self.lock().interceptor = Some(f);
     }
 
     /// Removes the interceptor.
     pub fn clear_interceptor(&self) {
-        self.inner.lock().interceptor = None;
+        self.lock().interceptor = None;
     }
 
     /// Publishes encoded bytes, exactly as a sensor node would put them on
@@ -93,14 +99,14 @@ impl Broker {
     /// # Errors
     ///
     /// Returns the decode error for malformed input.
-    pub fn publish_raw(&self, raw: bytes::Bytes) -> Result<(), PacketError> {
+    pub fn publish_raw(&self, raw: &[u8]) -> Result<(), PacketError> {
         match Packet::decode(raw) {
             Ok(p) => {
                 self.publish(p);
                 Ok(())
             }
             Err(e) => {
-                self.inner.lock().malformed += 1;
+                self.lock().malformed += 1;
                 Err(e)
             }
         }
@@ -108,7 +114,7 @@ impl Broker {
 
     /// Publishes a decoded packet through the interceptor to subscribers.
     pub fn publish(&self, packet: Packet) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let packet = match inner.interceptor.as_mut() {
             Some(f) => match f(&packet) {
                 Intercept::Pass => packet,
@@ -134,7 +140,7 @@ impl Broker {
 
     /// (delivered, rewritten, dropped, malformed) counters.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
-        let i = self.inner.lock();
+        let i = self.lock();
         (i.delivered, i.rewritten, i.dropped, i.malformed)
     }
 }
@@ -204,8 +210,7 @@ mod tests {
     fn malformed_raw_counted() {
         let b = Broker::new();
         let _rx = b.subscribe("sensor/#");
-        let bad = bytes::Bytes::from_static(&[0, 200, 1, 2]);
-        assert!(b.publish_raw(bad).is_err());
+        assert!(b.publish_raw(&[0, 200, 1, 2]).is_err());
         let (_, _, _, malformed) = b.stats();
         assert_eq!(malformed, 1);
     }
@@ -215,7 +220,7 @@ mod tests {
         let b = Broker::new();
         let rx = b.subscribe("actuate/fan/2");
         let p = Packet::new("actuate/fan/2", vec![0.8]);
-        b.publish_raw(p.encode()).unwrap();
+        b.publish_raw(&p.encode()).unwrap();
         assert_eq!(rx.try_recv().unwrap(), p);
     }
 }

@@ -149,11 +149,13 @@ fn run_replay(
         #[allow(clippy::needless_range_loop)]
         for z in 0..n_zones {
             broker
-                .publish_raw(Packet::new(format!("sensor/leds/{z}"), vec![leds[z] as f64]).encode())
+                .publish_raw(
+                    &Packet::new(format!("sensor/leds/{z}"), vec![leds[z] as f64]).encode(),
+                )
                 .expect("well-formed sensor packet");
             let reading = noisy(sim.zones()[z].temp_f);
             broker
-                .publish_raw(Packet::new(format!("sensor/temp/{z}"), vec![reading]).encode())
+                .publish_raw(&Packet::new(format!("sensor/temp/{z}"), vec![reading]).encode())
                 .expect("well-formed sensor packet");
         }
 
@@ -180,7 +182,7 @@ fn run_replay(
             let feedback = cfg.feedback_gain * (temps[z] - params.setpoint_f).max(0.0);
             let duty = (feedforward + feedback).clamp(0.0, kitchen_duty_cap);
             broker
-                .publish_raw(Packet::new(format!("actuate/fan/{z}"), vec![duty]).encode())
+                .publish_raw(&Packet::new(format!("actuate/fan/{z}"), vec![duty]).encode())
                 .expect("well-formed actuation packet");
         }
 

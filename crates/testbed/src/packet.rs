@@ -12,8 +12,6 @@
 //! u16 topic_len | topic bytes (UTF-8) | u16 n_values | n × f64
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// A decoded testbed message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
@@ -53,15 +51,15 @@ impl Packet {
     }
 
     /// Serializes to the wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(4 + self.topic.len() + 8 * self.values.len());
-        buf.put_u16(self.topic.len() as u16);
-        buf.put_slice(self.topic.as_bytes());
-        buf.put_u16(self.values.len() as u16);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(4 + self.topic.len() + 8 * self.values.len());
+        buf.extend_from_slice(&(self.topic.len() as u16).to_be_bytes());
+        buf.extend_from_slice(self.topic.as_bytes());
+        buf.extend_from_slice(&(self.values.len() as u16).to_be_bytes());
         for v in &self.values {
-            buf.put_f64(*v);
+            buf.extend_from_slice(&v.to_be_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses from the wire format.
@@ -69,26 +67,28 @@ impl Packet {
     /// # Errors
     ///
     /// Returns [`PacketError`] on truncation or invalid topic bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Packet, PacketError> {
-        if buf.remaining() < 2 {
-            return Err(PacketError::Truncated);
-        }
-        let tlen = buf.get_u16() as usize;
-        if buf.remaining() < tlen {
-            return Err(PacketError::Truncated);
-        }
-        let topic_bytes = buf.split_to(tlen);
+    pub fn decode(buf: &[u8]) -> Result<Packet, PacketError> {
+        let mut buf = buf;
+        let tlen = usize::from(u16::from_be_bytes(take(&mut buf)?));
+        let topic_bytes = buf.get(..tlen).ok_or(PacketError::Truncated)?;
         let topic = String::from_utf8(topic_bytes.to_vec()).map_err(|_| PacketError::BadTopic)?;
-        if buf.remaining() < 2 {
+        buf = &buf[tlen..];
+        let n = usize::from(u16::from_be_bytes(take(&mut buf)?));
+        if buf.len() < 8 * n {
             return Err(PacketError::Truncated);
         }
-        let n = buf.get_u16() as usize;
-        if buf.remaining() < 8 * n {
-            return Err(PacketError::Truncated);
-        }
-        let values = (0..n).map(|_| buf.get_f64()).collect();
+        let values = (0..n)
+            .map(|_| take(&mut buf).map(f64::from_be_bytes))
+            .collect::<Result<_, _>>()?;
         Ok(Packet { topic, values })
     }
+}
+
+/// Splits the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], PacketError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(PacketError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
 #[cfg(test)]
@@ -98,22 +98,21 @@ mod tests {
     #[test]
     fn roundtrip() {
         let p = Packet::new("sensor/temp/2", vec![72.5, -1.0, 0.0]);
-        assert_eq!(Packet::decode(p.encode()).unwrap(), p);
+        assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
     }
 
     #[test]
     fn empty_values_roundtrip() {
         let p = Packet::new("heartbeat", vec![]);
-        assert_eq!(Packet::decode(p.encode()).unwrap(), p);
+        assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
     }
 
     #[test]
     fn truncated_rejected() {
         let enc = Packet::new("sensor/temp/2", vec![1.0]).encode();
         for cut in [0, 1, 3, enc.len() - 1] {
-            let sliced = enc.slice(0..cut);
             assert_eq!(
-                Packet::decode(sliced),
+                Packet::decode(&enc[..cut]),
                 Err(PacketError::Truncated),
                 "cut {cut}"
             );
@@ -122,10 +121,7 @@ mod tests {
 
     #[test]
     fn bad_utf8_rejected() {
-        let mut raw = BytesMut::new();
-        raw.put_u16(2);
-        raw.put_slice(&[0xff, 0xfe]);
-        raw.put_u16(0);
-        assert_eq!(Packet::decode(raw.freeze()), Err(PacketError::BadTopic));
+        let raw = [0, 2, 0xff, 0xfe, 0, 0];
+        assert_eq!(Packet::decode(&raw), Err(PacketError::BadTopic));
     }
 }

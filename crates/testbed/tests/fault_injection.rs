@@ -2,7 +2,6 @@
 //! malformed packets, dropped packets, and hostile interceptors must not
 //! wedge the loop or corrupt accounting.
 
-use bytes::Bytes;
 use shatter_testbed::broker::{Broker, Intercept};
 use shatter_testbed::experiment::{run_validation, ValidationConfig};
 use shatter_testbed::packet::{Packet, PacketError};
@@ -37,12 +36,12 @@ fn malformed_packets_are_counted_not_fatal() {
     let rx = b.subscribe("sensor/#");
     // A burst of garbage between valid publishes.
     for i in 0..50u8 {
-        let garbage = Bytes::from(vec![i, 255, 3, 1]);
+        let garbage = [i, 255, 3, 1];
         assert!(matches!(
-            b.publish_raw(garbage),
+            b.publish_raw(&garbage),
             Err(PacketError::Truncated | PacketError::BadTopic)
         ));
-        b.publish_raw(Packet::new("sensor/temp/0", vec![f64::from(i)]).encode())
+        b.publish_raw(&Packet::new("sensor/temp/0", vec![f64::from(i)]).encode())
             .unwrap();
     }
     assert_eq!(rx.try_iter().count(), 50);

@@ -37,7 +37,7 @@ fn main() {
         }
     }));
     broker
-        .publish_raw(Packet::new("sensor/leds/2", vec![0.0]).encode())
+        .publish_raw(&Packet::new("sensor/leds/2", vec![0.0]).encode())
         .expect("valid packet");
     let crafted = rx.recv().expect("delivered");
     println!(
