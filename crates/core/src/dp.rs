@@ -595,6 +595,7 @@ mod tests {
             for day in &ds.days[10..12] {
                 let mut day = day.clone();
                 for (t, rec) in day.minutes.iter_mut().enumerate().skip(600).take(120) {
+                    let rec = Arc::make_mut(rec);
                     rec.occupants[1] = OccupantState {
                         zone: bathroom,
                         activity: if t < 660 {

@@ -2,6 +2,8 @@
 //! triggering plan, build the falsified sensor trace the controller
 //! consumes, and price the result (paper Tables V–VII, Fig. 10).
 
+use std::sync::Arc;
+
 use shatter_adm::HullAdm;
 use shatter_dataset::{DayTrace, MinuteRecord, OccupantState};
 use shatter_hvac::{DayPricer, DchvacController, EnergyModel};
@@ -53,7 +55,7 @@ pub fn attacked_day_trace(
                 appliances: Vec::new(),
             };
             fill_attacked_minute(&mut rec, actual, schedule, &triggers.on[t], t);
-            rec
+            Arc::new(rec)
         })
         .collect();
     DayTrace {

@@ -13,7 +13,8 @@
 //! Main entry points:
 //!
 //! - [`SynthConfig`] / [`synthesize`]: generate a month of per-minute data,
-//! - [`Dataset`]: the in-memory per-minute trace,
+//! - [`Dataset`]: the in-memory per-minute trace, whose minutes share one
+//!   record per run of unchanged minutes (see [`DayTrace`]),
 //! - [`episodes::extract_episodes`]: (arrival, stay) episodes per
 //!   occupant/zone — the ADM's feature space (paper Eq. 5–7),
 //! - [`attacks::biota_attack_episodes`]: naive rule-constrained FDI attack

@@ -1,8 +1,10 @@
+use std::sync::Arc;
+
 use shatter_smarthome::{Activity, ZoneId, MINUTES_PER_DAY};
 
 /// The state of one occupant during one minute: where they are and what
 /// they are doing.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OccupantState {
     /// Zone the occupant resides in (RFID tracking, `S^OT` in the paper).
     pub zone: ZoneId,
@@ -11,7 +13,10 @@ pub struct OccupantState {
 }
 
 /// One sampling slot (one minute) of the whole home.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Eq` lets `Arc<MinuteRecord>`'s `==` return early when both sides are
+/// the same allocation, which is how [`DayTrace`] shares a record run.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinuteRecord {
     /// Per-occupant states, indexed by `OccupantId`.
     pub occupants: Vec<OccupantState>,
@@ -20,12 +25,26 @@ pub struct MinuteRecord {
 }
 
 /// A full day of per-minute records (always [`MINUTES_PER_DAY`] slots).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A day's records change a few dozen times, not 1,440, so the minutes of
+/// a record run share one allocation:
+///
+/// - minutes with equal records may point at the same `Arc`;
+/// - [`crate::synthesize`] and the blob decoder share every run, so a
+///   minute points at the same record as the minute before exactly when
+///   the two are equal;
+/// - an edit goes through [`Arc::make_mut`], which copies a shared
+///   record first, so editing one minute never changes the other minutes
+///   of its run.
+///
+/// Readers need none of this: `day.minutes[t].occupants[o]` derefs
+/// through the `Arc`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DayTrace {
     /// Day index within the dataset (0-based).
     pub day: u32,
     /// Exactly [`MINUTES_PER_DAY`] records.
-    pub minutes: Vec<MinuteRecord>,
+    pub minutes: Vec<Arc<MinuteRecord>>,
 }
 
 impl DayTrace {
@@ -40,7 +59,7 @@ impl DayTrace {
 }
 
 /// An ARAS-schema dataset: a sequence of day traces for one house.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dataset {
     /// House label, e.g. `"ARAS House A"`.
     pub house: String,
@@ -108,13 +127,13 @@ mod tests {
     use super::*;
 
     fn tiny(n_days: usize) -> Dataset {
-        let rec = MinuteRecord {
+        let rec = Arc::new(MinuteRecord {
             occupants: vec![OccupantState {
                 zone: ZoneId(0),
                 activity: Activity::GoingOut,
             }],
             appliances: vec![false, true],
-        };
+        });
         Dataset {
             house: "T".into(),
             n_occupants: 1,
@@ -122,7 +141,7 @@ mod tests {
             days: (0..n_days as u32)
                 .map(|day| DayTrace {
                     day,
-                    minutes: vec![rec.clone(); MINUTES_PER_DAY],
+                    minutes: vec![Arc::clone(&rec); MINUTES_PER_DAY],
                 })
                 .collect(),
         }
@@ -143,8 +162,9 @@ mod tests {
     #[test]
     fn validate_rejects_bad_occupant_count() {
         let mut d = tiny(1);
-        d.days[0].minutes[5].occupants.clear();
+        Arc::make_mut(&mut d.days[0].minutes[5]).occupants.clear();
         assert!(d.validate().is_err());
+        assert_eq!(d.days[0].minutes[4].occupants.len(), 1, "copy on write");
     }
 
     #[test]

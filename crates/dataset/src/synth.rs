@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -305,6 +307,10 @@ fn day_plan(rng: &mut StdRng, p: &PersonaSpec, day: u32) -> Vec<Segment> {
 /// Appliance states are derived from occupant activity: an appliance is on
 /// during a minute iff some occupant in its zone performs one of its linked
 /// activities (the paper's activity–appliance relationship, §II reason 2).
+/// A minute's record therefore depends on its occupant states alone: it is
+/// built, and the appliance rule evaluated, only where some occupant's
+/// state changes, and the other minutes of each run share that record
+/// (see [`DayTrace`]).
 ///
 /// # Panics
 ///
@@ -321,45 +327,45 @@ pub fn synthesize(config: &SynthConfig) -> Dataset {
     let n_appliances = home.appliances().len();
     let mut rng = StdRng::seed_from_u64(config.seed);
 
+    // Each occupant's per-minute state row, refilled every day.
+    let mut rows: Vec<Vec<OccupantState>> = vec![Vec::new(); n_occupants];
     let mut days = Vec::with_capacity(config.days);
     for day in 0..config.days as u32 {
-        // Expand each occupant's plan into a per-minute state row.
-        let mut states: Vec<Vec<OccupantState>> = Vec::with_capacity(n_occupants);
-        for persona in &config.spec.personas {
-            let plan = day_plan(&mut rng, persona, day);
-            let mut row = Vec::with_capacity(MINUTES_PER_DAY);
-            for seg in plan {
-                let zone = persona.anchors.zone_for(seg.activity);
-                for _ in 0..seg.duration {
-                    row.push(OccupantState {
-                        zone,
-                        activity: seg.activity,
-                    });
-                }
+        for (row, persona) in rows.iter_mut().zip(&config.spec.personas) {
+            row.clear();
+            for seg in day_plan(&mut rng, persona, day) {
+                let state = OccupantState {
+                    zone: persona.anchors.zone_for(seg.activity),
+                    activity: seg.activity,
+                };
+                row.extend(std::iter::repeat_n(state, seg.duration as usize));
             }
             debug_assert_eq!(row.len(), MINUTES_PER_DAY);
-            states.push(row);
         }
 
-        let minutes = (0..MINUTES_PER_DAY)
-            .map(|m| {
-                let occupants: Vec<OccupantState> =
-                    (0..n_occupants).map(|o| states[o][m]).collect();
-                let appliances = home
-                    .appliances()
-                    .iter()
-                    .map(|a| {
-                        occupants
-                            .iter()
-                            .any(|os| os.zone == a.zone && a.linked_to(os.activity))
+        let mut minutes: Vec<Arc<MinuteRecord>> = Vec::with_capacity(MINUTES_PER_DAY);
+        for m in 0..MINUTES_PER_DAY {
+            let rec = match minutes.last() {
+                Some(prev) if rows.iter().all(|row| row[m] == row[m - 1]) => Arc::clone(prev),
+                _ => {
+                    let occupants: Vec<OccupantState> = rows.iter().map(|row| row[m]).collect();
+                    let appliances = home
+                        .appliances()
+                        .iter()
+                        .map(|a| {
+                            occupants
+                                .iter()
+                                .any(|os| os.zone == a.zone && a.linked_to(os.activity))
+                        })
+                        .collect();
+                    Arc::new(MinuteRecord {
+                        occupants,
+                        appliances,
                     })
-                    .collect();
-                MinuteRecord {
-                    occupants,
-                    appliances,
                 }
-            })
-            .collect();
+            };
+            minutes.push(rec);
+        }
         days.push(DayTrace { day, minutes });
     }
 

@@ -3,6 +3,8 @@
 //! bit-identity of day pricing that reuses a decision across unchanged
 //! minutes with pricing that decides afresh every minute.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use shatter_dataset::{DayTrace, MinuteRecord, OccupantState};
@@ -78,9 +80,9 @@ fn arb_day() -> impl Strategy<Value = DayTrace> {
                 Change::Activity(o, a) => rec.occupants[o].activity = a,
                 Change::Zone(o, z) => rec.occupants[o].zone = z,
             }
-            minutes.extend(std::iter::repeat_n(rec.clone(), len));
+            minutes.extend(std::iter::repeat_n(Arc::new(rec.clone()), len));
         }
-        minutes.resize(MINUTES_PER_DAY, rec);
+        minutes.resize(MINUTES_PER_DAY, Arc::new(rec));
         DayTrace { day: 0, minutes }
     })
 }

@@ -78,6 +78,12 @@ impl Writer {
     /// Writes a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
+        self.raw(v);
+    }
+
+    /// Appends bytes as they are, with no length prefix: for a payload
+    /// encoded once and written many times (its reader knows the length).
+    pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -117,7 +123,15 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// Bytes not consumed yet: an upper bound on what the rest of the
+    /// payload can hold, for rejecting a corrupt count before allocating
+    /// for it.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Reads `n` bytes as they are (the counterpart of [`Writer::raw`]).
+    pub fn raw(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let slice = self.buf.get(self.pos..end)?;
         self.pos = end;
@@ -126,22 +140,22 @@ impl<'a> Reader<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+        Some(self.raw(1)?[0])
     }
 
     /// Reads a `u32` (LE).
     pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+        Some(u32::from_le_bytes(self.raw(4)?.try_into().ok()?))
     }
 
     /// Reads a `u64` (LE).
     pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+        Some(u64::from_le_bytes(self.raw(8)?.try_into().ok()?))
     }
 
     /// Reads an `i64` (LE).
     pub fn i64(&mut self) -> Option<i64> {
-        Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
+        Some(i64::from_le_bytes(self.raw(8)?.try_into().ok()?))
     }
 
     /// Reads a `usize` (stored as `u64`); fails if it overflows the
@@ -156,7 +170,7 @@ impl<'a> Reader<'a> {
     /// decode fails.
     pub fn seq_len(&mut self) -> Option<usize> {
         let n = self.usize()?;
-        (n <= self.buf.len() - self.pos).then_some(n)
+        (n <= self.remaining()).then_some(n)
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -176,7 +190,7 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.usize()?;
-        self.take(n)
+        self.raw(n)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -212,6 +226,7 @@ mod tests {
         w.str("occupant/3");
         w.opt_i64(Some(-7));
         w.opt_i64(None);
+        w.raw(b"run");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8(), Some(0xab));
@@ -225,6 +240,9 @@ mod tests {
         assert_eq!(r.str(), Some("occupant/3"));
         assert_eq!(r.opt_i64(), Some(Some(-7)));
         assert_eq!(r.opt_i64(), Some(None));
+        assert_eq!(r.remaining(), 3);
+        assert_eq!(r.raw(4), None, "a short raw read is None");
+        assert_eq!(r.raw(3), Some(&b"run"[..]));
         assert!(r.finished());
         assert_eq!(r.u8(), None, "reads past the end are None, not panic");
     }
