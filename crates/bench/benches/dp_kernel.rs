@@ -10,6 +10,12 @@
 //! [`StayProfile`] build cost is included — the difference between the
 //! two quantifies what the lookup tables save.
 //!
+//! `full_day_scaled16` runs `full_day` on a generated 16-zone,
+//! 4-occupant home, where each DP layer has the most zones to enter and
+//! the per-layer entry list saves the most; `reward_table_build` times
+//! `RewardTable::build` for ARAS A (every rate reads the energy model's
+//! outdoor temperatures).
+//!
 //! `plan_triggers` times one day's trigger plan for the DP schedule
 //! (stay profiles warm), and `price_no_trigger` / `price_with_trigger`
 //! time the two `evaluate_day_with_schedule` legs every Table VI cell
@@ -51,6 +57,18 @@ fn bench_dp_kernel(c: &mut Criterion) {
             let cold = adm.clone();
             black_box(sched.schedule_occupant_zones(OccupantId(0), &table, &cold, &cap, day))
         })
+    });
+    group.bench_function("reward_table_build", |b| {
+        b.iter(|| black_box(RewardTable::build(&fx.model)))
+    });
+
+    let big = HouseFixture::new(&HouseSpec::scaled(16, 4), 12);
+    let big_adm = big.adm(AdmKind::default_kmeans(), 10);
+    let big_table = RewardTable::build(&big.model);
+    let big_cap = AttackerCapability::full(&big.home);
+    let big_day = &big.month.days[10];
+    group.bench_function("full_day_scaled16", |b| {
+        b.iter(|| black_box(sched.schedule(&big_table, &big_adm, &big_cap, big_day)))
     });
 
     let s = sched.schedule(&table, &adm, &cap, day);

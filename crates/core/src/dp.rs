@@ -1,8 +1,11 @@
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use shatter_adm::{HullAdm, StayProfile};
-use shatter_dataset::DayTrace;
-use shatter_smarthome::{Activity, ApplianceId, Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
+use shatter_dataset::{DayTrace, MinuteRecord};
+use shatter_smarthome::{
+    Activity, ApplianceId, Minute, OccupantId, ZoneId, ACTIVITY_COUNT, MINUTES_PER_DAY,
+};
 
 use crate::schedule::Scheduler;
 use crate::{AttackerCapability, RewardTable};
@@ -11,16 +14,31 @@ use crate::{AttackerCapability, RewardTable};
 ///
 /// The paper's schedule synthesis (Eq. 17–20) is NP-hard over the full
 /// 1440-slot day, so SHATTER optimizes over a sliding time horizon `I`
-/// and merges the per-window solutions (§IV-C). This scheduler solves each
-/// window *exactly* by dynamic programming over (zone, arrival-time)
-/// states — the same solution the SMT encoding finds, at polynomial cost —
-/// and commits the best state at every window boundary, reproducing the
-/// horizon-limited sub-optimality the paper reports (Table V, §VII-B).
+/// (§IV-C). This scheduler runs one forward dynamic program over the
+/// whole day, one layer of (zone, arrival-minute) states per minute, and
+/// keeps the best-valued path into each state. A state stays in its zone
+/// while the stay is no longer than the ADM's maximum for its arrival,
+/// and leaves only after a stay the ADM accepts, for a zone where an
+/// arrival at that minute has some stealthy stay. The horizon enters only
+/// at window boundaries (`t % horizon == 0`), where the layer is pruned to
+/// its best state per zone plus the shadow. At day end the best state
+/// whose last stay the ADM accepts is picked and its path backtracked; no
+/// window is committed before that.
+///
+/// The result is therefore neither an exact per-window solution nor the
+/// day's optimum: the boundary prune can drop a state a later window
+/// needed, so a longer horizon can find a better schedule and a
+/// capability subset can beat its superset. Its objective also differs
+/// from the SMT scheduler's: this one sums `f64` reward rates plus, when
+/// `trigger_aware`, Algorithm 1's expected appliance-trigger bonus, while
+/// the SMT maximizes rates rounded to integer µUSD without the bonus.
 ///
 /// A *shadow* state that mirrors the occupant's actual behaviour is kept
-/// alongside the optimized states, so the attack degrades gracefully to
-/// "do nothing" whenever capability or ADM constraints leave no stealthy
-/// alternative.
+/// alongside the optimized states (at most one per layer), so the attack
+/// degrades gracefully to "do nothing" whenever capability or ADM
+/// constraints leave no stealthy alternative. The shadow can defect to an
+/// optimized state when the actual stay it mirrors could end stealthily,
+/// and an optimized state can rejoin it at an actual arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowDpScheduler {
     /// Optimization window `I` in slots (paper: 10).
@@ -38,6 +56,16 @@ impl Default for WindowDpScheduler {
             trigger_aware: true,
         }
     }
+}
+
+/// A zone a state can enter at the current slot.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    zone: ZoneId,
+    /// `slot_reward(zone, t, t)`: the rate plus any trigger bonus.
+    reward: f64,
+    /// The plain rate `rates[zone][t]`.
+    rate: f64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -136,6 +164,11 @@ impl WindowDpScheduler {
         let mut starts: Vec<usize> = Vec::with_capacity(t_end);
         let mut next: Vec<Node> = Vec::new();
         let mut keep: Vec<usize> = Vec::new();
+        // Best non-shadow node per zone at a window boundary.
+        let mut best_in_zone: Vec<usize> = vec![usize::MAX; n_zones];
+        // The zones a state can enter at slot `t`, in zone order, shared
+        // by every exit-capable parent of the layer and built on first use.
+        let mut entries: Vec<Entry> = Vec::with_capacity(n_zones);
 
         // Layer 0: choices for slot 0.
         for z in 0..n_zones {
@@ -176,23 +209,41 @@ impl WindowDpScheduler {
         for t in 1..t_end {
             let prev = &nodes[starts[t - 1]..];
             next.clear();
+            let mut shadows = 0usize;
             // Dedup non-shadow nodes by (zone, arrival); shadow nodes are
             // kept separately (at most one survives below).
-            let push = |next: &mut Vec<Node>, stamp: &mut Vec<u32>, pos: &mut Vec<u32>, n: Node| {
+            let mut push = |next: &mut Vec<Node>, n: Node| {
                 if n.shadow {
+                    shadows += 1;
                     next.push(n);
                     return;
                 }
                 let key = n.zone.index() * t_end + n.arrival as usize;
-                if stamp[key] == t as u32 {
-                    let i = pos[key] as usize;
+                if dedup_stamp[key] == t as u32 {
+                    let i = dedup_pos[key] as usize;
                     if n.value > next[i].value {
                         next[i] = n;
                     }
                 } else {
-                    stamp[key] = t as u32;
-                    pos[key] = next.len() as u32;
+                    dedup_stamp[key] = t as u32;
+                    dedup_pos[key] = next.len() as u32;
                     next.push(n);
+                }
+            };
+            let mut entries_built = false;
+            let mut enterable = |entries: &mut Vec<Entry>| {
+                if !entries_built {
+                    entries_built = true;
+                    entries.clear();
+                    for z in (0..n_zones).map(ZoneId) {
+                        if can_relocate(act_zone[t], z, t) && has_future(z, t) {
+                            entries.push(Entry {
+                                zone: z,
+                                reward: slot_reward(z, t as u32, t),
+                                rate: rates[z.index()][t],
+                            });
+                        }
+                    }
                 }
             };
 
@@ -201,8 +252,6 @@ impl WindowDpScheduler {
                     // Shadow continues along actual.
                     push(
                         &mut next,
-                        &mut dedup_stamp,
-                        &mut dedup_pos,
                         Node {
                             zone: act_zone[t],
                             arrival: act_arrival[t],
@@ -215,22 +264,15 @@ impl WindowDpScheduler {
                     // running actual stay can exit stealthily.
                     let stay = t as u32 - act_arrival[t - 1];
                     if can_exit(act_zone[t - 1], act_arrival[t - 1], stay) {
-                        for z in 0..n_zones {
-                            let z = ZoneId(z);
-                            if z == act_zone[t - 1]
-                                || !can_relocate(act_zone[t], z, t)
-                                || !has_future(z, t)
-                            {
-                                continue;
-                            }
+                        enterable(&mut entries);
+                        for e in entries.iter().filter(|e| e.zone != act_zone[t - 1]) {
                             push(
                                 &mut next,
-                                &mut dedup_stamp,
-                                &mut dedup_pos,
                                 Node {
-                                    zone: z,
+                                    zone: e.zone,
                                     arrival: t as u32,
-                                    value: p.value + rates[z.index()][t],
+                                    // Plain rate: a move into (z, t) also earns the bonus.
+                                    value: p.value + e.rate,
                                     parent: pi,
                                     shadow: false,
                                 },
@@ -246,8 +288,6 @@ impl WindowDpScheduler {
                 {
                     push(
                         &mut next,
-                        &mut dedup_stamp,
-                        &mut dedup_pos,
                         Node {
                             zone: p.zone,
                             arrival: p.arrival,
@@ -260,19 +300,14 @@ impl WindowDpScheduler {
                 // Optimized state: move to another zone.
                 let stay = t as u32 - p.arrival;
                 if can_exit(p.zone, p.arrival, stay) {
-                    for z in 0..n_zones {
-                        let z = ZoneId(z);
-                        if z == p.zone || !can_relocate(act_zone[t], z, t) || !has_future(z, t) {
-                            continue;
-                        }
+                    enterable(&mut entries);
+                    for e in entries.iter().filter(|e| e.zone != p.zone) {
                         push(
                             &mut next,
-                            &mut dedup_stamp,
-                            &mut dedup_pos,
                             Node {
-                                zone: z,
+                                zone: e.zone,
                                 arrival: t as u32,
-                                value: p.value + slot_reward(z, t as u32, t),
+                                value: p.value + e.reward,
                                 parent: pi,
                                 shadow: false,
                             },
@@ -284,8 +319,6 @@ impl WindowDpScheduler {
                     if act_arrival[t] == t as u32 && act_zone[t] != p.zone {
                         push(
                             &mut next,
-                            &mut dedup_stamp,
-                            &mut dedup_pos,
                             Node {
                                 zone: act_zone[t],
                                 arrival: t as u32,
@@ -298,16 +331,17 @@ impl WindowDpScheduler {
                 }
             }
 
-            // Keep at most one shadow (best value); parent indices point
-            // into the previous layer, so dropping the extras needs no
-            // index remapping.
-            let mut best_shadow: Option<usize> = None;
-            for (i, n) in next.iter().enumerate() {
-                if n.shadow && best_shadow.is_none_or(|b| n.value > next[b].value) {
-                    best_shadow = Some(i);
+            // Keep at most one shadow (the first of the best value);
+            // parent indices point into the previous layer, so dropping
+            // the extras needs no index remapping.
+            if shadows > 1 {
+                let mut best_shadow: Option<usize> = None;
+                for (i, n) in next.iter().enumerate() {
+                    if n.shadow && best_shadow.is_none_or(|b| n.value > next[b].value) {
+                        best_shadow = Some(i);
+                    }
                 }
-            }
-            if let Some(b) = best_shadow {
+                let b = best_shadow.expect("a shadow node");
                 let mut i = 0usize;
                 next.retain(|n| {
                     let keep = !n.shadow || i == b;
@@ -329,11 +363,7 @@ impl WindowDpScheduler {
                     parent: prev
                         .iter()
                         .enumerate()
-                        .max_by(|a, b| {
-                            a.1.value
-                                .partial_cmp(&b.1.value)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
+                        .max_by(|a, b| a.1.value.partial_cmp(&b.1.value).unwrap_or(Ordering::Equal))
                         .map(|(i, _)| i)
                         .unwrap_or(0),
                     shadow: true,
@@ -346,24 +376,25 @@ impl WindowDpScheduler {
             // stays alive.
             starts.push(nodes.len());
             if t % self.horizon == 0 {
-                keep.clear();
-                for z in 0..n_zones {
-                    if let Some((i, _)) = next
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, n)| !n.shadow && n.zone.index() == z)
-                        .max_by(|a, b| {
-                            a.1.value
-                                .partial_cmp(&b.1.value)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
+                // One pass: a zone's best is the last node no earlier
+                // node of that zone beats (`max_by`'s last-of-equals).
+                best_in_zone.fill(usize::MAX);
+                let mut shadow = None;
+                for (i, n) in next.iter().enumerate() {
+                    if n.shadow {
+                        shadow = shadow.or(Some(i));
+                        continue;
+                    }
+                    let b = &mut best_in_zone[n.zone.index()];
+                    if *b == usize::MAX
+                        || next[*b].value.partial_cmp(&n.value) != Some(Ordering::Greater)
                     {
-                        keep.push(i);
+                        *b = i;
                     }
                 }
-                if let Some(s) = next.iter().position(|n| n.shadow) {
-                    keep.push(s);
-                }
+                keep.clear();
+                keep.extend(best_in_zone.iter().copied().filter(|&i| i != usize::MAX));
+                keep.extend(shadow);
                 if keep.is_empty() {
                     keep.push(0);
                 }
@@ -383,20 +414,12 @@ impl WindowDpScheduler {
             .iter()
             .enumerate()
             .filter(|(_, n)| valid_final(n))
-            .max_by(|a, b| {
-                a.1.value
-                    .partial_cmp(&b.1.value)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .max_by(|a, b| a.1.value.partial_cmp(&b.1.value).unwrap_or(Ordering::Equal))
             .map(|(i, _)| i)
             .or_else(|| {
                 last.iter()
                     .enumerate()
-                    .max_by(|a, b| {
-                        a.1.value
-                            .partial_cmp(&b.1.value)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
+                    .max_by(|a, b| a.1.value.partial_cmp(&b.1.value).unwrap_or(Ordering::Equal))
                     .map(|(i, _)| i)
             })
             .expect("non-empty final layer");
@@ -424,10 +447,13 @@ impl WindowDpScheduler {
 ///
 /// Only zones holding an appliance the attacker can trigger are
 /// evaluated (the rest stay zero), in one pass over the day's records.
-/// Each minute marks its unsafe zones (an aware occupant is actually
-/// there) once, and every row the pass reads — best activities,
-/// appliance rates — is fetched once before it. A cell sums its zone's
-/// appliances in id order.
+/// What depends on the record alone — which zones are unsafe (an aware
+/// occupant is actually there) and which appliances are off — is
+/// recomputed only where the minute's record is a different allocation
+/// from the last one seen, i.e. once per record run of a shared trace.
+/// Each zone's appliances linked to an activity are a bitmask built once,
+/// so a cell ANDs it with the zone's off mask and sums the rates of the
+/// remaining appliances in id order.
 fn trigger_bonus(
     o: OccupantId,
     table: &RewardTable,
@@ -437,42 +463,106 @@ fn trigger_bonus(
 ) -> Vec<f64> {
     let n_zones = table.n_zones();
     let mut bonus = vec![0.0; MINUTES_PER_DAY * n_zones];
-    let mut zone_apps: Vec<Vec<(ApplianceId, &[f64])>> = vec![Vec::new(); n_zones];
+    let mut zone_apps: Vec<Vec<ApplianceId>> = vec![Vec::new(); n_zones];
     for d in (0..table.n_appliances()).map(ApplianceId) {
         if cap.appliances.contains(&d) {
-            zone_apps[table.appliance_zone(d).index()].push((d, table.appliance_rate_row(d)));
+            zone_apps[table.appliance_zone(d).index()].push(d);
         }
     }
-    let best: Vec<&[Activity]> = (0..n_zones)
-        .map(|z| table.best_activity_row(o, ZoneId(z)))
+    let mut zones: Vec<BonusZone> = zone_apps
+        .into_iter()
+        .enumerate()
+        .filter(|(_, apps)| !apps.is_empty())
+        .map(|(z, apps)| BonusZone::new(o, ZoneId(z), apps, table))
         .collect();
     let mut unsafe_zone = vec![false; n_zones];
+    let mut seen: Option<&Arc<MinuteRecord>> = None;
     for (t, rec) in actual.minutes.iter().enumerate() {
         if !cap.can_attack_at(t as Minute) {
             continue;
         }
-        unsafe_zone.fill(false);
-        for os in &rec.occupants {
-            if !os.activity.is_unaware() {
-                unsafe_zone[os.zone.index()] = true;
+        if !seen.is_some_and(|s| Arc::ptr_eq(s, rec)) {
+            seen = Some(rec);
+            unsafe_zone.fill(false);
+            for os in &rec.occupants {
+                if !os.activity.is_unaware() {
+                    unsafe_zone[os.zone.index()] = true;
+                }
+            }
+            for bz in &mut zones {
+                bz.refresh_off(&rec.appliances);
             }
         }
         let row = &mut bonus[t * n_zones..(t + 1) * n_zones];
-        for (z, apps) in zone_apps.iter().enumerate() {
-            if apps.is_empty() || unsafe_zone[z] || act_zone[t].index() == z {
+        for bz in &zones {
+            let z = bz.zone.index();
+            if unsafe_zone[z] || act_zone[t].index() == z {
                 continue;
             }
-            let activity = best[z][t];
-            row[z] = apps
-                .iter()
-                .filter(|&&(d, _)| {
-                    !rec.appliances[d.index()] && table.appliance_linked_to(d, activity)
-                })
-                .map(|&(_, r)| r[t])
+            let words = bz.off.len();
+            let linked = &bz.linked[bz.best[t] as usize * words..][..words];
+            if linked.iter().zip(&bz.off).all(|(l, off)| l & off == 0) {
+                continue;
+            }
+            row[z] = (0..bz.apps.len())
+                .filter(|&j| linked[j / 64] & bz.off[j / 64] & (1u64 << (j % 64)) != 0)
+                .map(|j| bz.rates[j][t])
                 .sum();
         }
     }
     bonus
+}
+
+/// One zone's triggerable appliances for [`trigger_bonus`], in id order,
+/// as bit positions of multi-word masks.
+struct BonusZone<'a> {
+    zone: ZoneId,
+    apps: Vec<ApplianceId>,
+    /// Each appliance's rate row.
+    rates: Vec<&'a [f64]>,
+    /// The occupant's best reported activity in the zone, per minute.
+    best: &'a [Activity],
+    /// `linked[a * words..][..words]`: the appliances linked to the
+    /// activity `a` (as `usize`).
+    linked: Vec<u64>,
+    /// The appliances the current record reports off.
+    off: Vec<u64>,
+}
+
+impl<'a> BonusZone<'a> {
+    fn new(
+        o: OccupantId,
+        zone: ZoneId,
+        apps: Vec<ApplianceId>,
+        table: &'a RewardTable,
+    ) -> BonusZone<'a> {
+        let words = apps.len().div_ceil(64);
+        let mut linked = vec![0u64; ACTIVITY_COUNT * words];
+        for a in Activity::ALL {
+            for (j, &d) in apps.iter().enumerate() {
+                if table.appliance_linked_to(d, a) {
+                    linked[a as usize * words + j / 64] |= 1u64 << (j % 64);
+                }
+            }
+        }
+        BonusZone {
+            zone,
+            rates: apps.iter().map(|&d| table.appliance_rate_row(d)).collect(),
+            best: table.best_activity_row(o, zone),
+            apps,
+            linked,
+            off: vec![0; words],
+        }
+    }
+
+    fn refresh_off(&mut self, appliances: &[bool]) {
+        self.off.fill(0);
+        for (j, d) in self.apps.iter().enumerate() {
+            if !appliances[d.index()] {
+                self.off[j / 64] |= 1u64 << (j % 64);
+            }
+        }
+    }
 }
 
 impl Scheduler for WindowDpScheduler {
@@ -575,13 +665,34 @@ mod tests {
         );
     }
 
-    /// The flat bonus pass equals a per-zone scan through the table's
+    /// `day` with equal consecutive records sharing one allocation, as
+    /// synthesis and decode lay them out (`shared`), or with every minute
+    /// deep-copied into its own.
+    fn relayout(day: &DayTrace, shared: bool) -> DayTrace {
+        let mut minutes: Vec<Arc<MinuteRecord>> = Vec::with_capacity(day.minutes.len());
+        for rec in &day.minutes {
+            let rec = match minutes.last() {
+                Some(last) if shared && **last == **rec => Arc::clone(last),
+                _ => Arc::new(MinuteRecord::clone(rec)),
+            };
+            minutes.push(rec);
+        }
+        DayTrace {
+            day: day.day,
+            minutes,
+        }
+    }
+
+    /// The run-aware bonus pass equals a per-zone scan through the table's
     /// public lookups, summed in the same order (`==` on the sums: an
-    /// empty one may be -0.0). Synthesized days never leave a rewarded
-    /// zone to an unaware occupant (the one linked case, a shower, runs
-    /// the hair dryer), so two hours of each day are rewritten: occupant
-    /// 1 showers in the bathroom (unaware, zone safe), then uses the
-    /// toilet there (aware, zone unsafe), with every appliance off.
+    /// empty one may be -0.0), whether the day's records are shared per
+    /// run (the pass reuses a run's unsafe zones and off masks) or each
+    /// minute has its own (the pass recomputes them every minute).
+    /// Synthesized days never leave a rewarded zone to an unaware
+    /// occupant (the one linked case, a shower, runs the hair dryer), so
+    /// two hours of each day are rewritten: occupant 1 showers in the
+    /// bathroom (unaware, zone safe), then uses the toilet there (aware,
+    /// zone unsafe), with every appliance off.
     #[test]
     fn trigger_bonus_matches_per_zone_scan() {
         let (ds, _, table, full) = setup();
@@ -606,41 +717,54 @@ mod tests {
                     };
                     rec.appliances.fill(false);
                 }
-                for o in (0..day.minutes[0].occupants.len()).map(OccupantId) {
-                    let act_zone: Vec<ZoneId> = day
-                        .minutes
-                        .iter()
-                        .map(|r| r.occupants[o.index()].zone)
-                        .collect();
-                    let bonus = trigger_bonus(o, &table, &cap, &day, &act_zone);
-                    for (t, rec) in day.minutes.iter().enumerate() {
-                        let minute = t as Minute;
-                        for z in (0..table.n_zones()).map(ZoneId) {
-                            let safe = rec
-                                .occupants
-                                .iter()
-                                .all(|os| os.zone != z || os.activity.is_unaware());
-                            let activity = table.best_activity(o, z, minute);
-                            let reward: f64 = (0..table.n_appliances())
-                                .map(ApplianceId)
-                                .filter(|&d| {
-                                    table.appliance_zone(d) == z
-                                        && cap.appliances.contains(&d)
-                                        && !rec.appliances[d.index()]
-                                        && table.appliance_linked_to(d, activity)
-                                })
-                                .map(|d| table.appliance_rate(d, minute))
-                                .sum();
-                            let reachable = cap.can_attack_at(minute) && act_zone[t] != z;
-                            let expect = if reachable && safe { reward } else { 0.0 };
-                            let got = bonus[t * table.n_zones() + z.index()];
-                            assert_eq!(got, expect, "occupant {o:?} minute {t} zone {z:?}");
-                            let occupied = rec.occupants.iter().any(|os| os.zone == z);
-                            if occupied && got > 0.0 {
-                                unaware_rewarded += 1;
-                            }
-                            if occupied && reachable && !safe && reward > 0.0 {
-                                aware_blocked += 1;
+                let runs = 1 + day.minutes.windows(2).filter(|w| w[0] != w[1]).count();
+                for shared in [true, false] {
+                    let day = relayout(&day, shared);
+                    let allocations = 1
+                        + (1..MINUTES_PER_DAY)
+                            .filter(|&t| !Arc::ptr_eq(&day.minutes[t - 1], &day.minutes[t]))
+                            .count();
+                    let expect = if shared { runs } else { MINUTES_PER_DAY };
+                    assert_eq!(allocations, expect, "shared {shared}");
+                    for o in (0..day.minutes[0].occupants.len()).map(OccupantId) {
+                        let act_zone: Vec<ZoneId> = day
+                            .minutes
+                            .iter()
+                            .map(|r| r.occupants[o.index()].zone)
+                            .collect();
+                        let bonus = trigger_bonus(o, &table, &cap, &day, &act_zone);
+                        for (t, rec) in day.minutes.iter().enumerate() {
+                            let minute = t as Minute;
+                            for z in (0..table.n_zones()).map(ZoneId) {
+                                let safe = rec
+                                    .occupants
+                                    .iter()
+                                    .all(|os| os.zone != z || os.activity.is_unaware());
+                                let activity = table.best_activity(o, z, minute);
+                                let reward: f64 = (0..table.n_appliances())
+                                    .map(ApplianceId)
+                                    .filter(|&d| {
+                                        table.appliance_zone(d) == z
+                                            && cap.appliances.contains(&d)
+                                            && !rec.appliances[d.index()]
+                                            && table.appliance_linked_to(d, activity)
+                                    })
+                                    .map(|d| table.appliance_rate(d, minute))
+                                    .sum();
+                                let reachable = cap.can_attack_at(minute) && act_zone[t] != z;
+                                let expect = if reachable && safe { reward } else { 0.0 };
+                                let got = bonus[t * table.n_zones() + z.index()];
+                                assert_eq!(
+                                    got, expect,
+                                    "shared {shared} occupant {o:?} minute {t} zone {z:?}"
+                                );
+                                let occupied = rec.occupants.iter().any(|os| os.zone == z);
+                                if occupied && got > 0.0 {
+                                    unaware_rewarded += 1;
+                                }
+                                if occupied && reachable && !safe && reward > 0.0 {
+                                    aware_blocked += 1;
+                                }
                             }
                         }
                     }

@@ -15,6 +15,10 @@
 //! hash was computed before pricing reused the controller decision
 //! across unchanged minutes and the DP's trigger bonus read flat rows.
 //!
+//! The reward tables themselves are pinned as bytes: every rate reads
+//! the outdoor temperature, so a change to how the energy model derives
+//! it shows here before it reaches a schedule or a cost.
+//!
 //! A third pin covers the formal scheduler: its zone rows and every
 //! `SmtStats` counter, so a change to the SAT core, the simplex or the
 //! rational arithmetic that alters the search, not only the schedule,
@@ -29,6 +33,7 @@ use shatter_core::{
 use shatter_dataset::{synthesize, HouseSpec, SynthConfig};
 use shatter_hvac::EnergyModel;
 use shatter_smarthome::{ApplianceId, OccupantId, ZoneId};
+use shatter_store::{fnv1a_bytes, Blob};
 
 /// FNV-1a over a stream of words.
 struct Fnv(u64);
@@ -179,6 +184,40 @@ fn scaled_home_kernel_outputs_match_pin() {
         "a day kernel changed its output on the scaled home: {:#018x}",
         h.0
     );
+}
+
+/// FNV-1a and size of `RewardTable::build(..).to_blob()` for the two
+/// ARAS homes and the generated 12-zone, 3-occupant home under the
+/// standard energy model. Recorded before the energy model read its
+/// outdoor temperatures from a per-minute table. (The ARAS homes share
+/// zones, appliances and occupant profiles, so their tables are equal.)
+#[test]
+fn reward_table_bytes_match_pin() {
+    let pins = [
+        (
+            "ARAS A",
+            HouseSpec::aras_a(),
+            0x4cb0_7704_1430_cb09_u64,
+            279_785_usize,
+        ),
+        (
+            "ARAS B",
+            HouseSpec::aras_b(),
+            0x4cb0_7704_1430_cb09,
+            279_785,
+        ),
+        (
+            "scaled(12, 3)",
+            HouseSpec::scaled(12, 3),
+            0x7cdc_1f73_8654_01c3,
+            655_865,
+        ),
+    ];
+    for (name, spec, fnv, size) in pins {
+        let blob = RewardTable::build(&EnergyModel::standard(spec.home.build())).to_blob();
+        assert_eq!(blob.len(), size, "{name} size");
+        assert_eq!(fnv1a_bytes(&blob), fnv, "{name} FNV-1a");
+    }
 }
 
 /// Hash of the formal scheduler's zone rows and every [`SmtStats`]

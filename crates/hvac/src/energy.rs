@@ -1,7 +1,7 @@
 use shatter_dataset::{DayTrace, MinuteRecord};
 use shatter_smarthome::{
     activity_pollutant_cfm, co2_emission_cfm, heat_radiation_watts, Activity, ApplianceId, Home,
-    Minute, OccupantId, ZoneId,
+    Minute, OccupantId, ZoneId, MINUTES_PER_DAY,
 };
 
 use crate::controller::{
@@ -58,9 +58,10 @@ impl DayCost {
 /// (see [`Controller`]), so the pricer keeps the last record and reuses
 /// its decision and its appliance watts while the record is unchanged;
 /// only a changed record calls the controller. Every minute still
-/// computes its own outdoor temperature, HVAC watts and Eq. 4 price, so
-/// the result is bit-identical to deciding afresh each minute. Pricing a
-/// minute allocates nothing once the first minute has sized the buffers.
+/// computes its own HVAC watts, at that minute's outdoor temperature, and
+/// its Eq. 4 price, so the result is bit-identical to deciding afresh
+/// each minute. Pricing a minute allocates nothing once the first minute
+/// has sized the buffers.
 pub struct DayPricer<'a> {
     model: &'a EnergyModel,
     controller: &'a dyn Controller,
@@ -128,13 +129,18 @@ impl<'a> DayPricer<'a> {
 
 /// The home's energy/cost model: combines a [`Home`], controller
 /// parameters, outdoor weather, and pricing into Eq. 3 / Eq. 4 evaluations.
+///
+/// The outdoor temperature of every minute of the day is computed once,
+/// when the model is built; the weather model is read-only afterwards
+/// ([`EnergyModel::outdoor`]) so that table cannot go stale.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     home: Home,
     /// Control-loop parameters.
     pub params: ControllerParams,
-    /// Outdoor weather model.
-    pub outdoor: OutdoorModel,
+    outdoor: OutdoorModel,
+    /// `outdoor.temp_at(t)` for every minute `t` of the day.
+    t_out: Box<[f64]>,
     /// Tariff and battery model.
     pub pricing: Pricing,
 }
@@ -142,12 +148,12 @@ pub struct EnergyModel {
 impl EnergyModel {
     /// Builds a model with the standard evaluation parameters.
     pub fn standard(home: Home) -> Self {
-        EnergyModel {
+        EnergyModel::new(
             home,
-            params: ControllerParams::default(),
-            outdoor: OutdoorModel::default(),
-            pricing: Pricing::default(),
-        }
+            ControllerParams::default(),
+            OutdoorModel::default(),
+            Pricing::default(),
+        )
     }
 
     /// Builds a model with explicit parameters.
@@ -157,10 +163,14 @@ impl EnergyModel {
         outdoor: OutdoorModel,
         pricing: Pricing,
     ) -> Self {
+        let t_out = (0..MINUTES_PER_DAY as Minute)
+            .map(|t| outdoor.temp_at(t))
+            .collect();
         EnergyModel {
             home,
             params,
             outdoor,
+            t_out,
             pricing,
         }
     }
@@ -168,6 +178,20 @@ impl EnergyModel {
     /// The modelled home.
     pub fn home(&self) -> &Home {
         &self.home
+    }
+
+    /// Outdoor weather model.
+    pub fn outdoor(&self) -> &OutdoorModel {
+        &self.outdoor
+    }
+
+    /// Outdoor temperature at `minute`: the precomputed value within the
+    /// day, the weather model's beyond it.
+    fn temp_at(&self, minute: Minute) -> f64 {
+        match self.t_out.get(minute as usize) {
+            Some(&t) => t,
+            None => self.outdoor.temp_at(minute),
+        }
     }
 
     /// Energy drawn during one slot under a controller's decision (Eq. 3).
@@ -204,7 +228,7 @@ impl EnergyModel {
         appliance_w: f64,
         minute: Minute,
     ) -> MinuteEnergy {
-        let t_out = self.outdoor.temp_at(minute);
+        let t_out = self.temp_at(minute);
         let dt_min = self.params.sample_minutes;
         let mut hvac_w = 0.0;
         for z in self.home.zones() {
@@ -260,7 +284,7 @@ impl EnergyModel {
         let cool = cooling_cfm(heat, &self.params);
         let q = vent.max(cool).min(self.params.max_zone_cfm);
         let f = if q > 0.0 { (vent / q).min(1.0) } else { 0.0 };
-        let t_out = self.outdoor.temp_at(minute);
+        let t_out = self.temp_at(minute);
         let t_mix = f * t_out + (1.0 - f) * self.params.zone_setpoint_f;
         let dt = (t_mix - self.params.supply_temp_f).max(0.0);
         let hvac_w = q * dt * CFM_DT_TO_WATTS;
@@ -274,7 +298,7 @@ impl EnergyModel {
     pub fn appliance_cost_rate(&self, appliance: ApplianceId, minute: Minute) -> f64 {
         let a = &self.home.appliances()[appliance.index()];
         let cool = cooling_cfm(a.heat_watts(), &self.params).min(self.params.max_zone_cfm);
-        let t_out = self.outdoor.temp_at(minute);
+        let t_out = self.temp_at(minute);
         // Cooling air for appliance heat is pure return air (no CO₂ demand).
         let t_mix = self.params.zone_setpoint_f.min(t_out);
         let dt = (t_mix - self.params.supply_temp_f).max(0.0);
@@ -332,7 +356,7 @@ mod tests {
         // vent = 0.01045e6 / 380 = 27.5 CFM; cool = 59.85/(0.3167*17) = 11.1 CFM.
         // q = 27.5 (vent-dominated, fully fresh air).
         let e = m.minute_energy(&DchvacController, &rec, 0);
-        let t_out = m.outdoor.temp_at(0);
+        let t_out = m.outdoor().temp_at(0);
         let expected_w = 27.5 * (t_out - 55.0) * 0.3167;
         assert!(
             (e.hvac_kwh - expected_w / 60_000.0).abs() < 1e-6,

@@ -1,7 +1,9 @@
 //! Property-based tests on the control model: monotonicity and physical
-//! sanity of the DCHVAC equations under arbitrary occupant states, and
+//! sanity of the DCHVAC equations under arbitrary occupant states,
 //! bit-identity of day pricing that reuses a decision across unchanged
-//! minutes with pricing that decides afresh every minute.
+//! minutes with pricing that decides afresh every minute, and bit-identity
+//! of the per-minute energy and cost rates with references that evaluate
+//! the outdoor model at each minute.
 
 use std::sync::Arc;
 
@@ -10,9 +12,12 @@ use proptest::prelude::*;
 use shatter_dataset::{DayTrace, MinuteRecord, OccupantState};
 use shatter_hvac::{
     AshraeController, Controller, ControllerParams, DayCost, DchvacController, EnergyModel,
-    MinuteEnergy,
+    MinuteEnergy, OutdoorModel, Pricing,
 };
-use shatter_smarthome::{houses, Activity, ZoneId, MINUTES_PER_DAY};
+use shatter_smarthome::{
+    activity_pollutant_cfm, co2_emission_cfm, heat_radiation_watts, houses, Activity, ApplianceId,
+    Minute, OccupantId, ZoneId, MINUTES_PER_DAY,
+};
 
 fn arb_record() -> impl Strategy<Value = MinuteRecord> {
     let occ = (0usize..5, 0usize..27).prop_map(|(z, a)| OccupantState {
@@ -87,39 +92,51 @@ fn arb_day() -> impl Strategy<Value = DayTrace> {
     })
 }
 
+/// Eq. 3 for one minute with no reuse: the controller's decision, the AHU
+/// draw against the mixed-air temperature at `outdoor().temp_at(minute)`,
+/// and the appliance draw.
+fn reference_minute_energy(
+    model: &EnergyModel,
+    ctl: &dyn Controller,
+    rec: &MinuteRecord,
+    minute: Minute,
+) -> MinuteEnergy {
+    let (home, p) = (model.home(), &model.params);
+    let d = ctl.control(home, rec, p);
+    let t_out = model.outdoor().temp_at(minute);
+    let mut hvac_w = 0.0;
+    for z in home.zones() {
+        let q = d.zone_cfm[z.id.index()];
+        if q <= 0.0 {
+            continue;
+        }
+        let f = d.fresh_fraction[z.id.index()];
+        let t_mix = f * t_out + (1.0 - f) * p.zone_setpoint_f;
+        // 0.3167 W per CFM·°F, as in Eq. 2.
+        hvac_w += q * (t_mix - p.supply_temp_f).max(0.0) * 0.3167;
+    }
+    let appliance_w: f64 = rec
+        .appliances
+        .iter()
+        .zip(home.appliances())
+        .filter(|(&on, _)| on)
+        .map(|(_, a)| a.power_watts)
+        .sum();
+    MinuteEnergy {
+        hvac_kwh: hvac_w * p.sample_minutes / 60_000.0,
+        appliance_kwh: appliance_w * p.sample_minutes / 60_000.0,
+    }
+}
+
 /// Prices `day` with no reuse: every minute calls [`Controller::control`]
 /// and recomputes Eq. 3 (AHU draw against the mixed-air temperature plus
 /// appliance draw) and Eq. 4 (battery-shaved time-of-use price).
 fn reference_day_cost(model: &EnergyModel, ctl: &dyn Controller, day: &DayTrace) -> DayCost {
-    let (home, p) = (model.home(), &model.params);
     let mut cost = DayCost::default();
     let mut peak_kwh = 0.0;
     for (t, rec) in day.minutes.iter().enumerate() {
         let minute = t as u32;
-        let d = ctl.control(home, rec, p);
-        let t_out = model.outdoor.temp_at(minute);
-        let mut hvac_w = 0.0;
-        for z in home.zones() {
-            let q = d.zone_cfm[z.id.index()];
-            if q <= 0.0 {
-                continue;
-            }
-            let f = d.fresh_fraction[z.id.index()];
-            let t_mix = f * t_out + (1.0 - f) * p.zone_setpoint_f;
-            // 0.3167 W per CFM·°F, as in Eq. 2.
-            hvac_w += q * (t_mix - p.supply_temp_f).max(0.0) * 0.3167;
-        }
-        let appliance_w: f64 = rec
-            .appliances
-            .iter()
-            .zip(home.appliances())
-            .filter(|(&on, _)| on)
-            .map(|(_, a)| a.power_watts)
-            .sum();
-        let e = MinuteEnergy {
-            hvac_kwh: hvac_w * p.sample_minutes / 60_000.0,
-            appliance_kwh: appliance_w * p.sample_minutes / 60_000.0,
-        };
+        let e = reference_minute_energy(model, ctl, rec, minute);
         if model.pricing.is_peak(minute) {
             peak_kwh += e.total_kwh();
         }
@@ -129,6 +146,59 @@ fn reference_day_cost(model: &EnergyModel, ctl: &dyn Controller, day: &DayTrace)
         cost.minutes.push(e);
     }
     cost
+}
+
+/// Airflow (CFM) that removes `heat_w` of sensible heat at the zone
+/// setpoint (Eq. 2).
+fn cooling_cfm(heat_w: f64, p: &ControllerParams) -> f64 {
+    heat_w / (0.3167 * (p.zone_setpoint_f - p.supply_temp_f))
+}
+
+/// [`EnergyModel::occupant_cost_rate`] from Eq. 1–2 at
+/// `outdoor().temp_at(minute)`, battery ignored. (The default parameters
+/// keep both denominators positive.)
+fn reference_occupant_rate(
+    model: &EnergyModel,
+    o: OccupantId,
+    z: ZoneId,
+    a: Activity,
+    minute: Minute,
+) -> f64 {
+    let (home, p) = (model.home(), &model.params);
+    if !home.zones()[z.index()].conditioned {
+        return 0.0;
+    }
+    let profile = home.occupants()[o.index()].metabolic_profile();
+    let co2 = co2_emission_cfm(profile, a) + activity_pollutant_cfm(a);
+    let vent = co2 * 1.0e6 / (p.co2_setpoint_ppm - p.outdoor_co2_ppm);
+    let cool = cooling_cfm(heat_radiation_watts(profile, a), p);
+    let q = vent.max(cool).min(p.max_zone_cfm);
+    let f = if q > 0.0 { (vent / q).min(1.0) } else { 0.0 };
+    let t_mix = f * model.outdoor().temp_at(minute) + (1.0 - f) * p.zone_setpoint_f;
+    let hvac_w = q * (t_mix - p.supply_temp_f).max(0.0) * 0.3167;
+    hvac_w * p.sample_minutes / 60_000.0 * model.pricing.price_at(minute, f64::INFINITY)
+}
+
+/// [`EnergyModel::appliance_cost_rate`] at `outdoor().temp_at(minute)`:
+/// the appliance's draw plus return-air cooling of its heat.
+fn reference_appliance_rate(model: &EnergyModel, d: ApplianceId, minute: Minute) -> f64 {
+    let p = &model.params;
+    let a = &model.home().appliances()[d.index()];
+    let cool = cooling_cfm(a.heat_watts(), p).min(p.max_zone_cfm);
+    let t_mix = p.zone_setpoint_f.min(model.outdoor().temp_at(minute));
+    let hvac_w = cool * (t_mix - p.supply_temp_f).max(0.0) * 0.3167;
+    (hvac_w + a.power_watts) * p.sample_minutes / 60_000.0
+        * model.pricing.price_at(minute, f64::INFINITY)
+}
+
+fn arb_outdoor() -> impl Strategy<Value = OutdoorModel> {
+    (40.0f64..110.0, 0.0f64..25.0, 0.0f64..1440.0).prop_map(
+        |(mean_temp_f, amplitude_f, peak_minute)| OutdoorModel {
+            mean_temp_f,
+            amplitude_f,
+            peak_minute,
+        },
+    )
 }
 
 proptest! {
@@ -158,6 +228,47 @@ proptest! {
             prop_assert_eq!(fast.hvac_usd.to_bits(), slow.hvac_usd.to_bits());
             prop_assert_eq!(fast.appliance_usd.to_bits(), slow.appliance_usd.to_bits());
             prop_assert_eq!(fast.total_usd().to_bits(), slow.total_usd().to_bits());
+        }
+    }
+
+    /// Per-minute energy and both cost rates equal references that call
+    /// `outdoor().temp_at` themselves, bit for bit, at every minute of the
+    /// day and past its end, for the standard model and for a model built
+    /// with another outdoor model.
+    #[test]
+    fn minute_costs_match_the_outdoor_model(
+        rec in arb_record(),
+        outdoor in arb_outdoor(),
+        (o, z, a, d) in (0usize..2, 0usize..5, 0usize..27, 0usize..13),
+    ) {
+        let home = houses::aras_house_a();
+        let custom =
+            EnergyModel::new(home.clone(), ControllerParams::default(), outdoor, Pricing::default());
+        let (o, z, a, d) = (OccupantId(o), ZoneId(z), Activity::ALL[a], ApplianceId(d));
+        for model in [EnergyModel::standard(home), custom] {
+            for minute in (0..MINUTES_PER_DAY as Minute).chain([1440, 10_000]) {
+                let e = model.minute_energy(&DchvacController, &rec, minute);
+                let r = reference_minute_energy(&model, &DchvacController, &rec, minute);
+                prop_assert_eq!(e.hvac_kwh.to_bits(), r.hvac_kwh.to_bits(), "hvac at {}", minute);
+                prop_assert_eq!(
+                    e.appliance_kwh.to_bits(),
+                    r.appliance_kwh.to_bits(),
+                    "appliances at {}",
+                    minute
+                );
+                prop_assert_eq!(
+                    model.occupant_cost_rate(o, z, a, minute).to_bits(),
+                    reference_occupant_rate(&model, o, z, a, minute).to_bits(),
+                    "occupant rate at {}",
+                    minute
+                );
+                prop_assert_eq!(
+                    model.appliance_cost_rate(d, minute).to_bits(),
+                    reference_appliance_rate(&model, d, minute).to_bits(),
+                    "appliance rate at {}",
+                    minute
+                );
+            }
         }
     }
 
