@@ -228,55 +228,62 @@ fn injected_read_fault_discards_and_recomputes() {
 }
 
 #[test]
-fn retired_window_solution_layout_is_discarded_and_recomputed() {
-    // A `window-solution/1` payload (zones, 14 loose effort counters,
-    // objective, degraded/retried/overflow flags) persisted by an older
-    // build under a live window memo key: the current build must never
-    // decode it into the new shape, only discard it and recompute.
-    let dir = store_dir("window-v1");
-    let key = "window-v1-test/o0/w0+10/b-";
-    {
-        let mut w = Writer::new();
-        w.str("window-solution/1");
-        w.bool(true);
-        w.usize(2);
-        w.u32(1);
-        w.u32(3);
-        for v in 1..=14u64 {
-            w.u64(v);
+fn retired_window_solution_tags_are_discarded_and_recomputed() {
+    // Payloads persisted by older builds under a live window memo key:
+    // `window-solution/1` (zones, 14 loose effort counters, objective,
+    // degraded/retried/overflow flags) and `window-solution/2` (the
+    // current layout, holding the effort counters of the search before
+    // the first OMT probe became an optimality check). The current build
+    // must never decode either, only discard it and recompute.
+    for (tag, flags) in [("window-solution/1", 3), ("window-solution/2", 1)] {
+        let dir = store_dir(&tag.replace('/', "-"));
+        let key = "window-retired-test/o0/w0+10/b-";
+        {
+            let mut w = Writer::new();
+            w.str(tag);
+            w.bool(true);
+            w.usize(2);
+            w.u32(1);
+            w.u32(3);
+            for v in 1..=14u64 {
+                w.u64(v);
+            }
+            w.opt_i64(Some(-7));
+            for _ in 0..flags {
+                w.bool(false);
+            }
+            open_store(&dir).put(key, &w.into_bytes()).unwrap();
         }
-        w.opt_i64(Some(-7));
-        w.bool(false);
-        w.bool(true);
-        w.bool(false);
-        open_store(&dir).put(key, &w.into_bytes()).unwrap();
+        let fresh = WindowSolution {
+            zones: Some(vec![ZoneId(2); 10]),
+            effort: SmtStats {
+                theory_conflicts: 5,
+                sat_decisions: 40,
+                ..SmtStats::default()
+            },
+            objective: Some(123),
+            overflow: false,
+        };
+
+        let cache = FixtureCache::new().with_disk(open_store(&dir));
+        let got = cache.memo_blob(key, || fresh.clone());
+        assert_eq!(*got, fresh, "the stale {tag} payload must not be decoded");
+        let stats = cache.stats();
+        assert_eq!((stats.disk_hits, stats.misses), (0, 1));
+        let disk = cache.disk().unwrap().stats();
+        assert_eq!(
+            disk.discarded, 1,
+            "the stale {tag} payload must be discarded"
+        );
+        assert_eq!(disk.writes, 1, "the recompute is re-persisted");
+
+        // The re-persisted blob is in the current layout: a fresh cache
+        // over the same store replays it from disk.
+        let warm = FixtureCache::new().with_disk(open_store(&dir));
+        let replayed =
+            warm.memo_blob::<WindowSolution, _>(key, || unreachable!("must replay from disk"));
+        assert_eq!(*replayed, fresh);
+        assert_eq!(warm.stats().disk_hits, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let fresh = WindowSolution {
-        zones: Some(vec![ZoneId(2); 10]),
-        effort: SmtStats {
-            theory_conflicts: 5,
-            sat_decisions: 40,
-            ..SmtStats::default()
-        },
-        objective: Some(123),
-        overflow: false,
-    };
-
-    let cache = FixtureCache::new().with_disk(open_store(&dir));
-    let got = cache.memo_blob(key, || fresh.clone());
-    assert_eq!(*got, fresh, "the stale payload must not be decoded");
-    let stats = cache.stats();
-    assert_eq!((stats.disk_hits, stats.misses), (0, 1));
-    let disk = cache.disk().unwrap().stats();
-    assert_eq!(disk.discarded, 1, "the stale payload must be discarded");
-    assert_eq!(disk.writes, 1, "the recompute is re-persisted");
-
-    // The re-persisted blob is in the current layout: a fresh cache over
-    // the same store replays it from disk.
-    let warm = FixtureCache::new().with_disk(open_store(&dir));
-    let replayed =
-        warm.memo_blob::<WindowSolution, _>(key, || unreachable!("must replay from disk"));
-    assert_eq!(*replayed, fresh);
-    assert_eq!(warm.stats().disk_hits, 1);
-    std::fs::remove_dir_all(&dir).ok();
 }

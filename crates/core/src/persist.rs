@@ -6,7 +6,10 @@
 //! warm run replays conflict/pivot/propagation columns byte-identically
 //! instead of reporting zeros — the same contract the in-RAM memo
 //! already provides. Field order is part of the format; any change
-//! must bump the tag.
+//! must bump the tag. So must a solver change that moves the effort
+//! counters a window solve reports, or a store written by an older build
+//! would replay its counters into a newer run (`window-solution/3` has
+//! the `/2` layout).
 
 use shatter_smarthome::{Activity, ZoneId};
 use shatter_store::wire::{Reader, Writer};
@@ -16,7 +19,7 @@ use crate::schedule::{AttackSchedule, WindowSolution};
 use crate::SmtStats;
 
 impl Blob for WindowSolution {
-    const TAG: &'static str = "window-solution/2";
+    const TAG: &'static str = "window-solution/3";
 
     fn encode(&self, w: &mut Writer) {
         match &self.zones {

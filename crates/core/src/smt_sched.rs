@@ -41,8 +41,10 @@ use crate::{AttackerCapability, RewardTable};
 /// and the exactly-one rows, which only depend on the window span and
 /// zone count) is encoded once per span, and each window pushes only its
 /// specific reward/boundary/capability constraints onto the assertion
-/// trail, maximizes, and pops. The OMT binary search itself runs inside
-/// that one solver — probes are guarded by fresh assumption literals,
+/// trail as clauses, maximizes, and pops. The OMT search itself runs
+/// inside that one solver: its first probe asks for one micro-dollar
+/// more than the first model found, which proves that model optimal in
+/// most windows; probes are guarded by fresh assumption literals,
 /// clauses learned by one probe prune the next, and the simplex
 /// warm-starts from the previous feasible basis. Because
 /// [`Solver::pop`] restores the solver bit-for-bit (heuristics
@@ -90,9 +92,11 @@ impl Default for SmtScheduler {
     }
 }
 
-/// Termination gap of the OMT binary search, in micro-dollars. The
-/// objective is integer micro-dollars, and a gap of at most 1 pins the
-/// converged bracket inside one integer, so the rounded optimum is exact.
+/// Termination gap of the OMT search, in micro-dollars. The objective is
+/// integer micro-dollars, and a gap of at most 1 pins the converged
+/// bracket inside one integer, so the rounded optimum is exact: the
+/// first probe, `objective ≥ best + 1`, is Unsat exactly when the first
+/// model found is optimal.
 const TOL_MICROUSD: f64 = 1.0;
 
 /// Solver effort: the one counters type for a window solve, an occupant
@@ -494,18 +498,6 @@ impl SmtScheduler {
             .iter()
             .map(|r| r.occupants[o.index()].zone)
             .collect();
-        let act_arrival: Vec<u32> = {
-            let mut v = Vec::with_capacity(MINUTES_PER_DAY);
-            for t in 0..MINUTES_PER_DAY {
-                let a = if t == 0 || act_zone[t - 1] != act_zone[t] {
-                    t as u32
-                } else {
-                    v[t - 1]
-                };
-                v.push(a);
-            }
-            v
-        };
 
         // Stay-bound profiles replace per-query hull walks in the window
         // constraint generation (same flat tables the DP kernel uses).
@@ -632,20 +624,6 @@ impl SmtScheduler {
             let mut a = (w + horizon - 1) as u32;
             while a > 0 && zones[a as usize - 1] == last {
                 a -= 1;
-            }
-            // A fallback window that mirrors an actual stay may extend
-            // further back than the window; align with actual arrivals.
-            if last == act_zone[w + horizon - 1] {
-                a = a.min(act_arrival[w + horizon - 1]).max(
-                    // but never before the real start of the reported run
-                    {
-                        let mut s = (w + horizon - 1) as u32;
-                        while s > 0 && zones[s as usize - 1] == last {
-                            s -= 1;
-                        }
-                        s
-                    },
-                );
             }
             boundary = Some((last, a));
             w += horizon;

@@ -19,12 +19,10 @@
 //! the outdoor temperature, so a change to how the energy model derives
 //! it shows here before it reaches a schedule or a cost.
 //!
-//! A third pin covers the formal scheduler: its zone rows and every
-//! `SmtStats` counter, so a change to the SAT core, the simplex or the
-//! rational arithmetic that alters the search, not only the schedule,
-//! fails it. Its hash was computed before the theory check compiled
-//! its atoms once (cached columns, integer-fast `Rat`, row-local
-//! refresh).
+//! Two more pins cover the formal scheduler: its zone rows, and apart
+//! from them every `SmtStats` counter, so a change to the SAT core, the
+//! simplex or the rational arithmetic that alters the search fails the
+//! effort pin even when the schedules hold.
 
 use shatter_adm::{AdmKind, HullAdm};
 use shatter_core::{
@@ -220,17 +218,12 @@ fn reward_table_bytes_match_pin() {
     }
 }
 
-/// Hash of the formal scheduler's zone rows and every [`SmtStats`]
-/// counter over the first four hours of day 10, for each occupant of
-/// both houses, under full capability and under a zone subset, with the
-/// run count and the summed decisions and pivots (non-vacuity). The
-/// counters pin the search itself: a solver change that keeps schedules
-/// but takes a different path through the CDCL core or the simplex
-/// moves the hash.
-fn smt_effort_hash() -> (u64, usize, u64, u64) {
+/// The formal scheduler's zone rows and [`SmtStats`] over the first four
+/// hours of day 10, for each occupant of both houses, under full
+/// capability and under a zone subset.
+fn smt_runs() -> Vec<(Vec<ZoneId>, SmtStats)> {
     let smt = SmtScheduler::default();
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let (mut runs, mut decisions, mut pivots) = (0, 0, 0);
+    let mut runs = Vec::new();
     for spec in [HouseSpec::aras_a(), HouseSpec::aras_b()] {
         let month = synthesize(&SynthConfig::new(spec.clone(), 12, spec.canonical_seed));
         let adm = HullAdm::train(&month.prefix_days(10), AdmKind::default_kmeans());
@@ -240,65 +233,99 @@ fn smt_effort_hash() -> (u64, usize, u64, u64) {
         let day = &month.days[10];
         for cap in [full.clone(), full.with_zone_access([ZoneId(1), ZoneId(3)])] {
             for o in 0..day.minutes[0].occupants.len() {
-                let (row, stats) =
-                    smt.schedule_occupant(OccupantId(o), &table, &adm, &cap, day, 240);
-                for z in &row {
-                    h.word(z.index() as u64);
-                }
-                let SmtStats {
-                    windows,
-                    fallbacks,
-                    theory_conflicts,
-                    sat_decisions,
-                    sat_propagations,
-                    sat_learned,
-                    sat_restarts,
-                    sat_gc_clauses,
-                    sat_learnt_live,
-                    float_pivots,
-                    exact_fallbacks,
-                    degraded_windows,
-                    retried_windows,
-                    bin_props,
-                } = stats;
-                for v in [
-                    windows,
-                    fallbacks,
-                    theory_conflicts,
-                    sat_decisions,
-                    sat_propagations,
-                    sat_learned,
-                    sat_restarts,
-                    sat_gc_clauses,
-                    sat_learnt_live,
-                    float_pivots,
-                    exact_fallbacks,
-                    degraded_windows,
-                    retried_windows,
-                    bin_props,
-                ] {
-                    h.word(v);
-                }
-                runs += 1;
-                decisions += sat_decisions;
-                pivots += float_pivots;
+                runs.push(smt.schedule_occupant(OccupantId(o), &table, &adm, &cap, day, 240));
             }
         }
     }
-    (h.0, runs, decisions, pivots)
+    runs
 }
 
-/// Pinned before the theory check compiled its atoms once (same inputs,
+/// Hash of the zone rows of [`smt_runs`]: the schedules alone, which a
+/// change to how the solver searches must leave as they are.
+fn smt_rows_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (row, _) in runs {
+        for z in row {
+            h.word(z.index() as u64);
+        }
+    }
+    h.0
+}
+
+/// Hash of every [`SmtStats`] counter of [`smt_runs`]: the search
+/// itself. A solver change that keeps schedules but takes a different
+/// path through the CDCL core or the simplex moves it.
+fn smt_effort_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (_, stats) in runs {
+        let SmtStats {
+            windows,
+            fallbacks,
+            theory_conflicts,
+            sat_decisions,
+            sat_propagations,
+            sat_learned,
+            sat_restarts,
+            sat_gc_clauses,
+            sat_learnt_live,
+            float_pivots,
+            exact_fallbacks,
+            degraded_windows,
+            retried_windows,
+            bin_props,
+        } = *stats;
+        for v in [
+            windows,
+            fallbacks,
+            theory_conflicts,
+            sat_decisions,
+            sat_propagations,
+            sat_learned,
+            sat_restarts,
+            sat_gc_clauses,
+            sat_learnt_live,
+            float_pivots,
+            exact_fallbacks,
+            degraded_windows,
+            retried_windows,
+            bin_props,
+        ] {
+            h.word(v);
+        }
+    }
+    h.0
+}
+
+/// Pinned before the OMT search proved windows optimal in one probe and
+/// window clauses were asserted without Tseitin variables (same inputs,
 /// same hash order).
-const SMT_EFFORT: u64 = 0x0ccd_24e3_8d8c_8f65;
+const SMT_ROWS: u64 = 0x63bf_a929_3a3a_db25;
 
 #[test]
-fn smt_schedules_and_effort_match_pin() {
-    let (hash, runs, decisions, pivots) = smt_effort_hash();
-    assert_eq!(runs, 8);
+fn smt_schedules_match_pin() {
+    let runs = smt_runs();
+    assert_eq!(runs.len(), 8);
+    let hash = smt_rows_hash(&runs);
+    assert_eq!(
+        hash, SMT_ROWS,
+        "the formal scheduler changed its schedule: {hash:#018x}"
+    );
+}
+
+/// Recorded after the OMT search's first probe became the optimality
+/// check and window clauses lost their Tseitin variables: both change
+/// the search, not the schedule.
+const SMT_EFFORT: u64 = 0xed8a_a649_9bda_1f15;
+
+#[test]
+fn smt_effort_matches_pin() {
+    let runs = smt_runs();
+    let decisions: u64 = runs.iter().map(|(_, s)| s.sat_decisions).sum();
+    let pivots: u64 = runs.iter().map(|(_, s)| s.float_pivots).sum();
     assert!(decisions > 0 && pivots > 0, "vacuous runs");
+    let hash = smt_effort_hash(&runs);
     assert_eq!(
         hash, SMT_EFFORT,
-        "the formal scheduler changed its schedule or search effort: {hash:#018x}"
+        "the formal scheduler changed its search effort: {hash:#018x}"
     );
 }

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::Rat;
+use crate::{Rat, RatOverflow};
 
 /// A real (rational-valued) theory variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,13 +116,12 @@ impl LinExpr {
         }
     }
 
-    /// Evaluates under an assignment (missing variables default to 0).
-    pub fn eval(&self, assignment: &dyn Fn(RealVar) -> Rat) -> Rat {
-        let mut v = self.constant;
-        for (&x, &c) in &self.coeffs {
-            v = v + c * assignment(x);
-        }
-        v
+    /// Evaluates under an assignment, or `Err(RatOverflow)` when a term
+    /// or partial sum does not fit `i128`.
+    pub fn eval(&self, assignment: &dyn Fn(RealVar) -> Rat) -> Result<Rat, RatOverflow> {
+        self.coeffs.iter().try_fold(self.constant, |v, (&x, &c)| {
+            v.try_add(c.try_mul(assignment(x))?)
+        })
     }
 
     /// True when the expression has no variables.
@@ -321,7 +320,18 @@ mod tests {
         let y = RealVar(1);
         let e = LinExpr::sum([(Rat::int(2), x), (Rat::int(-1), y)], 7);
         let v = e.eval(&|v| if v == x { Rat::int(3) } else { Rat::int(4) });
-        assert_eq!(v, Rat::int(9));
+        assert_eq!(v, Ok(Rat::int(9)));
+    }
+
+    #[test]
+    fn eval_reports_overflow() {
+        let x = RealVar(0);
+        let big = Rat::int(10i128.pow(20));
+        let e = LinExpr::term(big, x);
+        assert_eq!(e.eval(&|_| Rat::int(10i128.pow(19))), Err(RatOverflow));
+        // A partial sum that leaves the range overflows too.
+        let e = LinExpr::sum([(Rat::int(i128::MAX - 1), x)], 2);
+        assert_eq!(e.eval(&|_| Rat::ONE), Err(RatOverflow));
     }
 
     #[test]

@@ -16,7 +16,8 @@ pub struct Budget {
     pub max_conflicts: Option<u64>,
     /// Simplex pivots allowed across the solve.
     pub max_pivots: Option<u64>,
-    /// OMT binary-search probes allowed per `maximize` call.
+    /// OMT probes (the optimality check and each bisection step)
+    /// allowed per `maximize` call.
     pub max_probes: Option<u64>,
 }
 

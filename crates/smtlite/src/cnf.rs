@@ -1,7 +1,12 @@
-//! Tseitin transformation from [`Formula`] to CNF over the CDCL solver's
-//! variables, with a registry mapping theory atoms to propositional
-//! variables (the "Boolean skeleton" of lazy SMT). Each atom is compiled
-//! once, at registration, into the form the simplex consumes.
+//! Translation from [`Formula`] to CNF over the CDCL solver's variables,
+//! with a registry mapping theory atoms to propositional variables (the
+//! "Boolean skeleton" of lazy SMT). Each atom is compiled once, at
+//! registration, into the form the simplex consumes.
+//!
+//! An asserted formula's top-level structure becomes clauses directly
+//! ([`Encoder::assert_formula`]): conjunctions split, a disjunction or a
+//! negated conjunction is one clause, and `a → b` is `¬a ∨ b`. Only
+//! subformulas nested below that get a Tseitin variable.
 
 use crate::ast::{Atom, BoolVar, Formula, Rel};
 use crate::hash::WordMap;
@@ -51,7 +56,7 @@ struct EncFrame {
     lit_true: Option<Lit>,
 }
 
-/// Incremental Tseitin encoder: owns the SAT solver and the atom registry.
+/// Incremental CNF encoder: owns the SAT solver and the atom registry.
 #[derive(Debug, Default, Clone)]
 pub struct Encoder {
     /// The underlying CDCL solver.
@@ -200,15 +205,7 @@ impl Encoder {
         }
         match a.op {
             Rel::Eq => {
-                // e = 0  <=>  e <= 0  &  -e <= 0
-                let le = Atom {
-                    expr: a.expr.clone(),
-                    op: Rel::Le,
-                };
-                let ge = Atom {
-                    expr: a.expr.scaled(Rat::int(-1)),
-                    op: Rel::Le,
-                };
+                let [le, ge] = eq_halves(a);
                 let l1 = Lit::pos(self.atom_sat_var(&le));
                 let l2 = Lit::pos(self.atom_sat_var(&ge));
                 self.tseitin_and(&[l1, l2])
@@ -235,11 +232,64 @@ impl Encoder {
         }
     }
 
-    /// Asserts a formula (encode + unit clause).
+    /// Asserts a formula, turning its top-level structure into clauses
+    /// without Tseitin variables: a conjunction asserts each conjunct, a
+    /// disjunction or a negated conjunction is one clause, `a → b` is
+    /// `¬a ∨ b` (asserted like `b`, so a conjunction or an equality atom
+    /// there gives one clause per conjunct or half), and a non-constant
+    /// equality atom asserts its two inequalities. Anything nested below
+    /// that is encoded by [`Encoder::encode`].
     pub fn assert_formula(&mut self, f: &Formula) {
-        let l = self.encode(f);
-        self.sat.add_clause(&[l]);
+        self.assert_clause(&mut Vec::new(), f);
     }
+
+    /// Asserts `prefix ∨ f`, where `prefix` holds literals already in
+    /// the clause (the negated premises of enclosing implications).
+    fn assert_clause(&mut self, prefix: &mut Vec<Lit>, f: &Formula) {
+        let lits: Vec<Lit> = match f {
+            Formula::And(gs) => {
+                for g in gs {
+                    self.assert_clause(prefix, g);
+                }
+                return;
+            }
+            Formula::Atom(a) if a.op == Rel::Eq && !a.expr.is_constant() => {
+                for half in eq_halves(a) {
+                    self.assert_clause(prefix, &Formula::Atom(half));
+                }
+                return;
+            }
+            Formula::Implies(a, b) => {
+                let premise = self.encode(a).negated();
+                prefix.push(premise);
+                self.assert_clause(prefix, b);
+                prefix.pop();
+                return;
+            }
+            Formula::Or(gs) => gs.iter().map(|g| self.encode(g)).collect(),
+            Formula::Not(g) => match &**g {
+                Formula::And(gs) => gs.iter().map(|g| self.encode(g).negated()).collect(),
+                g => vec![self.encode(g).negated()],
+            },
+            f => vec![self.encode(f)],
+        };
+        let clause: Vec<Lit> = prefix.iter().copied().chain(lits).collect();
+        self.sat.add_clause(&clause);
+    }
+}
+
+/// `e = 0` as `e ≤ 0` and `−e ≤ 0`, in the order they are registered.
+fn eq_halves(a: &Atom) -> [Atom; 2] {
+    [
+        Atom {
+            expr: a.expr.clone(),
+            op: Rel::Le,
+        },
+        Atom {
+            expr: a.expr.scaled(Rat::int(-1)),
+            op: Rel::Le,
+        },
+    ]
 }
 
 #[cfg(test)]

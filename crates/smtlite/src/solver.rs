@@ -43,8 +43,9 @@ impl Model {
         self.reals.get(&x.index()).copied().unwrap_or(Rat::ZERO)
     }
 
-    /// Evaluates a linear expression under this model.
-    pub fn eval(&self, e: &LinExpr) -> Rat {
+    /// Evaluates a linear expression under this model, or
+    /// `Err(RatOverflow)` when the value does not fit `i128`.
+    pub fn eval(&self, e: &LinExpr) -> Result<Rat, RatOverflow> {
         e.eval(&|v| self.real_exact(v))
     }
 }
@@ -91,7 +92,7 @@ pub enum CheckOutcome {
 /// exhaustion degrades to the best verified model instead of hanging.
 #[derive(Debug, Clone)]
 pub enum OmtOutcome {
-    /// The binary search converged below `tol`.
+    /// The search closed the gap to `tol`.
     Optimal {
         /// Objective value of the returned model.
         value: f64,
@@ -127,7 +128,9 @@ struct SolverFrame {
 
 /// The lazy DPLL(T) SMT solver for QF_LRA + Booleans.
 ///
-/// Asserted formulas are Tseitin-encoded; the CDCL core enumerates Boolean
+/// Asserted formulas become clauses: their top-level conjunctions,
+/// disjunctions and implications directly, and only nested subformulas
+/// through Tseitin variables. The CDCL core enumerates Boolean
 /// skeleton models; the simplex theory solver validates the implied
 /// conjunction of linear bounds, contributing blocking clauses built from
 /// its infeasibility explanations until the loop converges.
@@ -146,9 +149,9 @@ struct SolverFrame {
 ///   like a fresh one that never saw the popped assertions, which is what
 ///   lets the attack scheduler reuse one solver across windows while
 ///   keeping schedules identical to the fresh-solver path;
-/// - [`Solver::maximize`] runs its whole objective binary search inside
-///   this one solver, guarding each probe with a fresh assumption
-///   literal instead of cloning.
+/// - [`Solver::maximize`] runs its whole objective search inside this
+///   one solver, guarding each probe with a fresh assumption literal
+///   instead of cloning.
 #[derive(Debug, Default, Clone)]
 pub struct Solver {
     enc: Encoder,
@@ -357,15 +360,21 @@ impl Solver {
     }
 
     /// Maximizes a linear objective subject to the asserted formulas, by
-    /// iterative strengthening (binary search on the objective bound) —
-    /// the OMT loop SHATTER runs per attack window (paper Eq. 17).
+    /// iterative strengthening — the OMT loop SHATTER runs per attack
+    /// window (paper Eq. 17).
     ///
     /// `lo`/`hi` bracket the objective; `tol` is the termination gap.
     /// The outcome is [`OmtOutcome::Optimal`] once the gap closes, or
     /// [`OmtOutcome::Unsat`] when the assertions are unsatisfiable.
     ///
+    /// The first probe after the base model asks for `objective ≥
+    /// best + tol`: an Unsat answer proves the base model tol-optimal at
+    /// once, which is the common case when the first model found is
+    /// already the best one. Only a Sat answer goes on to a binary
+    /// search on the objective bound, from the new best.
+    ///
     /// The whole search runs inside this one solver: each probe asserts
-    /// `guard → objective ≥ mid` for a fresh guard literal and solves
+    /// `guard → objective ≥ target` for a fresh guard literal and solves
     /// under the assumption `guard`, so clauses learned by one probe
     /// carry to the next and the simplex warm-starts from the previous
     /// feasible basis. Successful probes assert their guard permanently
@@ -376,7 +385,10 @@ impl Solver {
     /// mid-search, the best model *proven feasible so far* is returned as
     /// [`OmtOutcome::Degraded`] with the cause, rather than the search
     /// hanging or panicking. A halt before the first feasible model is
-    /// [`OmtOutcome::Halted`].
+    /// [`OmtOutcome::Halted`]. The objective is evaluated with checked
+    /// arithmetic: a base model whose objective overflows `i128` halts
+    /// with [`HaltCause::Overflow`], and a probe model whose objective
+    /// overflows degrades to the best model so far with that cause.
     ///
     /// # Bracket contract
     ///
@@ -395,7 +407,10 @@ impl Solver {
             CheckOutcome::Unsat => return OmtOutcome::Unsat,
             CheckOutcome::Halted(cause) => return OmtOutcome::Halted(cause),
         };
-        let mut best_val = base_model.eval(objective).to_f64();
+        let Ok(base_val) = base_model.eval(objective) else {
+            return OmtOutcome::Halted(HaltCause::Overflow);
+        };
+        let mut best_val = base_val.to_f64();
         let mut best_model = base_model;
         let mut lo = best_val.max(lo);
         let mut hi = hi;
@@ -408,25 +423,38 @@ impl Solver {
                     break;
                 }
             }
+            // The first probe checks the best model for optimality; the
+            // rest bisect.
+            let target = if probes == 0 {
+                lo + tol
+            } else {
+                lo + (hi - lo) / 2.0
+            };
             probes += 1;
-            let mid = lo + (hi - lo) / 2.0;
-            // Fresh guard: guard -> objective >= mid.
+            // Fresh guard: guard -> objective >= target.
             let guard = Lit::pos(self.enc.sat.new_var());
-            let bound_lit = self.enc.encode(&objective.ge(Rat::from_f64_approx(mid)));
+            let bound_lit = self.enc.encode(&objective.ge(Rat::from_f64_approx(target)));
             self.enc.sat.add_clause(&[guard.negated(), bound_lit]);
             match self.check_assuming(&[guard]) {
                 CheckOutcome::Sat(m) => {
-                    let v = m.eval(objective).to_f64();
+                    // An objective that overflows on the probe model
+                    // stops the search like a halted probe.
+                    let Ok(v) = m.eval(objective) else {
+                        self.enc.sat.add_clause(&[guard.negated()]);
+                        halt = Some(HaltCause::Overflow);
+                        break;
+                    };
+                    let v = v.to_f64();
                     if v > best_val {
                         best_val = v;
                         best_model = m;
                     }
-                    lo = best_val.max(mid);
+                    lo = best_val.max(target);
                     // Keep the proven bound: later probes only go higher.
                     self.enc.sat.add_clause(&[guard]);
                 }
                 CheckOutcome::Unsat => {
-                    hi = mid;
+                    hi = target;
                     self.enc.sat.add_clause(&[guard.negated()]);
                 }
                 CheckOutcome::Halted(cause) => {

@@ -2,6 +2,7 @@
 //! against brute force / direct reasoning.
 
 use proptest::prelude::*;
+use proptest::TestRng;
 
 use shatter_smt::ast::{BoolVar, Formula, LinExpr, RealVar};
 use shatter_smt::sat::{Lit, SatSolver, SatVerdict};
@@ -254,7 +255,7 @@ proptest! {
         let total: i64 = caps.iter().sum();
         let (v, m) = optimum(s.maximize(&obj, 0.0, total as f64 + 5.0, 1e-3)).expect("feasible");
         prop_assert!((v - total as f64).abs() < 0.01, "max {v} expected {total}");
-        prop_assert!((m.eval(&obj).to_f64() - v).abs() < 1e-9);
+        prop_assert!((m.eval(&obj).expect("in range").to_f64() - v).abs() < 1e-9);
     }
 
     /// Boolean structure + theory: implication chains force the tightest
@@ -592,5 +593,234 @@ proptest! {
             prop_assert_eq!(sum.is_err(), leaves(a.numer().checked_add(b.numer())));
             prop_assert_eq!(product.is_err(), leaves(a.numer().checked_mul(b.numer())));
         }
+    }
+}
+
+// ---------- OMT exactness and clause-level assertion -------------------------
+
+/// An OMT instance over `n` Booleans: clauses as signed 1-based literals
+/// and one integer reward per Boolean.
+type OmtInstance = (usize, Vec<Vec<i32>>, Vec<i64>);
+
+fn arb_omt_instance() -> impl Strategy<Value = OmtInstance> {
+    (1usize..9).prop_flat_map(|n| {
+        let clause = prop::collection::vec((1..=n as i32, any::<bool>()), 1..4).prop_map(|lits| {
+            lits.into_iter()
+                .map(|(v, s)| if s { v } else { -v })
+                .collect::<Vec<i32>>()
+        });
+        (
+            Just(n),
+            prop::collection::vec(clause, 0..10),
+            prop::collection::vec(-10i64..30, n..n + 1),
+        )
+    })
+}
+
+/// `maximize(Σy, tol = 1)` over `b_i → y_i = r_i`, `¬b_i → y_i = 0` and
+/// the Boolean clauses returns the brute-force maximum with a model that
+/// reaches it, and `Unsat` exactly when no assignment satisfies the
+/// clauses. The instances cover both sides of the first probe: base
+/// models that are already optimal (the probe is Unsat) and base models
+/// the search improves on (the probe is Sat).
+#[test]
+fn maximize_matches_brute_force_optimum() {
+    let strategy = arb_omt_instance();
+    let (mut base_optimal, mut base_improved, mut unsat) = (0, 0, 0);
+    for case in 0..256 {
+        let mut rng = TestRng::from_parts("maximize_matches_brute_force_optimum", case);
+        let (n, clauses, rewards) = strategy.sample(&mut rng);
+        let satisfies = |mask: u32| {
+            clauses.iter().all(|c| {
+                c.iter()
+                    .any(|&l| ((mask >> (l.unsigned_abs() - 1)) & 1 == 1) == (l > 0))
+            })
+        };
+        let value = |mask: u32| -> i64 {
+            (0..n)
+                .filter(|&i| mask >> i & 1 == 1)
+                .map(|i| rewards[i])
+                .sum()
+        };
+        let best = (0..1u32 << n).filter(|&m| satisfies(m)).map(value).max();
+
+        let mut s = Solver::new();
+        let bs: Vec<BoolVar> = (0..n).map(|_| s.new_bool()).collect();
+        let mut objective = LinExpr::constant(0);
+        for (i, &b) in bs.iter().enumerate() {
+            let y = s.new_real();
+            s.assert_formula(Formula::implies(
+                Formula::Bool(b),
+                LinExpr::var(y).eq(rewards[i]),
+            ));
+            s.assert_formula(Formula::implies(
+                Formula::not(Formula::Bool(b)),
+                LinExpr::var(y).eq(0),
+            ));
+            objective = objective.plus(&LinExpr::var(y));
+        }
+        for c in &clauses {
+            s.assert_formula(Formula::or(c.iter().map(|&l| {
+                let b = Formula::Bool(bs[(l.unsigned_abs() - 1) as usize]);
+                if l > 0 {
+                    b
+                } else {
+                    Formula::not(b)
+                }
+            })));
+        }
+        let lo: i64 = rewards.iter().filter(|&&r| r < 0).sum();
+        let hi: i64 = rewards.iter().filter(|&&r| r > 0).sum::<i64>() + 1;
+        let base = model(s.clone().check());
+        match (
+            optimum(s.maximize(&objective, lo as f64, hi as f64, 1.0)),
+            best,
+        ) {
+            (None, None) => unsat += 1,
+            (Some((v, m)), Some(best)) => {
+                let mask = (0..n)
+                    .filter(|&i| m.bool(bs[i]))
+                    .fold(0, |acc, i| acc | 1 << i);
+                assert!(satisfies(mask), "case {case}: model violates a clause");
+                assert_eq!(v, best as f64, "case {case}: not the brute-force maximum");
+                assert_eq!(value(mask), best, "case {case}: model misses the maximum");
+                assert_eq!(m.eval(&objective), Ok(Rat::int(best.into())));
+                let base = base.expect("a feasible instance has a base model");
+                if base.eval(&objective) == Ok(Rat::int(best.into())) {
+                    base_optimal += 1;
+                } else {
+                    base_improved += 1;
+                }
+            }
+            (got, best) => panic!(
+                "case {case}: maximize found {:?}, brute force {best:?}",
+                got.map(|(v, _)| v)
+            ),
+        }
+    }
+    assert!(
+        base_optimal > 0 && base_improved > 0 && unsat > 0,
+        "vacuous: {base_optimal} optimal bases, {base_improved} improved, {unsat} unsat"
+    );
+}
+
+/// Builds a formula over `vars` bottom-up: node `k` is a leaf, or a
+/// connective over earlier nodes picked by its index fields (leaves
+/// when `k == 0`). `And`/`Or` are built through the enum, so they may be
+/// empty or unary. The last node is the formula.
+fn build_formula(vars: &[BoolVar], nodes: &[(u8, usize, [usize; 3])]) -> Formula {
+    let mut built: Vec<Formula> = Vec::new();
+    for &(op, arity, picks) in nodes {
+        let child = |i: usize| match built.len() {
+            0 => Formula::Bool(vars[picks[i] % vars.len()]),
+            k => built[picks[i] % k].clone(),
+        };
+        let f = match op {
+            0 => Formula::True,
+            1 => Formula::False,
+            2 => Formula::not(child(0)),
+            3 => Formula::And((0..arity).map(child).collect()),
+            4 => Formula::Or((0..arity).map(child).collect()),
+            5 => Formula::implies(child(0), child(1)),
+            _ => Formula::Bool(vars[picks[0] % vars.len()]),
+        };
+        built.push(f);
+    }
+    built.pop().expect("at least one node")
+}
+
+fn truth(f: &Formula, mask: u32) -> bool {
+    match f {
+        Formula::True => true,
+        Formula::False => false,
+        Formula::Bool(b) => mask >> b.index() & 1 == 1,
+        Formula::Not(g) => !truth(g, mask),
+        Formula::And(gs) => gs.iter().all(|g| truth(g, mask)),
+        Formula::Or(gs) => gs.iter().any(|g| truth(g, mask)),
+        Formula::Implies(a, b) => !truth(a, mask) || truth(b, mask),
+        Formula::Atom(_) => unreachable!("Boolean formulas only"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `assert_formula` agrees with the formula's truth table: under each
+    /// assignment's unit literals the assertion is Sat exactly when the
+    /// formula evaluates true.
+    #[test]
+    fn assert_formula_matches_truth_table(
+        n in 1usize..6,
+        nodes in prop::collection::vec((0u8..8, 0usize..4, (0usize..64, 0usize..64, 0usize..64)), 1..12),
+    ) {
+        let nodes: Vec<(u8, usize, [usize; 3])> =
+            nodes.into_iter().map(|(op, arity, (a, b, c))| (op, arity, [a, b, c])).collect();
+        let mut s = Solver::new();
+        let vars: Vec<BoolVar> = (0..n).map(|_| s.new_bool()).collect();
+        let f = build_formula(&vars, &nodes);
+        for mask in 0..1u32 << n {
+            s.push();
+            s.assert_formula(f.clone());
+            for (i, &v) in vars.iter().enumerate() {
+                let lit = Formula::Bool(v);
+                s.assert_formula(if mask >> i & 1 == 1 { lit } else { Formula::not(lit) });
+            }
+            let sat = model(s.check()).is_some();
+            s.pop();
+            prop_assert_eq!(sat, truth(&f, mask), "{:?} under assignment {:#b}", f, mask);
+        }
+    }
+}
+
+/// The objective is evaluated with checked arithmetic: a base model
+/// whose objective leaves the `i128` range halts the search instead of
+/// panicking. Here `10^20·x` with `x ≥ 10^19` is at least 10^39.
+#[test]
+fn objective_overflow_on_base_model_halts() {
+    let mut s = Solver::new();
+    let x = s.new_real();
+    let e19 = Rat::int(10i128.pow(19));
+    s.assert_formula(LinExpr::var(x).ge(e19));
+    s.assert_formula(LinExpr::var(x).le(e19 + Rat::int(5)));
+    let objective = LinExpr::term(Rat::int(10i128.pow(20)), x);
+    assert!(matches!(
+        s.maximize(&objective, 0.0, 1e40, 1.0),
+        OmtOutcome::Halted(HaltCause::Overflow)
+    ));
+}
+
+/// A probe model whose objective leaves the `i128` range degrades the
+/// search to the best model so far. The base model takes `¬p`, which
+/// caps `d = x − y` at 0; the first probe needs `d > 0`, so it takes
+/// `p`, which puts `x` (and with it `y`) at 10^19, where the terms of
+/// `10^20·x − 10^20·y` overflow although their sum is at most 10^20.
+#[test]
+fn objective_overflow_on_probe_model_degrades_to_best_so_far() {
+    let mut s = Solver::new();
+    let x = s.new_real();
+    let y = s.new_real();
+    let p = s.new_bool();
+    let d = LinExpr::var(x).minus(&LinExpr::var(y));
+    s.assert_formula(d.ge(0));
+    s.assert_formula(d.le(1));
+    s.assert_formula(Formula::implies(Formula::not(Formula::Bool(p)), d.le(0)));
+    s.assert_formula(Formula::implies(
+        Formula::Bool(p),
+        LinExpr::var(x).ge(Rat::int(10i128.pow(19))),
+    ));
+    let objective = d.scaled(Rat::int(10i128.pow(20)));
+    let base = model(s.clone().check()).expect("satisfiable");
+    assert!(!base.bool(p), "the base model must be the capped one");
+    match s.maximize(&objective, 0.0, 1e21, 1.0) {
+        OmtOutcome::Degraded {
+            value,
+            model,
+            cause,
+        } => {
+            assert_eq!(cause, HaltCause::Overflow);
+            assert_eq!(value, 0.0);
+            assert!(!model.bool(p));
+        }
+        other => panic!("expected a degraded best-so-far, got {other:?}"),
     }
 }
