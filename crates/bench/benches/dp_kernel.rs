@@ -22,6 +22,12 @@
 //! prices per day (benign cost precomputed, as the sweeps do); the
 //! with-trigger leg includes its trigger plan.
 //!
+//! The `_rooms12` cells repeat `full_day` and both pricing legs under
+//! the Table VI capability that reaches only zones 1 and 2. There the
+//! trigger-bonus pass skips every cell the DP cannot read (an actual or
+//! reported zone outside the capability), which the full capability
+//! never exercises.
+//!
 //! [`StayProfile`]: shatter_adm::StayProfile
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,7 +40,7 @@ use shatter_core::{
 };
 use shatter_dataset::HouseSpec;
 use shatter_hvac::DchvacController;
-use shatter_smarthome::OccupantId;
+use shatter_smarthome::{OccupantId, ZoneId};
 
 fn bench_dp_kernel(c: &mut Criterion) {
     let fx = HouseFixture::new(&HouseSpec::aras_a(), 12);
@@ -76,20 +82,27 @@ fn bench_dp_kernel(c: &mut Criterion) {
     group.bench_function("plan_triggers", |b| {
         b.iter(|| black_box(trigger::plan_triggers(&fx.home, &adm, &cap, day, &s)))
     });
-    for (id, triggering) in [("price_no_trigger", false), ("price_with_trigger", true)] {
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                black_box(impact::evaluate_day_with_schedule(
-                    &fx.model,
-                    &adm,
-                    &cap,
-                    day,
-                    &s,
-                    triggering,
-                    Some(benign),
-                ))
-            })
-        });
+    let rooms = cap.clone().with_zone_access([ZoneId(1), ZoneId(2)]);
+    group.bench_function("full_day_rooms12", |b| {
+        b.iter(|| black_box(sched.schedule(&table, &adm, &rooms, day)))
+    });
+    let s_rooms = sched.schedule(&table, &adm, &rooms, day);
+    for (suffix, cap, s) in [("", &cap, &s), ("_rooms12", &rooms, &s_rooms)] {
+        for (leg, triggering) in [("price_no_trigger", false), ("price_with_trigger", true)] {
+            group.bench_function(format!("{leg}{suffix}").as_str(), |b| {
+                b.iter(|| {
+                    black_box(impact::evaluate_day_with_schedule(
+                        &fx.model,
+                        &adm,
+                        cap,
+                        day,
+                        s,
+                        triggering,
+                        Some(benign),
+                    ))
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -2,7 +2,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use shatter_adm::{HullAdm, StayProfile};
-use shatter_dataset::{DayTrace, MinuteRecord};
+use shatter_dataset::DayTrace;
 use shatter_smarthome::{
     Activity, ApplianceId, Minute, OccupantId, ZoneId, ACTIVITY_COUNT, MINUTES_PER_DAY,
 };
@@ -122,7 +122,7 @@ impl WindowDpScheduler {
 
         // Expected appliance-trigger reward, `bonus[t * n_zones + z]`.
         let bonus = if self.trigger_aware {
-            trigger_bonus(o, table, cap, actual, &act_zone)
+            trigger_bonus(o, table, cap, actual)
         } else {
             vec![0.0; t_end * n_zones]
         };
@@ -442,27 +442,38 @@ impl WindowDpScheduler {
 /// Expected appliance-trigger reward for *reporting* `o` in zone z at
 /// minute t, as `bonus[t * n_zones + z]`: the Algorithm 1 preconditions
 /// that do not depend on the schedule (attacker reach, appliance off,
-/// zone actually safe, occupant actually elsewhere — `act_zone[t]`). The
-/// minStay window is state-dependent and applied at transition time.
+/// zone actually safe, occupant actually elsewhere). The minStay window
+/// is state-dependent and applied at transition time.
 ///
-/// Only zones holding an appliance the attacker can trigger are
-/// evaluated (the rest stay zero), in one pass over the day's records.
-/// What depends on the record alone — which zones are unsafe (an aware
-/// occupant is actually there) and which appliances are off — is
-/// recomputed only where the minute's record is a different allocation
-/// from the last one seen, i.e. once per record run of a shared trace.
-/// Each zone's appliances linked to an activity are a bitmask built once,
-/// so a cell ANDs it with the zone's off mask and sums the rates of the
-/// remaining appliances in id order.
+/// Only cells the DP can read with a nonzero value are filled; the rest
+/// stay zero. The DP reads a cell only for a report `can_relocate`
+/// allows, and a report equal to the actual zone earns no bonus, so a
+/// cell needs `o` in `cap.occupants`, t in the timeslot window, and both
+/// the actual zone and z in `cap.zones`. Of those zones, only the ones
+/// holding an appliance the attacker can trigger are evaluated.
+///
+/// The window is walked one record run at a time (a run ends where the
+/// next minute's record is another allocation, so a deep-copied trace has
+/// runs of one minute). What depends on the record alone — the
+/// occupant's actual zone, which zones are unsafe (an aware occupant is
+/// actually there) and each zone's mask of off appliances — is derived
+/// once per run. Each zone's appliances linked to an activity are a
+/// bitmask built once, so a cell ANDs it with the zone's off mask and
+/// sums the rates of the set bits in id order.
 fn trigger_bonus(
     o: OccupantId,
     table: &RewardTable,
     cap: &AttackerCapability,
     actual: &DayTrace,
-    act_zone: &[ZoneId],
 ) -> Vec<f64> {
     let n_zones = table.n_zones();
     let mut bonus = vec![0.0; MINUTES_PER_DAY * n_zones];
+    if !cap.occupants.contains(&o) {
+        return bonus;
+    }
+    let zone_ok: Vec<bool> = (0..n_zones)
+        .map(|z| cap.zones.contains(&ZoneId(z)))
+        .collect();
     let mut zone_apps: Vec<Vec<ApplianceId>> = vec![Vec::new(); n_zones];
     for d in (0..table.n_appliances()).map(ApplianceId) {
         if cap.appliances.contains(&d) {
@@ -472,45 +483,68 @@ fn trigger_bonus(
     let mut zones: Vec<BonusZone> = zone_apps
         .into_iter()
         .enumerate()
-        .filter(|(_, apps)| !apps.is_empty())
+        .filter(|(z, apps)| zone_ok[*z] && !apps.is_empty())
         .map(|(z, apps)| BonusZone::new(o, ZoneId(z), apps, table))
         .collect();
+    if zones.is_empty() {
+        return bonus;
+    }
+    let (start, end) = cap.timeslots.map_or((0, MINUTES_PER_DAY), |(s, e)| {
+        (s as usize, (e as usize).min(MINUTES_PER_DAY))
+    });
     let mut unsafe_zone = vec![false; n_zones];
-    let mut seen: Option<&Arc<MinuteRecord>> = None;
-    for (t, rec) in actual.minutes.iter().enumerate() {
-        if !cap.can_attack_at(t as Minute) {
+    let mut run_start = start;
+    while run_start < end {
+        let rec = &actual.minutes[run_start];
+        let run_end = (run_start + 1..end)
+            .find(|&t| !Arc::ptr_eq(&actual.minutes[t], rec))
+            .unwrap_or(end);
+        let run = run_start..run_end;
+        run_start = run_end;
+        let act = rec.occupants[o.index()].zone.index();
+        if !zone_ok[act] {
             continue;
         }
-        if !seen.is_some_and(|s| Arc::ptr_eq(s, rec)) {
-            seen = Some(rec);
-            unsafe_zone.fill(false);
-            for os in &rec.occupants {
-                if !os.activity.is_unaware() {
-                    unsafe_zone[os.zone.index()] = true;
-                }
-            }
-            for bz in &mut zones {
-                bz.refresh_off(&rec.appliances);
+        unsafe_zone.fill(false);
+        for os in &rec.occupants {
+            if !os.activity.is_unaware() {
+                unsafe_zone[os.zone.index()] = true;
             }
         }
-        let row = &mut bonus[t * n_zones..(t + 1) * n_zones];
-        for bz in &zones {
+        for bz in &mut zones {
             let z = bz.zone.index();
-            if unsafe_zone[z] || act_zone[t].index() == z {
+            if unsafe_zone[z] || act == z {
                 continue;
             }
+            bz.refresh_off(&rec.appliances);
             let words = bz.off.len();
-            let linked = &bz.linked[bz.best[t] as usize * words..][..words];
-            if linked.iter().zip(&bz.off).all(|(l, off)| l & off == 0) {
-                continue;
+            for t in run.clone() {
+                let linked = &bz.linked[bz.best[t] as usize * words..][..words];
+                if linked.iter().zip(&bz.off).all(|(l, off)| l & off == 0) {
+                    continue;
+                }
+                bonus[t * n_zones + z] = linked
+                    .iter()
+                    .zip(&bz.off)
+                    .enumerate()
+                    .flat_map(|(w, (l, off))| set_bits(l & off).map(move |b| w * 64 + b))
+                    .map(|j| bz.rates[j][t])
+                    .sum();
             }
-            row[z] = (0..bz.apps.len())
-                .filter(|&j| linked[j / 64] & bz.off[j / 64] & (1u64 << (j % 64)) != 0)
-                .map(|j| bz.rates[j][t])
-                .sum();
         }
     }
     bonus
+}
+
+/// The positions of the set bits of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// One zone's triggerable appliances for [`trigger_bonus`], in id order,
@@ -587,7 +621,7 @@ mod tests {
     use super::*;
     use crate::AttackSchedule;
     use shatter_adm::AdmKind;
-    use shatter_dataset::{synthesize, HouseSpec, OccupantState, SynthConfig};
+    use shatter_dataset::{synthesize, HouseSpec, MinuteRecord, OccupantState, SynthConfig};
     use shatter_hvac::EnergyModel;
     use shatter_smarthome::houses;
 
@@ -688,6 +722,17 @@ mod tests {
     /// empty one may be -0.0), whether the day's records are shared per
     /// run (the pass reuses a run's unsafe zones and off masks) or each
     /// minute has its own (the pass recomputes them every minute).
+    ///
+    /// The pass fills only cells the DP can read with a nonzero value,
+    /// so the reference expects 0 wherever `can_relocate` forbids moving
+    /// the occupant's report from the actual zone to z: the occupant is
+    /// not in `cap.occupants`, the minute is outside the timeslot window,
+    /// or the actual zone or z is outside `cap.zones` (a report equal to
+    /// the actual zone earns nothing either). The capabilities cover
+    /// every kind of skip: full, an appliance subset with a timeslot
+    /// window, the Table VI zone subset {1, 2}, and full without
+    /// occupant 1.
+    ///
     /// Synthesized days never leave a rewarded zone to an unaware
     /// occupant (the one linked case, a shower, runs the hair dryer), so
     /// two hours of each day are rewritten: occupant 1 showers in the
@@ -701,8 +746,11 @@ mod tests {
             .clone()
             .with_appliance_access([ApplianceId(0), ApplianceId(4), ApplianceId(11)])
             .with_timeslots(300, 1300);
-        let (mut unaware_rewarded, mut aware_blocked) = (0, 0);
-        for cap in [full, subset] {
+        let rooms = full.clone().with_zone_access([ZoneId(1), ZoneId(2)]);
+        let mut no_occupant = full.clone();
+        no_occupant.occupants.remove(&OccupantId(1));
+        let (mut unaware_rewarded, mut aware_blocked, mut unreadable) = (0, 0, 0);
+        for cap in [full, subset, rooms, no_occupant] {
             for day in &ds.days[10..12] {
                 let mut day = day.clone();
                 for (t, rec) in day.minutes.iter_mut().enumerate().skip(600).take(120) {
@@ -727,14 +775,10 @@ mod tests {
                     let expect = if shared { runs } else { MINUTES_PER_DAY };
                     assert_eq!(allocations, expect, "shared {shared}");
                     for o in (0..day.minutes[0].occupants.len()).map(OccupantId) {
-                        let act_zone: Vec<ZoneId> = day
-                            .minutes
-                            .iter()
-                            .map(|r| r.occupants[o.index()].zone)
-                            .collect();
-                        let bonus = trigger_bonus(o, &table, &cap, &day, &act_zone);
+                        let bonus = trigger_bonus(o, &table, &cap, &day);
                         for (t, rec) in day.minutes.iter().enumerate() {
                             let minute = t as Minute;
+                            let act = rec.occupants[o.index()].zone;
                             for z in (0..table.n_zones()).map(ZoneId) {
                                 let safe = rec
                                     .occupants
@@ -751,8 +795,8 @@ mod tests {
                                     })
                                     .map(|d| table.appliance_rate(d, minute))
                                     .sum();
-                                let reachable = cap.can_attack_at(minute) && act_zone[t] != z;
-                                let expect = if reachable && safe { reward } else { 0.0 };
+                                let readable = act != z && cap.can_relocate(o, act, z, minute);
+                                let expect = if readable && safe { reward } else { 0.0 };
                                 let got = bonus[t * table.n_zones() + z.index()];
                                 assert_eq!(
                                     got, expect,
@@ -762,8 +806,11 @@ mod tests {
                                 if occupied && got > 0.0 {
                                     unaware_rewarded += 1;
                                 }
-                                if occupied && reachable && !safe && reward > 0.0 {
+                                if occupied && readable && !safe && reward > 0.0 {
                                     aware_blocked += 1;
+                                }
+                                if !readable && act != z && safe && reward > 0.0 {
+                                    unreadable += 1;
                                 }
                             }
                         }
@@ -771,7 +818,11 @@ mod tests {
                 }
             }
         }
-        assert!(unaware_rewarded > 0 && aware_blocked > 0, "vacuous days");
+        assert!(
+            unaware_rewarded > 0 && aware_blocked > 0 && unreadable > 0,
+            "vacuous days: {unaware_rewarded} unaware rewarded, {aware_blocked} aware blocked, \
+             {unreadable} unreadable"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use shatter_adm::HullAdm;
 use shatter_dataset::DayTrace;
-use shatter_smarthome::{ApplianceId, Home, OccupantId, MINUTES_PER_DAY};
+use shatter_smarthome::{Appliance, ApplianceId, Home, Minute, OccupantId, MINUTES_PER_DAY};
 
 use crate::{AttackSchedule, AttackerCapability};
 
@@ -48,6 +48,12 @@ impl TriggerPlan {
 /// arrival) is read once per reported episode from the occupant's
 /// [`HullAdm::stay_profile`]. Occupants are planned in index order, so
 /// each minute's activations keep occupant order.
+///
+/// Each zone's triggerable appliances (`cap.appliances` applied, home
+/// order) are listed once per call, and a minute outside the timeslot
+/// window is skipped before any appliance is looked at, so a minute only
+/// checks its reported zone's list for a linked activity and an appliance
+/// that is off.
 pub fn plan_triggers(
     home: &Home,
     adm: &HullAdm,
@@ -56,6 +62,12 @@ pub fn plan_triggers(
     schedule: &AttackSchedule,
 ) -> TriggerPlan {
     let mut on: Vec<Vec<ApplianceId>> = vec![Vec::new(); MINUTES_PER_DAY];
+    let mut zone_apps: Vec<Vec<&Appliance>> = vec![Vec::new(); home.zones().len()];
+    for a in home.appliances() {
+        if cap.appliances.contains(&a.id) {
+            zone_apps[a.zone.index()].push(a);
+        }
+    }
     for (o, row) in schedule.zones.iter().enumerate() {
         let mut arrival = 0;
         let mut thresh = None;
@@ -69,7 +81,7 @@ pub fn plan_triggers(
             // the reported zone.
             let rec = &actual.minutes[t];
             let within_thresh = thresh.is_some_and(|m| (t - arrival) as f64 <= m);
-            if !within_thresh || rec.occupants[o].zone == zone {
+            if !within_thresh || rec.occupants[o].zone == zone || !cap.can_attack_at(t as Minute) {
                 continue;
             }
             // Eq. 16: every occupant actually in the zone must be unaware.
@@ -81,10 +93,7 @@ pub fn plan_triggers(
                 continue;
             }
             let activity = schedule.activities[o][t];
-            for a in home.appliances_in(zone) {
-                if !cap.can_trigger(a.id, t as u32) {
-                    continue;
-                }
+            for a in &zone_apps[zone.index()] {
                 if !a.linked_to(activity) {
                     continue;
                 }
@@ -105,10 +114,12 @@ pub fn plan_triggers(
 mod tests {
     use super::*;
     use crate::{RewardTable, Scheduler, WindowDpScheduler};
+    use std::sync::Arc;
+
     use shatter_adm::AdmKind;
-    use shatter_dataset::{synthesize, HouseSpec, SynthConfig};
+    use shatter_dataset::{synthesize, HouseSpec, MinuteRecord, SynthConfig};
     use shatter_hvac::EnergyModel;
-    use shatter_smarthome::houses;
+    use shatter_smarthome::{houses, ZoneId};
 
     fn setup() -> (
         Home,
@@ -189,6 +200,85 @@ mod tests {
             }
         }
         assert!(total > 0, "no triggering despite diverging schedules");
+    }
+
+    /// Algorithm 1 + Eq. 16 applied literally, minute by minute: every
+    /// appliance of the reported zone is scanned and its reach probed
+    /// with `cap.can_trigger`.
+    fn reference_plan(
+        home: &Home,
+        adm: &HullAdm,
+        cap: &AttackerCapability,
+        actual: &DayTrace,
+        schedule: &AttackSchedule,
+    ) -> TriggerPlan {
+        let mut on: Vec<Vec<ApplianceId>> = vec![Vec::new(); MINUTES_PER_DAY];
+        for (o, row) in schedule.zones.iter().enumerate() {
+            for (t, &zone) in row.iter().enumerate() {
+                let arrival = (0..=t)
+                    .rev()
+                    .take_while(|&s| row[s] == zone)
+                    .last()
+                    .unwrap();
+                let thresh = adm.stay_profile(OccupantId(o), zone).min_stay(arrival);
+                let rec = &actual.minutes[t];
+                if !thresh.is_some_and(|m| (t - arrival) as f64 <= m)
+                    || rec.occupants[o].zone == zone
+                    || rec
+                        .occupants
+                        .iter()
+                        .any(|os| os.zone == zone && !os.activity.is_unaware())
+                {
+                    continue;
+                }
+                for a in home.appliances_in(zone) {
+                    if cap.can_trigger(a.id, t as Minute)
+                        && a.linked_to(schedule.activities[o][t])
+                        && !rec.appliances[a.id.index()]
+                        && !on[t].contains(&a.id)
+                    {
+                        on[t].push(a.id);
+                    }
+                }
+            }
+        }
+        TriggerPlan { on }
+    }
+
+    /// The planner's per-zone appliance lists give the reference's plan,
+    /// activation order included, under full, zone-subset,
+    /// appliance-subset and timeslot capabilities, for DP schedules over
+    /// days whose records are shared per run and over deep copies.
+    #[test]
+    fn plan_matches_per_minute_reference() {
+        let (home, ds, adm, table, full) = setup();
+        let caps = [
+            full.clone(),
+            full.clone().with_zone_access([ZoneId(2), ZoneId(3)]),
+            full.clone()
+                .with_appliance_access([ApplianceId(0), ApplianceId(4), ApplianceId(11)]),
+            full.clone().with_timeslots(540, 1020),
+        ];
+        let mut triggered = Vec::new();
+        for cap in &caps {
+            let mut total = 0;
+            for shared in &ds.days[10..12] {
+                let copied = DayTrace {
+                    day: shared.day,
+                    minutes: (shared.minutes.iter())
+                        .map(|r| Arc::new(MinuteRecord::clone(r)))
+                        .collect(),
+                };
+                let sched = WindowDpScheduler::default().schedule(&table, &adm, cap, shared);
+                for day in [shared, &copied] {
+                    let plan = plan_triggers(&home, &adm, cap, day, &sched);
+                    assert_eq!(plan, reference_plan(&home, &adm, cap, day, &sched));
+                    total += plan.total_minutes();
+                }
+            }
+            triggered.push(total);
+        }
+        assert!(triggered.iter().all(|&n| n > 0), "vacuous: {triggered:?}");
     }
 
     #[test]

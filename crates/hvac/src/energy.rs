@@ -50,18 +50,20 @@ impl DayCost {
 
 /// Eq. 3 + Eq. 4 over one day, fed one minute record at a time in minute
 /// order: the accumulation behind [`EnergyModel::day_cost`], and the
-/// whole pricing loop for callers that build each minute's record in a
-/// reused buffer instead of materializing a [`DayTrace`].
+/// whole pricing loop for callers that build records in a reused buffer
+/// instead of materializing a [`DayTrace`].
 ///
 /// Records come in runs: a day of sensor readings changes a few dozen
 /// times, not 1,440. A [`ControlDecision`] depends on the record alone
 /// (see [`Controller`]), so the pricer keeps the last record and reuses
 /// its decision and its appliance watts while the record is unchanged;
-/// only a changed record calls the controller. Every minute still
-/// computes its own HVAC watts, at that minute's outdoor temperature, and
-/// its Eq. 4 price, so the result is bit-identical to deciding afresh
-/// each minute. Pricing a minute allocates nothing once the first minute
-/// has sized the buffers.
+/// only a changed record calls the controller. A caller that already
+/// knows a minute repeats the last record prices it with
+/// [`DayPricer::push_unchanged`], which skips building and comparing the
+/// record. Every minute still computes its own HVAC watts, at that
+/// minute's outdoor temperature, and its Eq. 4 price, so the result is
+/// bit-identical to deciding afresh each minute. Pricing a minute
+/// allocates nothing once the first minute has sized the buffers.
 pub struct DayPricer<'a> {
     model: &'a EnergyModel,
     controller: &'a dyn Controller,
@@ -98,8 +100,7 @@ impl<'a> DayPricer<'a> {
     /// Prices the next minute's record: its energy (Eq. 3), returned, and
     /// its cost at the battery-adjusted price (Eq. 4), accumulated.
     pub fn push(&mut self, record: &MinuteRecord) -> MinuteEnergy {
-        let minute = self.minute;
-        if minute == 0 || *record != self.last {
+        if self.minute == 0 || *record != self.last {
             let model = self.model;
             self.controller
                 .control_into(&model.home, record, &model.params, &mut self.decision);
@@ -107,6 +108,26 @@ impl<'a> DayPricer<'a> {
             self.last.occupants.clone_from(&record.occupants);
             self.last.appliances.clone_from(&record.appliances);
         }
+        self.price_minute()
+    }
+
+    /// Prices the next minute as a repeat of the last pushed record: the
+    /// kept decision and appliance watts at this minute's outdoor
+    /// temperature (Eq. 3) and price (Eq. 4), which is exactly what
+    /// [`DayPricer::push`] does when handed that record again.
+    ///
+    /// # Panics
+    ///
+    /// Before the first [`DayPricer::push`], when there is no record to
+    /// repeat.
+    pub fn push_unchanged(&mut self) -> MinuteEnergy {
+        assert!(self.minute > 0, "push_unchanged before the first push");
+        self.price_minute()
+    }
+
+    /// Eq. 3 and Eq. 4 for the next minute under the kept decision.
+    fn price_minute(&mut self) -> MinuteEnergy {
+        let minute = self.minute;
         let e = self
             .model
             .slot_energy(&self.decision, self.appliance_w, minute);

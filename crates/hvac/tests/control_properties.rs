@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use shatter_dataset::{DayTrace, MinuteRecord, OccupantState};
 use shatter_hvac::{
-    AshraeController, Controller, ControllerParams, DayCost, DchvacController, EnergyModel,
-    MinuteEnergy, OutdoorModel, Pricing,
+    AshraeController, Controller, ControllerParams, DayCost, DayPricer, DchvacController,
+    EnergyModel, MinuteEnergy, OutdoorModel, Pricing,
 };
 use shatter_smarthome::{
     activity_pollutant_cfm, co2_emission_cfm, heat_radiation_watts, houses, Activity, ApplianceId,
@@ -206,7 +206,9 @@ proptest! {
     /// appliance watts across runs of unchanged records, is bit-identical
     /// to deciding and pricing every minute afresh, under both
     /// controllers, for days mixing single-minute runs, appliance-only
-    /// changes and activity-only changes.
+    /// changes and activity-only changes. So is a pricer that is pushed
+    /// only the first minute of each run and told the rest are
+    /// unchanged (`push_unchanged`).
     #[test]
     fn reused_decisions_price_bit_identically(day in arb_day()) {
         let model = EnergyModel::standard(houses::aras_house_a());
@@ -215,6 +217,22 @@ proptest! {
         for ctl in [&DchvacController as &dyn Controller, &AshraeController::default()] {
             let fast = model.day_cost(ctl, &day);
             let slow = reference_day_cost(&model, ctl, &day);
+            let mut runs = DayPricer::new(&model, ctl);
+            for (t, rec) in day.minutes.iter().enumerate() {
+                let e = if t > 0 && Arc::ptr_eq(rec, &day.minutes[t - 1]) {
+                    runs.push_unchanged()
+                } else {
+                    runs.push(rec)
+                };
+                let r = slow.minutes[t];
+                prop_assert_eq!(
+                    (e.hvac_kwh.to_bits(), e.appliance_kwh.to_bits()),
+                    (r.hvac_kwh.to_bits(), r.appliance_kwh.to_bits()),
+                    "run pricing at {}",
+                    t
+                );
+            }
+            prop_assert_eq!(runs.total_usd().to_bits(), slow.total_usd().to_bits());
             prop_assert_eq!(fast.minutes.len(), MINUTES_PER_DAY);
             for (t, (a, b)) in fast.minutes.iter().zip(&slow.minutes).enumerate() {
                 prop_assert_eq!(a.hvac_kwh.to_bits(), b.hvac_kwh.to_bits(), "hvac at {}", t);

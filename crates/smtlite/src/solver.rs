@@ -59,6 +59,11 @@ pub enum HaltCause {
     Pivots,
     /// The OMT probe budget ([`Budget::max_probes`]) ran out.
     Probes,
+    /// The OMT bracket can no longer be split: the next probe target
+    /// rounds to an end of the `f64` bracket `(lo, hi)`, which happens
+    /// once the float spacing there exceeds the tolerance, so no further
+    /// probe could narrow the gap.
+    Precision,
     /// `i128` rational arithmetic overflowed; the tableau may be
     /// poisoned until a [`Solver::pop`] restores a pre-overflow
     /// checkpoint.
@@ -99,8 +104,9 @@ pub enum OmtOutcome {
         /// The optimal model.
         model: Model,
     },
-    /// A budget ran out (or the tableau degraded) mid-search: the best
-    /// model proven feasible *before* the halt, marked with the cause.
+    /// A budget ran out, the tableau degraded or the bracket could no
+    /// longer be split mid-search: the best model proven feasible
+    /// *before* the halt, marked with the cause.
     Degraded {
         /// Objective value of the best-so-far model.
         value: f64,
@@ -388,7 +394,11 @@ impl Solver {
     /// [`OmtOutcome::Halted`]. The objective is evaluated with checked
     /// arithmetic: a base model whose objective overflows `i128` halts
     /// with [`HaltCause::Overflow`], and a probe model whose objective
-    /// overflows degrades to the best model so far with that cause.
+    /// overflows degrades to the best model so far with that cause. A
+    /// probe target that is not strictly inside the `f64` bracket
+    /// `(lo, hi)` (the spacing of doubles there exceeds `tol`, so the
+    /// bracket cannot be split) degrades the same way with
+    /// [`HaltCause::Precision`], so the search ends without a budget.
     ///
     /// # Bracket contract
     ///
@@ -430,6 +440,12 @@ impl Solver {
             } else {
                 lo + (hi - lo) / 2.0
             };
+            // A target that rounds onto an end of the bracket can never
+            // move it again.
+            if !(lo < target && target < hi) {
+                halt = Some(HaltCause::Precision);
+                break;
+            }
             probes += 1;
             // Fresh guard: guard -> objective >= target.
             let guard = Lit::pos(self.enc.sat.new_var());

@@ -824,3 +824,29 @@ fn objective_overflow_on_probe_model_degrades_to_best_so_far() {
         other => panic!("expected a degraded best-so-far, got {other:?}"),
     }
 }
+
+/// `maximize` stops once its `f64` bracket can no longer be split. Near
+/// 10^32 doubles are 2^54 apart, far more than the tolerance of 1, so the
+/// bisection target rounds onto an end of the bracket and a Sat probe
+/// leaves it where it was. Without a probe budget that search never
+/// ended; it now degrades to the best model with
+/// [`HaltCause::Precision`], one double below the bracket's top.
+#[test]
+fn unsplittable_bracket_degrades_instead_of_spinning() {
+    let mut s = Solver::new();
+    let x = s.new_real();
+    s.assert_formula(LinExpr::var(x).ge(0));
+    s.assert_formula(LinExpr::var(x).le(Rat::int(10i128.pow(33))));
+    match s.maximize(&LinExpr::var(x), 0.0, 1e32, 1.0) {
+        OmtOutcome::Degraded {
+            value,
+            model,
+            cause,
+        } => {
+            assert_eq!(cause, HaltCause::Precision);
+            assert_eq!(value.next_up(), 1e32, "value {value}");
+            assert_eq!(model.real(x), value);
+        }
+        other => panic!("expected a degraded best-so-far, got {other:?}"),
+    }
+}
