@@ -2,9 +2,9 @@
 //! the ASHRAE baseline vs the activity-aware DCHVAC controller.
 //!
 //! `attacked_no_trigger` / `attacked_with_trigger` price the same day
-//! under a window-DP attack schedule through both
-//! `evaluate_day_with_schedule` legs (benign cost precomputed, as the
-//! month sweeps do; the with-trigger leg includes its trigger plan). The
+//! under a window-DP attack schedule through both `price_attacked_day`
+//! legs, as the month sweeps do (the with-trigger leg includes its
+//! trigger plan). The
 //! falsified records change a few dozen times a day, so these cases time
 //! the pricer's reuse of one decision across each run of unchanged
 //! records, next to the benign days it prices the same way.
@@ -35,21 +35,19 @@ fn bench_controllers(c: &mut Criterion) {
     let table = RewardTable::build(&fx.model);
     let cap = AttackerCapability::full(&fx.home);
     let schedule = WindowDpScheduler::default().schedule(&table, &adm, &cap, day);
-    let benign = fx.model.day_cost(&DchvacController, day).total_usd();
     for (id, triggering) in [
         ("attacked_no_trigger", false),
         ("attacked_with_trigger", true),
     ] {
         group.bench_function(id, |b| {
             b.iter(|| {
-                black_box(impact::evaluate_day_with_schedule(
+                black_box(impact::price_attacked_day(
                     &fx.model,
                     &adm,
                     &cap,
                     black_box(day),
                     &schedule,
                     triggering,
-                    Some(benign),
                 ))
             })
         });

@@ -18,9 +18,8 @@
 //!
 //! `plan_triggers` times one day's trigger plan for the DP schedule
 //! (stay profiles warm), and `price_no_trigger` / `price_with_trigger`
-//! time the two `evaluate_day_with_schedule` legs every Table VI cell
-//! prices per day (benign cost precomputed, as the sweeps do); the
-//! with-trigger leg includes its trigger plan.
+//! time the two `price_attacked_day` legs every Table VI cell prices
+//! per day; the with-trigger leg includes its trigger plan.
 //!
 //! The `_rooms12` cells repeat `full_day` and both pricing legs under
 //! the Table VI capability that reaches only zones 1 and 2. There the
@@ -39,7 +38,6 @@ use shatter_core::{
     impact, trigger, AttackerCapability, RewardTable, Scheduler, WindowDpScheduler,
 };
 use shatter_dataset::HouseSpec;
-use shatter_hvac::DchvacController;
 use shatter_smarthome::{OccupantId, ZoneId};
 
 fn bench_dp_kernel(c: &mut Criterion) {
@@ -78,7 +76,6 @@ fn bench_dp_kernel(c: &mut Criterion) {
     });
 
     let s = sched.schedule(&table, &adm, &cap, day);
-    let benign = fx.model.day_cost(&DchvacController, day).total_usd();
     group.bench_function("plan_triggers", |b| {
         b.iter(|| black_box(trigger::plan_triggers(&fx.home, &adm, &cap, day, &s)))
     });
@@ -91,14 +88,8 @@ fn bench_dp_kernel(c: &mut Criterion) {
         for (leg, triggering) in [("price_no_trigger", false), ("price_with_trigger", true)] {
             group.bench_function(format!("{leg}{suffix}").as_str(), |b| {
                 b.iter(|| {
-                    black_box(impact::evaluate_day_with_schedule(
-                        &fx.model,
-                        &adm,
-                        cap,
-                        day,
-                        s,
-                        triggering,
-                        Some(benign),
+                    black_box(impact::price_attacked_day(
+                        &fx.model, &adm, cap, day, s, triggering,
                     ))
                 })
             });

@@ -3,21 +3,24 @@
 //!
 //! `codec/*` isolates the wire codec: serialize/deserialize of a
 //! realistic [`WindowSolution`] and of a full 1440-row [`RewardTable`]
-//! (the largest blob the memo tier persists per fixture). `blob_io/*`
-//! measures the store round trip itself — `put` is a checksummed
-//! tmp+rename write, `get` a lazy-validated read — at both payload
-//! scales, so regressions in either the codec or the record format show
-//! up as $/op, not as a mystery warm-run slowdown.
+//! (the largest blob the memo tier persists per fixture). `checksum/*`
+//! hashes the ARAS-A reward-table blob and a 30-day ARAS-A dataset blob
+//! with the record checksum (XXH64) and with byte-serial FNV-1a, the
+//! checksum of the previous record format. `blob_io/*` measures the
+//! store round trip itself — `put` is a checksummed tmp+rename write,
+//! `get` a lazy-validated read — at both payload scales, so regressions
+//! in either the codec or the record format show up as $/op, not as a
+//! mystery warm-run slowdown.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use shatter_core::{RewardTable, SmtStats, WindowSolution};
 use shatter_dataset::HouseSpec;
-use shatter_engine::disk_schema_sig;
+use shatter_engine::{disk_schema_sig, HouseFixture};
 use shatter_hvac::EnergyModel;
 use shatter_smarthome::ZoneId;
-use shatter_store::{Blob, BlobStore};
+use shatter_store::{fnv1a_bytes, xxh64, Blob, BlobStore};
 
 fn sample_window_solution() -> WindowSolution {
     WindowSolution {
@@ -63,6 +66,25 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_checksum(c: &mut Criterion) {
+    let table_bytes = sample_reward_table().to_blob();
+    let month_bytes = HouseFixture::new(&HouseSpec::aras_a(), 30).month.to_blob();
+
+    let mut g = c.benchmark_group("checksum");
+    for (label, payload) in [
+        ("reward_table", &table_bytes),
+        ("dataset_30d", &month_bytes),
+    ] {
+        g.bench_with_input(BenchmarkId::new("fnv1a", label), payload, |b, payload| {
+            b.iter(|| fnv1a_bytes(black_box(payload)))
+        });
+        g.bench_with_input(BenchmarkId::new("xxh64", label), payload, |b, payload| {
+            b.iter(|| xxh64(black_box(payload)))
+        });
+    }
+    g.finish();
+}
+
 fn bench_blob_io(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("shatter-bench-store-io-{}", std::process::id()));
     let store = BlobStore::open(&dir, disk_schema_sig()).expect("open bench store");
@@ -93,5 +115,5 @@ fn bench_blob_io(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_codec, bench_blob_io);
+criterion_group!(benches, bench_codec, bench_checksum, bench_blob_io);
 criterion_main!(benches);

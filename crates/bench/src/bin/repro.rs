@@ -7,7 +7,7 @@
 //! repro [--list] [--only ID[,ID...]] [--threads N] [--serial]
 //!       [--days N] [--span N] [--seed N]
 //!       [--json] [--no-text] [--out DIR] [--no-csv]
-//!       [--baseline PATH] [--gate-against PATH]
+//!       [--baseline PATH] [--repeat N] [--gate-against PATH]
 //!       [--inject PLAN] [--budget SPEC] [--exact-simplex]
 //!       [--fleet N] [--sample K] [--resume DIR] [--journal DIR]
 //!       [--house-budget SPEC] [--fleet-retries N]
@@ -17,7 +17,7 @@
 //! repro                 # full suite, parallel, text + CSV
 //! repro --only tab5,fig10 --threads 4 --json
 //! repro --baseline BENCH_engine.json --days 6 --span 20
-//! repro --baseline ci.json --gate-against BENCH_engine.json  # perf gate
+//! repro --baseline ci.json --repeat 3 --gate-against BENCH_engine.json  # perf gate
 //! repro --inject 'fig3/scenario.run/panic' fig3 tab5         # chaos run
 //! repro --fleet 100 --threads 8           # crash-safe fleet, journaled
 //! repro --resume results/fleet-journal    # continue an interrupted fleet
@@ -46,6 +46,11 @@
 //! uninterrupted run. `--house-budget` sets the per-house deterministic
 //! effort watchdog (same syntax as `--budget`) and `--fleet-retries`
 //! bounds retries before a crashing house is quarantined.
+//!
+//! `--baseline PATH --repeat N` measures the serial-uncached and
+//! parallel-cached legs N times (default 1) and writes the run with the
+//! median serial-uncached wall plus every run's walls;
+//! `--gate-against` compares that median with the committed artifact.
 //!
 //! `--exact-simplex` runs every SMT window through the forced-exact
 //! rational simplex instead of the certified float fast path —
@@ -84,6 +89,7 @@ struct Options {
     csv: bool,
     out: PathBuf,
     baseline: Option<PathBuf>,
+    repeat: Option<usize>,
     gate_against: Option<PathBuf>,
     inject: Option<String>,
     smt: SmtScheduler,
@@ -136,6 +142,7 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
         csv: true,
         out: PathBuf::from("results"),
         baseline: None,
+        repeat: None,
         gate_against: None,
         inject: None,
         smt: SmtScheduler::default(),
@@ -203,6 +210,13 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                 opts.baseline =
                     next_value(&mut args, "--baseline", "a path", &mut errors).map(PathBuf::from);
             }
+            "--repeat" => match next_value(&mut args, "--repeat", "a run count", &mut errors)
+                .map(|v| v.parse::<usize>())
+            {
+                Some(Ok(n)) if n >= 1 => opts.repeat = Some(n),
+                Some(_) => errors.push("--repeat needs a run count >= 1".into()),
+                None => {}
+            },
             "--gate-against" => {
                 opts.gate_against = next_value(&mut args, "--gate-against", "a path", &mut errors)
                     .map(PathBuf::from);
@@ -263,7 +277,8 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                 println!(
                     "usage: repro [--list] [--only ID[,ID...]] [--threads N] [--serial]\n\
                      \x20            [--days N] [--span N] [--seed N] [--json] [--no-text]\n\
-                     \x20            [--out DIR] [--no-csv] [--baseline PATH]\n\
+                     \x20            [--out DIR] [--no-csv] [--baseline PATH] [--repeat N]\n\
+                     \x20            [--gate-against PATH]\n\
                      \x20            [--inject PLAN] [--budget SPEC] [--exact-simplex]\n\
                      \x20            [--fleet N] [--sample K] [--resume DIR] [--journal DIR]\n\
                      \x20            [--house-budget SPEC] [--fleet-retries N]\n\
@@ -410,26 +425,36 @@ fn main() {
     };
 
     if let Some(path) = &opts.baseline {
+        let repeat = opts.repeat.unwrap_or(1);
         eprintln!(
-            "measuring baseline over {} scenarios (days={}, span={}) ...",
+            "measuring baseline over {} scenarios (days={}, span={}, {repeat} run(s)) ...",
             scenarios.len(),
             opts.days,
             opts.span
         );
-        let baseline = measure(&scenarios, &cfg);
+        let baseline = measure(&scenarios, &cfg, repeat);
         if let Err(e) = std::fs::write(path, baseline.to_json()) {
             die(&format!("writing {}: {e}", path.display()));
         }
+        for (i, (serial, parallel)) in baseline.samples.iter().enumerate() {
+            eprintln!(
+                "run {}/{repeat}: serial+uncached {:.2}s, parallel+cached {:.2}s",
+                i + 1,
+                serial.as_secs_f64(),
+                parallel.as_secs_f64()
+            );
+        }
         eprintln!(
-            "serial+uncached {:.2}s -> parallel+cached {:.2}s ({:.2}x, {} threads); wrote {}",
+            "median run: serial+uncached {:.2}s -> parallel+cached {:.2}s ({:.2}x, {} threads); wrote {}",
             baseline.serial_uncached_wall.as_secs_f64(),
             baseline.parallel_cached_wall.as_secs_f64(),
             baseline.speedup(),
             baseline.threads,
             path.display()
         );
-        // Perf gate: the fresh serial-uncached suite wall-clock may not
-        // regress more than GATE_SLACK over the committed artifact's.
+        // Perf gate: the fresh median serial-uncached suite wall-clock
+        // may not regress more than GATE_SLACK over the committed
+        // artifact's.
         if let Some(gate) = &opts.gate_against {
             let committed = std::fs::read_to_string(gate)
                 .unwrap_or_else(|e| die(&format!("reading {}: {e}", gate.display())));
@@ -456,6 +481,9 @@ fn main() {
     }
     if opts.gate_against.is_some() {
         die("--gate-against requires --baseline");
+    }
+    if opts.repeat.is_some() {
+        die("--repeat requires --baseline");
     }
 
     eprintln!(

@@ -137,19 +137,16 @@ pub(crate) fn monthly_attack(
     // the run's slot budget and reduce in submission order.
     let per_day = cx.par_map(&fx.month.days, |d, day| {
         let schedule = day_schedule(cx, fx, attack, &table, d);
-        let out = impact::evaluate_day_with_schedule(
+        let priced = impact::price_attacked_day(
             &fx.model,
             attack.adm,
             attack.cap,
             day,
             &schedule,
             with_triggering,
-            Some(benign_costs[d]),
         );
-        let detect = defender.map_or(out.detection_rate, |adm| {
-            detection_rate(adm, &schedule, day)
-        });
-        (out.attacked_cost_usd, out.benign_cost_usd, detect)
+        let detect = detection_rate(defender.unwrap_or(attack.adm), &schedule, day);
+        (priced.attacked_cost_usd, benign_costs[d], detect)
     });
     let mut attacked = 0.0;
     let mut benign = 0.0;
@@ -169,19 +166,17 @@ fn day_legs(
     fx: &HouseFixture,
     attack: &Attack<'_>,
     table: &RewardTable,
-    benign_usd: f64,
     day_idx: usize,
 ) -> (f64, f64) {
     let schedule = day_schedule(cx, fx, attack, table, day_idx);
     let price = |with_triggering| {
-        impact::evaluate_day_with_schedule(
+        impact::price_attacked_day(
             &fx.model,
             attack.adm,
             attack.cap,
             &fx.month.days[day_idx],
             &schedule,
             with_triggering,
-            Some(benign_usd),
         )
         .attacked_cost_usd
     };
@@ -860,7 +855,7 @@ pub fn fig10(cx: &ScenarioCtx<'_>) -> Table {
         };
         let mut sums = (0.0, 0.0, 0.0);
         for (d, &benign) in benign_costs.iter().enumerate() {
-            let (without, with) = day_legs(cx, &fx, &attack, &table, benign, d);
+            let (without, with) = day_legs(cx, &fx, &attack, &table, d);
             sums.0 += benign;
             sums.1 += without;
             sums.2 += with;
@@ -906,7 +901,6 @@ fn triggering_impact(
     cap: &AttackerCapability,
 ) -> f64 {
     let table = reward_table(cx, fx);
-    let benign_costs = benign_day_costs(cx, fx);
     let attack = Attack {
         adm,
         adm_tag: tag,
@@ -917,9 +911,7 @@ fn triggering_impact(
     // Days are independent. Under tab6 the zone-subset cells usually
     // hold the whole slot budget already, so this inner par_map degrades
     // to a serial loop there while tab7's direct calls still fan out.
-    let per_day = cx.par_map(&benign_costs, |d, &benign| {
-        day_legs(cx, fx, &attack, &table, benign, d)
-    });
+    let per_day = cx.par_map(&fx.month.days, |d, _| day_legs(cx, fx, &attack, &table, d));
     per_day.iter().map(|(w, t)| t - w).sum()
 }
 

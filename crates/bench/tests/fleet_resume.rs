@@ -7,6 +7,8 @@
 //! Fault-injection rules are process-global but scoped by scenario id,
 //! so every test here runs under its own unique id.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -115,6 +117,40 @@ fn damaged_records_are_discarded_and_resume_is_byte_identical() {
     let stats = journal.stats();
     assert_eq!((stats.hits, stats.discarded), (N_HOUSES as u64 - 2, 2));
     assert_eq!(stats.writes, 2, "recomputed houses are re-journaled");
+    assert_eq!(table.render(), reference);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_recomputes_houses_journaled_in_the_retired_format() {
+    let id = "fleet-retired-test";
+    let reference = reference_table(id);
+    let dir = journal_dir("retired");
+    let sig = config_signature(&cfg(), &params());
+
+    {
+        let cache = FixtureCache::new();
+        let cx = ctx(id, &cache, 0);
+        let journal = BlobStore::open(&dir, sig).unwrap();
+        run_fleet(&cx, &cfg(), Some(&journal));
+    }
+
+    // Three houses journaled by a build that checksummed payloads with
+    // FNV-1a (`SHATTERB1` records): foreign to this build, so the resume
+    // recomputes them instead of replaying them.
+    let files = record_files(&dir);
+    for path in &files[..3] {
+        common::retire_record(path);
+    }
+    let cache = FixtureCache::new();
+    let cx = ctx(id, &cache, 0);
+    let journal = BlobStore::open(&dir, sig).unwrap();
+    let (table, out) = run_fleet(&cx, &cfg(), Some(&journal));
+    assert_eq!(out.journal_hits, N_HOUSES as u64 - 3);
+    assert_eq!(out.computed, 3);
+    let stats = journal.stats();
+    assert_eq!((stats.hits, stats.discarded), (N_HOUSES as u64 - 3, 3));
+    assert_eq!(stats.writes, 3, "recomputed houses are re-journaled");
     assert_eq!(table.render(), reference);
     std::fs::remove_dir_all(&dir).ok();
 }

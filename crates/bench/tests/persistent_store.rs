@@ -8,6 +8,8 @@
 //! Fault-injection rules are process-global but scoped by scenario id,
 //! so every test here runs under its own unique id.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
 use shatter_bench::fleet::{run_fleet, FleetConfig, FleetPolicy};
@@ -197,6 +199,55 @@ fn corrupt_cached_blob_is_discarded_and_recomputed() {
         cache.stats().misses > 0,
         "discarded blobs must fall through to recompute"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retired_record_format_is_discarded_and_recomputed() {
+    let id = "store-retired-format-test";
+    let reference = reference_table(id);
+    let dir = store_dir("retired");
+
+    let cold_misses = {
+        let cache = FixtureCache::new().with_disk(open_store(&dir));
+        let cx = ctx(id, &cache, 0);
+        run_fleet(&cx, &cfg(), None);
+        cache.stats().misses
+    };
+
+    // The store as a build that checksummed payloads with FNV-1a left
+    // it: every record in the `SHATTERB1` format.
+    let records: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "blob"))
+        .collect();
+    assert!(!records.is_empty());
+    for path in &records {
+        common::retire_record(path);
+    }
+
+    let cache = FixtureCache::new().with_disk(open_store(&dir));
+    let cx = ctx(id, &cache, 0);
+    let (table, _) = run_fleet(&cx, &cfg(), None);
+    assert_eq!(
+        table.render(),
+        reference,
+        "recomputed tables must equal the cold run's"
+    );
+    let stats = cache.stats();
+    assert_eq!(stats.disk_hits, 0, "no retired record may be replayed");
+    assert_eq!(stats.misses, cold_misses, "every retired record recomputes");
+    let disk = cache.disk().unwrap().stats();
+    assert_eq!(disk.discarded, records.len() as u64);
+    assert_eq!(disk.writes, records.len() as u64, "recomputes re-persist");
+
+    // Re-persisted in the current format: the next run replays them.
+    let warm = FixtureCache::new().with_disk(open_store(&dir));
+    let cx = ctx(id, &warm, 0);
+    let (table, _) = run_fleet(&cx, &cfg(), None);
+    assert_eq!(table.render(), reference);
+    assert_eq!(warm.stats().misses, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -28,8 +28,6 @@ pub struct AttackOutcome {
     /// Fraction of diverging reported episodes the ADM flags (0 = fully
     /// stealthy).
     pub detection_rate: f64,
-    /// The synthesized schedule.
-    pub schedule: AttackSchedule,
 }
 
 impl AttackOutcome {
@@ -117,15 +115,49 @@ pub fn evaluate_day_with_table(
     evaluate_day_with_schedule(model, adm, cap, actual, &schedule, with_triggering, None)
 }
 
-/// Evaluates a *precomputed* schedule: derive the triggering plan, build
-/// the falsified trace, and price it. Schedule synthesis dominates
-/// attack evaluation, so callers comparing triggering on/off (Fig. 10,
-/// Tables VI–VII) or sweeping defenses against a fixed attack should
-/// synthesize once and price both legs through this entry point.
+/// Evaluates a *precomputed* schedule: [`price_attacked_day`] plus the
+/// benign cost, the schedule's divergence from the actual day and its
+/// detection rate under `adm`. Schedule synthesis dominates attack
+/// evaluation, so callers comparing triggering on/off (Fig. 10, Tables
+/// VI–VII) or sweeping defenses against a fixed attack should
+/// synthesize once and price each leg; callers that keep only the
+/// attacked cost call [`price_attacked_day`] directly.
 ///
 /// `benign_cost_usd` optionally supplies the (schedule-independent)
 /// benign day cost so month-scale sweeps can price each genuine day
 /// once.
+pub fn evaluate_day_with_schedule(
+    model: &EnergyModel,
+    adm: &HullAdm,
+    cap: &AttackerCapability,
+    actual: &DayTrace,
+    schedule: &AttackSchedule,
+    with_triggering: bool,
+    benign_cost_usd: Option<f64>,
+) -> AttackOutcome {
+    let priced = price_attacked_day(model, adm, cap, actual, schedule, with_triggering);
+    AttackOutcome {
+        benign_cost_usd: benign_cost_usd
+            .unwrap_or_else(|| model.day_cost(&DchvacController, actual).total_usd()),
+        attacked_cost_usd: priced.attacked_cost_usd,
+        triggered_minutes: priced.triggered_minutes,
+        divergence: schedule.divergence(actual),
+        detection_rate: detection_rate(adm, schedule, actual),
+    }
+}
+
+/// The attacked day's price and the triggering behind it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttackedPrice {
+    /// Control cost with the attack in place, $.
+    pub attacked_cost_usd: f64,
+    /// Minutes of adversarial appliance activation.
+    pub triggered_minutes: usize,
+}
+
+/// Prices a *precomputed* schedule: derive the triggering plan (when
+/// `with_triggering`), then cost the falsified day under the DCHVAC
+/// controller.
 ///
 /// The attacked day is priced minute by minute from one reused record,
 /// never materialized. The record is refilled and pushed to the
@@ -137,18 +169,15 @@ pub fn evaluate_day_with_table(
 /// bit-identical to pricing [`attacked_day_trace`] with
 /// [`EnergyModel::day_cost`]. On the Table VI sweep a leg refills about
 /// 42 of its 1,440 minutes.
-pub fn evaluate_day_with_schedule(
+pub fn price_attacked_day(
     model: &EnergyModel,
     adm: &HullAdm,
     cap: &AttackerCapability,
     actual: &DayTrace,
     schedule: &AttackSchedule,
     with_triggering: bool,
-    benign_cost_usd: Option<f64>,
-) -> AttackOutcome {
+) -> AttackedPrice {
     let triggers = with_triggering.then(|| plan_triggers(model.home(), adm, cap, actual, schedule));
-    let benign_cost =
-        benign_cost_usd.unwrap_or_else(|| model.day_cost(&DchvacController, actual).total_usd());
     let triggered_at = |t: usize| triggers.as_ref().map_or(&[][..], |p| &p.on[t][..]);
     let mut pricer = DayPricer::new(model, &DchvacController);
     let mut rec = MinuteRecord {
@@ -168,13 +197,9 @@ pub fn evaluate_day_with_schedule(
             pricer.push_unchanged();
         }
     }
-    AttackOutcome {
-        benign_cost_usd: benign_cost,
+    AttackedPrice {
         attacked_cost_usd: pricer.total_usd(),
         triggered_minutes: triggers.as_ref().map_or(0, TriggerPlan::total_minutes),
-        divergence: schedule.divergence(actual),
-        detection_rate: detection_rate(adm, schedule, actual),
-        schedule: schedule.clone(),
     }
 }
 
@@ -320,16 +345,21 @@ mod tests {
             evaluate_day_with_schedule(&model, &adm, &cap, day, &sched, true, Some(benign));
         assert_eq!(direct.attacked_cost_usd, reused.attacked_cost_usd);
         assert_eq!(direct.benign_cost_usd, reused.benign_cost_usd);
-        assert_eq!(direct.schedule, reused.schedule);
+        assert_eq!(direct.divergence, reused.divergence);
+        assert_eq!(direct.detection_rate, reused.detection_rate);
+        let priced = price_attacked_day(&model, &adm, &cap, day, &sched, true);
+        assert_eq!(priced.attacked_cost_usd, reused.attacked_cost_usd);
+        assert_eq!(priced.triggered_minutes, reused.triggered_minutes);
     }
 
     #[test]
     fn attacked_trace_preserves_genuine_appliances() {
         let (model, ds, adm, cap) = setup();
         let day = &ds.days[10];
-        let out = evaluate_day(&model, &adm, &cap, day, &WindowDpScheduler::default(), true);
-        let triggers = plan_triggers(model.home(), &adm, &cap, day, &out.schedule);
-        let attacked = attacked_day_trace(day, &out.schedule, &triggers);
+        let table = RewardTable::build(&model);
+        let sched = WindowDpScheduler::default().schedule(&table, &adm, &cap, day);
+        let triggers = plan_triggers(model.home(), &adm, &cap, day, &sched);
+        let attacked = attacked_day_trace(day, &sched, &triggers);
         for (t, rec) in attacked.minutes.iter().enumerate() {
             for (a, &on) in day.minutes[t].appliances.iter().enumerate() {
                 if on {

@@ -1,7 +1,7 @@
-//! Property test of attacked-day pricing: `evaluate_day_with_schedule`,
-//! which refills the attacked record only at minutes where it can
-//! change, costs a day bit for bit like materializing the attacked trace
-//! with `attacked_day_trace` and pricing it with `EnergyModel::day_cost`.
+//! Property test of attacked-day pricing: `price_attacked_day`, which
+//! refills the attacked record only at minutes where it can change,
+//! costs a day bit for bit like materializing the attacked trace with
+//! `attacked_day_trace` and pricing it with `EnergyModel::day_cost`.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 use shatter_adm::{AdmKind, HullAdm};
-use shatter_core::impact::{attacked_day_trace, evaluate_day_with_schedule};
+use shatter_core::impact::{attacked_day_trace, price_attacked_day};
 use shatter_core::trigger::{plan_triggers, TriggerPlan};
 use shatter_core::{AttackSchedule, AttackerCapability};
 use shatter_dataset::{synthesize, DayTrace, HouseSpec, MinuteRecord, OccupantState, SynthConfig};
@@ -203,7 +203,7 @@ fn deep_copy(day: &DayTrace) -> DayTrace {
 
 /// Over random actual days, laid out shared per run and deep-copied,
 /// random reported rows and random capabilities, both legs of
-/// `evaluate_day_with_schedule` cost the attacked day exactly as
+/// `price_attacked_day` cost the attacked day exactly as
 /// `day_cost` prices the materialized attacked trace, the no-trigger leg
 /// with an empty plan and the triggering leg with `plan_triggers`' plan.
 ///
@@ -233,18 +233,9 @@ fn attacked_cost_matches_materialized_trace() {
     for case in 0..64 {
         let mut rng = TestRng::from_parts("attacked_cost_matches_materialized_trace", case);
         let (shared, schedule, cap) = strategy.sample(&mut rng);
-        let benign = model.day_cost(&DchvacController, &shared).total_usd();
         for day in [&shared, &deep_copy(&shared)] {
             for with_triggering in [false, true] {
-                let got = evaluate_day_with_schedule(
-                    &model,
-                    &adm,
-                    &cap,
-                    day,
-                    &schedule,
-                    with_triggering,
-                    Some(benign),
-                );
+                let got = price_attacked_day(&model, &adm, &cap, day, &schedule, with_triggering);
                 let plan = if with_triggering {
                     plan_triggers(&home, &adm, &cap, day, &schedule)
                 } else {

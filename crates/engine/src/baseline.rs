@@ -26,7 +26,9 @@ pub struct BaselineEntry {
     pub parallel_cached: Duration,
 }
 
-/// The full baseline measurement.
+/// The full baseline measurement: the run with the median
+/// serial-uncached wall among [`measure`]'s repeats, plus every run's
+/// two walls.
 #[derive(Debug, Clone)]
 pub struct Baseline {
     /// Days parameter of the run.
@@ -39,6 +41,9 @@ pub struct Baseline {
     pub serial_uncached_wall: Duration,
     /// Total wall-clock of the parallel-cached leg.
     pub parallel_cached_wall: Duration,
+    /// Every repeat's `(serial_uncached, parallel_cached)` walls, in
+    /// measurement order.
+    pub samples: Vec<(Duration, Duration)>,
     /// Cache counters accumulated during the parallel-cached leg.
     pub cache: CacheStats,
     /// Per-scenario timings.
@@ -71,6 +76,22 @@ impl Baseline {
             self.parallel_cached_wall.as_secs_f64()
         ));
         out.push_str(&format!("  \"speedup\": {:.2},\n", self.speedup()));
+        let samples = |leg: fn(&(Duration, Duration)) -> Duration| {
+            let secs: Vec<String> = self
+                .samples
+                .iter()
+                .map(|s| format!("{:.3}", leg(s).as_secs_f64()))
+                .collect();
+            secs.join(", ")
+        };
+        out.push_str(&format!(
+            "  \"serial_uncached_samples_s\": [{}],\n",
+            samples(|s| s.0)
+        ));
+        out.push_str(&format!(
+            "  \"parallel_cached_samples_s\": [{}],\n",
+            samples(|s| s.1)
+        ));
         out.push_str(&format!(
             "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"disk_hits\": {}, \"evictions\": {}, \"hit_rate\": {}}},\n",
             self.cache.hits,
@@ -96,15 +117,35 @@ impl Baseline {
     }
 }
 
-/// Measures both legs over the same scenario set.
+/// Measures both legs over the same scenario set `repeat` times (at
+/// least once) and returns the run with the median serial-uncached
+/// wall (the lower middle one for an even count), carrying every run's
+/// walls in [`Baseline::samples`]. One sample of a suite that takes a
+/// few seconds drifts by tens of percent on a shared VM; the median of
+/// several is what a perf gate can compare.
 ///
 /// The serial leg hands every scenario a [`FixtureCache::disabled`]
 /// cache — every fixture, model and memoized intermediate (schedules,
 /// reward tables, benign day costs) is recomputed on demand, which is
 /// exactly how the pre-engine ad-hoc harness executed — on one thread.
 /// The parallel leg runs the engine's normal shared-cache pool with
-/// `cfg.threads`.
-pub fn measure(scenarios: &[Arc<dyn Scenario>], cfg: &RunConfig) -> Baseline {
+/// `cfg.threads`. Each run starts from fresh caches.
+pub fn measure(scenarios: &[Arc<dyn Scenario>], cfg: &RunConfig, repeat: usize) -> Baseline {
+    let mut runs: Vec<Baseline> = (0..repeat.max(1))
+        .map(|_| measure_once(scenarios, cfg))
+        .collect();
+    let samples = runs
+        .iter()
+        .map(|b| (b.serial_uncached_wall, b.parallel_cached_wall))
+        .collect();
+    runs.sort_by_key(|b| b.serial_uncached_wall);
+    let mut median = runs.swap_remove((runs.len() - 1) / 2);
+    median.samples = samples;
+    median
+}
+
+/// One run of both legs.
+fn measure_once(scenarios: &[Arc<dyn Scenario>], cfg: &RunConfig) -> Baseline {
     // Serial, uncached: memoization off, one thread.
     let mut serial = Vec::with_capacity(scenarios.len());
     let serial_start = std::time::Instant::now();
@@ -146,6 +187,7 @@ pub fn measure(scenarios: &[Arc<dyn Scenario>], cfg: &RunConfig) -> Baseline {
         threads: parallel.threads,
         serial_uncached_wall: serial_wall,
         parallel_cached_wall: parallel.total_wall,
+        samples: vec![(serial_wall, parallel.total_wall)],
         cache: parallel.cache,
         entries,
     }
@@ -155,6 +197,29 @@ pub fn measure(scenarios: &[Arc<dyn Scenario>], cfg: &RunConfig) -> Baseline {
 mod tests {
     use super::*;
     use crate::fixtures::CacheStats;
+    use crate::scenario::{FnScenario, RunParams};
+    use crate::table::Table;
+
+    #[test]
+    fn repeats_keep_the_median_serial_run_and_every_sample() {
+        let probe: Arc<dyn Scenario> = Arc::new(FnScenario::new("probe", "probe", |_cx| {
+            Table::new("probe", "probe", &["x"])
+        }));
+        let cfg = RunConfig {
+            threads: 1,
+            params: RunParams::default(),
+            fail_fast: false,
+        };
+        let b = measure(&[probe], &cfg, 3);
+        assert_eq!(b.samples.len(), 3);
+        let mut serial: Vec<Duration> = b.samples.iter().map(|s| s.0).collect();
+        serial.sort();
+        assert_eq!(b.serial_uncached_wall, serial[1]);
+        assert!(b
+            .samples
+            .contains(&(b.serial_uncached_wall, b.parallel_cached_wall)));
+        assert_eq!(b.entries.len(), 1);
+    }
 
     #[test]
     fn json_shape_and_speedup() {
@@ -164,6 +229,10 @@ mod tests {
             threads: 4,
             serial_uncached_wall: Duration::from_secs(10),
             parallel_cached_wall: Duration::from_secs(4),
+            samples: vec![
+                (Duration::from_secs(12), Duration::from_secs(5)),
+                (Duration::from_secs(10), Duration::from_secs(4)),
+            ],
             cache: CacheStats {
                 hits: 10,
                 misses: 5,
@@ -178,6 +247,8 @@ mod tests {
         assert!((b.speedup() - 2.5).abs() < 1e-9);
         let j = b.to_json();
         assert!(j.contains("\"speedup\": 2.50"));
+        assert!(j.contains("\"serial_uncached_samples_s\": [12.000, 10.000],"));
+        assert!(j.contains("\"parallel_cached_samples_s\": [5.000, 4.000],"));
         assert!(j.contains("\"id\": \"fig3\""));
         assert!(j.contains("\"hit_rate\": 0.667"));
     }

@@ -1,11 +1,13 @@
 //! The workspace's single FNV-1a 64-bit implementation.
 //!
 //! Every content address in the system — blob file names (fleet
-//! journals and the fixture store alike), payload checksums, cache
-//! shard selection, fleet config signatures, scenario seeds —
-//! ultimately routes through this hash. The pin tests below freeze the
-//! exact values so no edit can silently re-address existing on-disk
-//! records.
+//! journals and the fixture store alike), cache shard selection, fleet
+//! config signatures, scenario seeds — ultimately routes through this
+//! hash. The pin tests below freeze the exact values so no edit can
+//! silently re-address existing on-disk records. It addresses records
+//! but does not checksum their payloads: byte-serial FNV-1a costs about
+//! 2 ns per byte, so the store checksums payloads with
+//! [`crate::xxh64()`].
 
 /// FNV-1a offset basis (64-bit).
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -12,8 +12,9 @@
 //! original configuration from the directory alone.
 //!
 //! Typed payloads travel through the explicit [`wire`] codec via the
-//! [`Blob`] trait, and every content address in the workspace uses the
-//! single FNV-1a implementation in [`fnv`].
+//! [`Blob`] trait. Every content address in the workspace (record file
+//! names, signatures, seeds) uses the single FNV-1a implementation in
+//! [`fnv`]; record payloads are checksummed with [`xxh64()`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,9 +26,11 @@ use std::path::Path;
 pub mod blob;
 pub mod fnv;
 pub mod wire;
+pub mod xxh64;
 
 pub use blob::{Blob, BlobStats, BlobStore};
 pub use fnv::{fnv1a_bytes, fnv1a_str};
+pub use xxh64::xxh64;
 
 /// Name of the run-manifest file inside a fleet journal directory.
 pub const MANIFEST_NAME: &str = "manifest.txt";
