@@ -1,12 +1,12 @@
 //! Criterion bench for the `smtlite` substrate itself: CDCL SAT on a
-//! pigeonhole family and OMT maximization on a box LP.
+//! pigeonhole family and OMT maximization of a pseudo-Boolean chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use shatter_smt::ast::{Formula, LinExpr};
+use shatter_smt::ast::{BoolVar, Formula};
 use shatter_smt::sat::{Lit, SatSolver};
-use shatter_smt::Solver;
+use shatter_smt::{Objective, Solver};
 
 fn pigeonhole(pigeons: usize) -> SatSolver {
     let holes = pigeons - 1;
@@ -43,52 +43,37 @@ fn bench_sat(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` slots choosing one of four zones each, scored by a rotating
+/// weight pattern, where two neighbouring slots may not both pick their
+/// heaviest zone: the base model is rarely optimal, so the search probes.
 fn bench_omt(c: &mut Criterion) {
-    let mut group = c.benchmark_group("omt_box_lp");
+    let mut group = c.benchmark_group("omt_pb_chain");
     group.sample_size(10);
     for n in [5usize, 10, 20] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let mut s = Solver::new();
-                let mut obj = LinExpr::constant(0);
-                for i in 0..n {
-                    let x = s.new_real();
-                    s.assert_formula(LinExpr::var(x).ge(0));
-                    s.assert_formula(LinExpr::var(x).le((i as i64 % 7) + 1));
-                    obj = obj.plus(&LinExpr::var(x));
+                let slots: Vec<Vec<BoolVar>> = (0..n)
+                    .map(|_| (0..4).map(|_| s.new_bool()).collect())
+                    .collect();
+                let mut objective = Objective::new();
+                for (t, row) in slots.iter().enumerate() {
+                    let weights = (0..4).map(|z| ((t + z) % 4) as i64 * 10 + z as i64);
+                    objective.add_group(row.iter().copied().zip(weights));
                 }
-                black_box(s.maximize(&obj, 0.0, 200.0, 1e-3))
+                for t in 1..n {
+                    let heavy = |u: usize| (4 - u % 4) % 4;
+                    s.assert_formula(Formula::or([
+                        Formula::not(Formula::Bool(slots[t - 1][heavy(t - 1)])),
+                        Formula::not(Formula::Bool(slots[t][heavy(t)])),
+                    ]));
+                }
+                black_box(s.maximize(&objective))
             })
         });
     }
     group.finish();
 }
 
-fn bench_theory_conflicts(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dpllt_conflict_loop");
-    group.sample_size(10);
-    group.bench_function("chained_choices", |b| {
-        b.iter(|| {
-            let mut s = Solver::new();
-            let x = s.new_real();
-            // Ten Boolean choices, each forcing incompatible bounds unless
-            // the right polarity is picked.
-            for i in 0..10 {
-                let p = s.new_bool();
-                s.assert_formula(Formula::implies(
-                    Formula::Bool(p),
-                    LinExpr::var(x).ge(i as i64),
-                ));
-                s.assert_formula(Formula::implies(
-                    Formula::not(Formula::Bool(p)),
-                    LinExpr::var(x).le(-(i as i64) - 1),
-                ));
-            }
-            black_box(s.check())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_sat, bench_omt, bench_theory_conflicts);
+criterion_group!(benches, bench_sat, bench_omt);
 criterion_main!(benches);

@@ -30,11 +30,10 @@ fn sample_window_solution() -> WindowSolution {
             sat_decisions: 9_310,
             sat_propagations: 88_412,
             sat_learned: 512,
-            float_pivots: 14_890,
+            bin_props: 14_890,
             ..SmtStats::default()
         },
         objective: Some(123_456),
-        overflow: false,
     }
 }
 

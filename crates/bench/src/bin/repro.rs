@@ -4,15 +4,15 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--list] [--only ID[,ID...]] [--threads N] [--serial]
+//! repro [--list] [--only ID[,ID...]] [--threads N]
 //!       [--days N] [--span N] [--seed N]
 //!       [--json] [--no-text] [--out DIR] [--no-csv]
 //!       [--baseline PATH] [--repeat N] [--gate-against PATH]
-//!       [--inject PLAN] [--budget SPEC] [--exact-simplex]
+//!       [--inject PLAN] [--budget SPEC]
 //!       [--fleet N] [--sample K] [--resume DIR] [--journal DIR]
 //!       [--house-budget SPEC] [--fleet-retries N]
 //!       [--store DIR] [--cache-mb N]
-//!       [--keep-going] [--fail-fast]
+//!       [--fail-fast]
 //!       [exhibit...]
 //! repro                 # full suite, parallel, text + CSV
 //! repro --only tab5,fig10 --threads 4 --json
@@ -24,11 +24,11 @@
 //! repro --store results/store --fleet 24  # persist fixtures across runs
 //! ```
 //!
-//! `--store DIR` (env `SHATTER_STORE`) puts a content-addressed disk
+//! `--store DIR` puts a content-addressed disk
 //! tier under the fixture cache: datasets, episodes, trained ADMs,
 //! reward tables and window solutions computed by one run are replayed
 //! by the next, so a warm run produces byte-identical tables several
-//! times faster. `--cache-mb N` (env `SHATTER_CACHE_MB`) bounds the
+//! times faster. `--cache-mb N` bounds the
 //! in-RAM tier; eviction is deterministic (insertion order, never
 //! wall-clock) and evicted entries refault through the disk tier — a
 //! perf knob, never a correctness event. `--sample K` evaluates a
@@ -52,18 +52,14 @@
 //! median serial-uncached wall plus every run's walls;
 //! `--gate-against` compares that median with the committed artifact.
 //!
-//! `--exact-simplex` runs every SMT window through the forced-exact
-//! rational simplex instead of the certified float fast path —
-//! schedules and exhibit verdicts are byte-identical either way; only
-//! the `float_piv`/`fb` effort columns change.
-//!
 //! Dependability: a panicking scenario is isolated to a `FAILED` row and
 //! the rest of the suite still runs (`--fail-fast` stops instead); the
 //! exit code is 1 when any scenario failed. `--inject` installs a
 //! deterministic fault plan (`scenario/site/kind[@hit]`,
 //! comma-separated) and `--budget` caps solver effort per SMT window
-//! (`conflicts=N,pivots=N,probes=N`) with anytime degradation. Both SMT
-//! settings travel to the scenarios in `RunParams::smt`.
+//! (`conflicts=N,probes=N`) with anytime degradation; the budget
+//! travels to the scenarios in `RunParams::smt`. Each setting has one
+//! spelling, and the binary reads no environment variables.
 
 use std::path::PathBuf;
 
@@ -153,10 +149,8 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
         journal: None,
         house_budget: None,
         fleet_retries: None,
-        store: std::env::var_os("SHATTER_STORE").map(PathBuf::from),
-        cache_mb: std::env::var("SHATTER_CACHE_MB")
-            .ok()
-            .and_then(|v| v.parse().ok()),
+        store: None,
+        cache_mb: None,
     };
     let mut errors: Vec<String> = Vec::new();
     fn next_num(
@@ -192,7 +186,6 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                 }
             }
             "--threads" => opts.threads = next_num(&mut args, "--threads", &mut errors),
-            "--serial" => opts.threads = 1,
             "--days" => opts.days = next_num(&mut args, "--days", &mut errors),
             "--span" => opts.span = next_num(&mut args, "--span", &mut errors),
             // --seed offsets every dataset seed (XORed into the canonical
@@ -238,7 +231,6 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                     }
                 }
             }
-            "--exact-simplex" => opts.smt.force_exact = true,
             "--fleet" => opts.fleet = Some(next_num(&mut args, "--fleet", &mut errors)),
             "--sample" => opts.sample = Some(next_num(&mut args, "--sample", &mut errors)),
             "--store" => {
@@ -270,20 +262,19 @@ fn parse_args(known_ids: &[String]) -> Result<Options, Vec<String>> {
                 opts.fleet_retries =
                     Some(next_num(&mut args, "--fleet-retries", &mut errors) as u32);
             }
-            "--keep-going" => opts.fail_fast = false,
             "--fail-fast" => opts.fail_fast = true,
             "all" => opts.wanted.extend(known_ids.iter().cloned()),
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--list] [--only ID[,ID...]] [--threads N] [--serial]\n\
+                    "usage: repro [--list] [--only ID[,ID...]] [--threads N]\n\
                      \x20            [--days N] [--span N] [--seed N] [--json] [--no-text]\n\
                      \x20            [--out DIR] [--no-csv] [--baseline PATH] [--repeat N]\n\
                      \x20            [--gate-against PATH]\n\
-                     \x20            [--inject PLAN] [--budget SPEC] [--exact-simplex]\n\
+                     \x20            [--inject PLAN] [--budget SPEC]\n\
                      \x20            [--fleet N] [--sample K] [--resume DIR] [--journal DIR]\n\
                      \x20            [--house-budget SPEC] [--fleet-retries N]\n\
                      \x20            [--store DIR] [--cache-mb N]\n\
-                     \x20            [--keep-going] [--fail-fast] [exhibit...]"
+                     \x20            [--fail-fast] [exhibit...]"
                 );
                 println!("exhibits: {}", known_ids.join(" "));
                 std::process::exit(0);
@@ -349,7 +340,14 @@ fn main() {
         opts.seed = field("seed")
             .parse()
             .unwrap_or_else(|_| die("--resume: bad \"seed\" in manifest"));
-        opts.house_budget = Some(field("house_budget"));
+        // A journal written before a budget key was retired (`pivots=`)
+        // names that key here: stop rather than resume under another
+        // budget.
+        let house_budget = field("house_budget");
+        if let Err(e) = Budget::parse(&house_budget) {
+            die(&format!("--resume: manifest house_budget: {e}"));
+        }
+        opts.house_budget = Some(house_budget);
         opts.fleet_retries = Some(num("retries") as u32);
         // Present only when the interrupted run was sampled; exhaustive
         // manifests predating the entry resume unchanged.

@@ -1,6 +1,7 @@
 //! One function per paper exhibit, each a [`Scenario`] body taking the
-//! engine's [`ScenarioCtx`]. See `DESIGN.md` §4 for the exhibit index and
-//! `scenarios::register_builtin` for the registry wiring.
+//! engine's [`ScenarioCtx`]. See the README's "Reproducing the paper"
+//! section for the exhibit index and `scenarios::register_builtin` for
+//! the registry wiring.
 //!
 //! All fixture-scale work (dataset synthesis, episode extraction, ADM
 //! training) is pulled through the context's [`FixtureCache`], so a
@@ -60,12 +61,17 @@ pub(crate) fn smt_prefix(
     format!("smtw/{}/{adm_tag}/{table_tag}/{day_idx}", fx.cache_key())
 }
 
-/// Cached reward table of a fixture's energy model (disk-tiered when
-/// the cache has a blob store).
+/// Cached reward table of a fixture's home (disk-tiered when the cache
+/// has a blob store). The table is a function of the energy model alone,
+/// and every fixture's model is `EnergyModel::standard` of its home, so
+/// the key names the home spec's signature, not the dataset: every
+/// `(days, seed)` variant of a house shares one table.
 pub(crate) fn reward_table(cx: &ScenarioCtx<'_>, fx: &HouseFixture) -> Arc<RewardTable> {
+    let mut home_sig = 0xcbf2_9ce4_8422_2325;
+    fx.spec.home.fold_signature(&mut home_sig);
     cx.cache
-        .memo_blob(&format!("rtable/{}", fx.cache_key()), || {
-            RewardTable::build(&fx.model)
+        .memo_blob(&format!("rtable/standard/{home_sig:016x}"), || {
+            RewardTable::build(&EnergyModel::standard(fx.spec.home.build()))
         })
 }
 
@@ -717,8 +723,6 @@ fn effort_cells(stats: &SmtStats) -> Vec<String> {
         stats.sat_restarts,
         stats.sat_gc_clauses,
         stats.sat_learnt_live,
-        stats.float_pivots,
-        stats.exact_fallbacks,
         stats.bin_props,
     ]
     .iter()
@@ -756,8 +760,6 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
             "sat_restarts",
             "sat_gcd",
             "sat_live",
-            "float_piv",
-            "fb",
             "bin_props",
         ],
     );
@@ -1032,8 +1034,6 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
             "sat_restarts",
             "sat_gcd",
             "sat_live",
-            "float_piv",
-            "fb",
             "bin_props",
         ],
     );
@@ -1160,8 +1160,9 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
 }
 
 /// Ablation study of SHATTER's design choices (not a paper exhibit; see
-/// DESIGN.md §6): optimization-horizon sweep, trigger-aware scheduling
-/// on/off, ADM cluster-radius sweep, and battery-size sweep.
+/// the README's "Reproducing the paper"): optimization-horizon sweep,
+/// trigger-aware scheduling on/off, ADM cluster-radius sweep, and
+/// battery-size sweep.
 pub fn ablation(cx: &ScenarioCtx<'_>) -> Table {
     let days = cx.days();
     let mut t = Table::new(
@@ -1497,4 +1498,34 @@ pub fn defense_sweep(cx: &ScenarioCtx<'_>) -> Table {
         fmt2(residual),
     ]);
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use shatter_engine::{FixtureCache, HealthSink, RunParams, WorkPool};
+    use shatter_store::Blob;
+
+    #[test]
+    fn reward_tables_are_shared_across_days_of_one_home() {
+        let cache = FixtureCache::new();
+        let cx = ScenarioCtx {
+            cache: &cache,
+            params: RunParams::default(),
+            seed: 0,
+            pool: WorkPool::serial(),
+            health: HealthSink::new(),
+        };
+        let spec = HouseSpec::aras_a();
+        let short = HouseFixture::new(&spec, 2);
+        let long = HouseFixture::new(&spec, 3);
+        let before = cache.stats();
+        let a = reward_table(&cx, &short);
+        let b = reward_table(&cx, &long);
+        let after = cache.stats();
+        assert_eq!(after.misses - before.misses, 1, "one table per home");
+        assert_eq!(after.hits - before.hits, 1);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.to_blob(), RewardTable::build(&short.model).to_blob());
+    }
 }

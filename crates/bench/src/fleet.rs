@@ -11,7 +11,7 @@
 //! base_seed)`: house `i` derives its shape and dataset seed from a
 //! splitmix64 mix of the index, never from wall time or thread
 //! interleaving. The per-house watchdog is the deterministic
-//! [`Budget`] (conflicts / pivots / probes — never wall time), and
+//! [`Budget`] (conflicts / probes — never wall time), and
 //! retry attempt `k` re-runs under `budget.escalated(2^k)`, so a house
 //! either completes identically everywhere or degrades/quarantines
 //! identically everywhere. Journal replay returns the recorded row
@@ -76,7 +76,6 @@ impl Default for FleetPolicy {
             // bounded fleet-wide.
             house_budget: Budget {
                 max_conflicts: Some(200_000),
-                max_pivots: Some(20_000_000),
                 max_probes: None,
             },
             max_retries: 1,
@@ -201,7 +200,7 @@ fn eval_house(cx: &ScenarioCtx<'_>, i: usize, budget: &Budget) -> (Vec<String>, 
     if let Some(kind) = shatter_faults::hit("fleet.house") {
         match kind {
             FaultKind::Panic => shatter_faults::panic_now("fleet.house"),
-            FaultKind::Overflow | FaultKind::Budget | FaultKind::Io => {
+            FaultKind::Budget | FaultKind::Io => {
                 notes.push(format!(
                     "house {label}: injected {} at fleet.house",
                     kind.name()

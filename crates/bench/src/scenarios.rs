@@ -73,7 +73,7 @@ pub fn builtin_registry() -> Registry {
     );
     reg.register(
         FnScenario::new("ablation", "Design-choice ablations", exhibits::ablation)
-            .describe("Horizon, trigger-awareness, ADM radius and battery sweeps (DESIGN.md §6)"),
+            .describe("Horizon, trigger-awareness, ADM radius and battery sweeps (README: Reproducing the paper)"),
     );
     reg.register(
         FnScenario::new("scaled_homes", "House-size sweep", exhibits::scaled_homes)

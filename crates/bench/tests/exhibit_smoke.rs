@@ -111,7 +111,7 @@ fn strategies_enumerates_registry_and_dp_is_stealthy() {
 
 #[test]
 fn zero_smt_budget_degrades_strategies_and_fig11() {
-    // The `repro --budget conflicts=0,pivots=0,probes=0` route: the
+    // The `repro --budget conflicts=0,probes=0` route: the
     // budget rides in `RunParams::smt` and halts every SMT window that
     // needs search. (fig11's first ten minutes solve without any, so
     // its span covers the first hour.)
@@ -121,7 +121,7 @@ fn zero_smt_budget_degrades_strategies_and_fig11() {
             days: 4,
             span: 60,
             smt: SmtScheduler {
-                budget: Budget::parse("conflicts=0,pivots=0,probes=0").ok(),
+                budget: Some(Budget::parse("conflicts=0,probes=0").expect("a valid spec")),
                 ..SmtScheduler::default()
             },
             ..RunParams::default()

@@ -280,13 +280,20 @@ fn injected_read_fault_discards_and_recomputes() {
 
 #[test]
 fn retired_window_solution_tags_are_discarded_and_recomputed() {
-    // Payloads persisted by older builds under a live window memo key:
-    // `window-solution/1` (zones, 14 loose effort counters, objective,
-    // degraded/retried/overflow flags) and `window-solution/2` (the
-    // current layout, holding the effort counters of the search before
-    // the first OMT probe became an optimality check). The current build
-    // must never decode either, only discard it and recompute.
-    for (tag, flags) in [("window-solution/1", 3), ("window-solution/2", 1)] {
+    // Payloads persisted by older builds under a live window memo key,
+    // all with zones, 14 effort counters and an objective:
+    // `window-solution/1` (then degraded/retried/overflow flags),
+    // `window-solution/2` (an overflow flag; the effort counters of the
+    // search before the first OMT probe became an optimality check) and
+    // `window-solution/3` (the `/2` layout, with the simplex's pivot
+    // counters before the window objective became pseudo-Boolean). The
+    // current build must never decode any of them, only discard it and
+    // recompute.
+    for (tag, flags) in [
+        ("window-solution/1", 3),
+        ("window-solution/2", 1),
+        ("window-solution/3", 1),
+    ] {
         let dir = store_dir(&tag.replace('/', "-"));
         let key = "window-retired-test/o0/w0+10/b-";
         {
@@ -313,7 +320,6 @@ fn retired_window_solution_tags_are_discarded_and_recomputed() {
                 ..SmtStats::default()
             },
             objective: Some(123),
-            overflow: false,
         };
 
         let cache = FixtureCache::new().with_disk(open_store(&dir));

@@ -2,14 +2,15 @@
 //! window solutions and attack schedules (the reward table's encoding
 //! lives in `reward.rs` with its private fields).
 //!
-//! A [`WindowSolution`] blob carries the full effort-counter set, so a
-//! warm run replays conflict/pivot/propagation columns byte-identically
-//! instead of reporting zeros — the same contract the in-RAM memo
-//! already provides. Field order is part of the format; any change
-//! must bump the tag. So must a solver change that moves the effort
-//! counters a window solve reports, or a store written by an older build
-//! would replay its counters into a newer run (`window-solution/3` has
-//! the `/2` layout).
+//! A [`WindowSolution`] blob carries the effort counters a window solve
+//! reports, so a warm run replays conflict/decision/propagation columns
+//! byte-identically instead of reporting zeros — the same contract the
+//! in-RAM memo already provides. Field order is part of the format; any
+//! change must bump the tag. So must a solver change that moves the
+//! effort counters a window solve reports, or a store written by an
+//! older build would replay its counters into a newer run
+//! (`window-solution/4` dropped the simplex counters and the overflow
+//! marker of `/3` when the window objective became pseudo-Boolean).
 
 use shatter_smarthome::{Activity, ZoneId};
 use shatter_store::wire::{Reader, Writer};
@@ -19,7 +20,7 @@ use crate::schedule::{AttackSchedule, WindowSolution};
 use crate::SmtStats;
 
 impl Blob for WindowSolution {
-    const TAG: &'static str = "window-solution/3";
+    const TAG: &'static str = "window-solution/4";
 
     fn encode(&self, w: &mut Writer) {
         match &self.zones {
@@ -43,16 +44,12 @@ impl Blob for WindowSolution {
             e.sat_restarts,
             e.sat_gc_clauses,
             e.sat_learnt_live,
-            e.float_pivots,
-            e.exact_fallbacks,
             e.degraded_windows,
-            e.retried_windows,
             e.bin_props,
         ] {
             w.u64(v);
         }
         w.opt_i64(self.objective);
-        w.bool(self.overflow);
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
@@ -76,17 +73,14 @@ impl Blob for WindowSolution {
             sat_restarts: r.u64()?,
             sat_gc_clauses: r.u64()?,
             sat_learnt_live: r.u64()?,
-            float_pivots: r.u64()?,
-            exact_fallbacks: r.u64()?,
             degraded_windows: r.u64()?,
-            retried_windows: r.u64()?,
             bin_props: r.u64()?,
+            ..SmtStats::default()
         };
         Some(WindowSolution {
             zones,
             effort,
             objective: r.opt_i64()?,
-            overflow: r.bool()?,
         })
     }
 }
@@ -154,14 +148,11 @@ mod tests {
                 sat_restarts: 2,
                 sat_gc_clauses: 5,
                 sat_learnt_live: 9,
-                float_pivots: 88,
-                exact_fallbacks: 3,
-                degraded_windows: 0,
-                retried_windows: 1,
+                degraded_windows: 1,
                 bin_props: 404,
+                ..SmtStats::default()
             },
             objective: Some(-12_345),
-            overflow: false,
         };
         assert_eq!(WindowSolution::from_blob(&sol.to_blob()), Some(sol));
         let infeasible = WindowSolution {

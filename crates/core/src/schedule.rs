@@ -265,17 +265,13 @@ pub struct WindowSolution {
     /// The window's committed zone row; `None` marks infeasible.
     pub zones: Option<Vec<ZoneId>>,
     /// Solver effort the original solve cost, including its
-    /// `degraded_windows`/`retried_windows` marks (`windows` and
-    /// `fallbacks` stay zero: the scheduler counts those).
+    /// `degraded_windows` mark (`windows` and `fallbacks` stay zero: the
+    /// scheduler counts those).
     pub effort: crate::SmtStats,
     /// Proven-optimal objective value in integer micro-dollars; `None`
     /// when the window was infeasible or degraded before the optimum was
     /// proven.
     pub objective: Option<i64>,
-    /// A rational overflow poisoned the window's tableau. Transient
-    /// marker consumed by the scheduler's exact-retry logic; a memoized
-    /// fragment never carries it (retries happen before caching).
-    pub overflow: bool,
 }
 
 /// Memoizes solved schedule fragments (SMT window solutions) across

@@ -5,16 +5,14 @@ use shatter_adm::{HullAdm, StayProfile};
 use shatter_dataset::DayTrace;
 use shatter_faults::FaultKind;
 use shatter_smarthome::{Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
-use shatter_smt::ast::{BoolVar, Formula, LinExpr, RealVar};
-use shatter_smt::{
-    Budget, HaltCause, NumericMode, OmtOutcome, Rat, SatStats, SimplexStats, Solver,
-};
+use shatter_smt::ast::{BoolVar, Formula};
+use shatter_smt::{Budget, Objective, OmtOutcome, SatStats, Solver};
 
 use crate::schedule::{Scheduler, WindowMemo, WindowSolution};
 use crate::{AttackerCapability, RewardTable};
 
 /// The formal window scheduler: encodes each optimization window
-/// (Eq. 17–20) as a QF_LRA+Bool formula and maximizes the energy-cost
+/// (Eq. 17–20) as Boolean constraints and maximizes the energy-cost
 /// objective with the `shatter-smt` OMT loop — the role Z3 plays in the
 /// paper, and the subject of its Fig. 11 scalability study.
 ///
@@ -27,8 +25,9 @@ use crate::{AttackerCapability, RewardTable};
 ///   `inRangeStay(z, s, e−s)` on exit (Eq. 20) and `maxStay` viability
 ///   while it continues (Eq. 19), with the cross-window boundary stay
 ///   carried as `(z0, a0)`,
-/// - objective: per-slot reward reals `y[t]` tied to the chosen zone,
-///   maximizing `Σ y[t]` in integer micro-dollars.
+/// - objective: a pseudo-Boolean sum with one exactly-one group per
+///   slot, scoring the chosen zone's reward in integer micro-dollars
+///   (Eq. 17).
 ///
 /// Windows are solved left to right and merged, exactly like
 /// [`crate::WindowDpScheduler`]; on an infeasible window (over-restricted
@@ -37,16 +36,15 @@ use crate::{AttackerCapability, RewardTable};
 /// # Incremental solving
 ///
 /// The solver is carried across a day's windows through a window
-/// encoder: the window-shape *template* (the `x`/`y` variables
-/// and the exactly-one rows, which only depend on the window span and
-/// zone count) is encoded once per span, and each window pushes only its
-/// specific reward/boundary/capability constraints onto the assertion
-/// trail as clauses, maximizes, and pops. The OMT search itself runs
-/// inside that one solver: its first probe asks for one micro-dollar
-/// more than the first model found, which proves that model optimal in
-/// most windows; probes are guarded by fresh assumption literals,
-/// clauses learned by one probe prune the next, and the simplex
-/// warm-starts from the previous feasible basis. Because
+/// encoder: the window-shape *template* (the `x` variables and their
+/// exactly-one rows, which only depend on the window span and zone
+/// count) is encoded once per span, and each window pushes only its
+/// specific boundary/capability/run constraints onto the assertion trail
+/// as clauses, maximizes its reward objective, and pops. The OMT search
+/// itself runs inside that one solver: its first probe asks for one
+/// micro-dollar more than the first model found, which proves that
+/// model optimal in most windows; probes are guarded by fresh assumption
+/// literals, and clauses learned by one probe prune the next. Because
 /// [`Solver::pop`] restores the solver bit-for-bit (heuristics
 /// included), the committed schedule is byte-identical to solving every
 /// window with a fresh solver — the `reuse_solver: false` reference path
@@ -56,20 +54,12 @@ pub struct SmtScheduler {
     /// Optimization window `I` in slots (paper: 10).
     pub horizon: usize,
     /// Carry one solver (template clauses, learned-clause reuse inside a
-    /// window, warm simplex) across the day's windows. `false` rebuilds
-    /// a fresh solver per window — the slow reference path kept for the
+    /// window) across the day's windows. `false` rebuilds a fresh solver
+    /// per window — the slow reference path kept for the
     /// incremental-vs-fresh equivalence tests.
     pub reuse_solver: bool,
-    /// Run the simplex in forced-exact mode
-    /// ([`NumericMode::ExactOnly`]) instead of the certified float fast
-    /// path. Schedules are byte-identical either way (the fast path
-    /// re-certifies every verdict exactly); the knob keeps the pure
-    /// rational reference pipeline runnable end to end (`repro
-    /// --exact-simplex`). Off by default. Window memo keys carry the
-    /// mode, so replayed effort counters always match it.
-    pub force_exact: bool,
     /// Per-window resource budget in deterministic effort units
-    /// (conflicts / pivots / OMT probes — never wall time). Re-installed
+    /// (conflicts / OMT probes — never wall time). Re-installed
     /// at the start of every window solve, so each window gets the same
     /// allowance regardless of what earlier windows consumed. A window
     /// that exhausts its budget degrades — it commits the best schedule
@@ -86,18 +76,10 @@ impl Default for SmtScheduler {
         SmtScheduler {
             horizon: 10,
             reuse_solver: true,
-            force_exact: false,
             budget: None,
         }
     }
 }
-
-/// Termination gap of the OMT search, in micro-dollars. The objective is
-/// integer micro-dollars, and a gap of at most 1 pins the converged
-/// bracket inside one integer, so the rounded optimum is exact: the
-/// first probe, `objective ≥ best + 1`, is Unsat exactly when the first
-/// model found is optimal.
-const TOL_MICROUSD: f64 = 1.0;
 
 /// Solver effort: the one counters type for a window solve, an occupant
 /// chain, or a whole exhibit. A [`WindowSolution`] embeds the effort its
@@ -124,28 +106,26 @@ pub struct SmtStats {
     pub sat_gc_clauses: u64,
     /// Peak live learnt-clause count observed at any window's end.
     pub sat_learnt_live: u64,
-    /// Simplex pivots run through the certified f64 fast path.
+    /// Always 0: the solver has no simplex since the window objective
+    /// became pseudo-Boolean. Kept, outside the persisted layout, only
+    /// because the perfbench harness still reports it.
     pub float_pivots: u64,
-    /// Simplex comparisons that fell back to exact rational arithmetic
-    /// (inside the float error margin, or at a certification point).
+    /// Always 0, like [`SmtStats::float_pivots`]: there is no exact
+    /// rational fallback left to count.
     pub exact_fallbacks: u64,
-    /// Windows that stopped early on budget exhaustion or numeric
-    /// degradation and committed a best-so-far (or fallback) row.
+    /// Windows that stopped early on budget exhaustion and committed a
+    /// best-so-far (or fallback) row.
     pub degraded_windows: u64,
-    /// Windows re-solved on the forced-exact pipeline after the float
-    /// fast path overflowed.
-    pub retried_windows: u64,
     /// Literals implied through the SAT core's binary implication layer.
     pub bin_props: u64,
 }
 
 impl SmtStats {
     /// Converts the solver's native counters for one window solve — the
-    /// only place [`SatStats`]/[`SimplexStats`] become [`SmtStats`].
-    /// `windows` and `fallbacks` stay zero: the scheduler counts those.
+    /// only place [`SatStats`] become [`SmtStats`]. `windows` and
+    /// `fallbacks` stay zero: the scheduler counts those.
     fn of_window(
         sat: SatStats,
-        spx: SimplexStats,
         theory_conflicts: u64,
         learnt_live: u64,
         degraded: bool,
@@ -158,8 +138,6 @@ impl SmtStats {
             sat_restarts: sat.restarts,
             sat_gc_clauses: sat.gc_clauses,
             sat_learnt_live: learnt_live,
-            float_pivots: spx.float_pivots,
-            exact_fallbacks: spx.exact_fallbacks,
             degraded_windows: u64::from(degraded),
             bin_props: sat.bin_props,
             ..SmtStats::default()
@@ -180,26 +158,21 @@ impl SmtStats {
         self.sat_restarts += other.sat_restarts;
         self.sat_gc_clauses += other.sat_gc_clauses;
         self.sat_learnt_live = self.sat_learnt_live.max(other.sat_learnt_live);
-        self.float_pivots += other.float_pivots;
-        self.exact_fallbacks += other.exact_fallbacks;
         self.degraded_windows += other.degraded_windows;
-        self.retried_windows += other.retried_windows;
         self.bin_props += other.bin_props;
     }
 }
 
 /// Reusable per-span window encoder: owns the incremental [`Solver`]
 /// carried across windows, with the span-shaped template — slot×zone
-/// choice Booleans, the Eq. 18 exactly-one rows, and the per-slot reward
-/// reals — asserted once at the base level. [`WindowEncoder::solve_window`]
-/// pushes the window-specific constraints, runs the OMT search, and pops
-/// back to the template.
+/// choice Booleans and the Eq. 18 exactly-one rows — asserted once at
+/// the base level. [`WindowEncoder::solve_window`] pushes the
+/// window-specific constraints, runs the OMT search, and pops back to
+/// the template.
 struct WindowEncoder {
     solver: Solver,
     /// `x[t][z]`: choice Booleans, window-relative slot index.
     x: Vec<Vec<BoolVar>>,
-    /// `y[t]`: per-slot reward reals.
-    y: Vec<RealVar>,
 }
 
 /// Everything a single window solve needs besides the encoder itself —
@@ -223,21 +196,17 @@ struct WindowProblem<'a> {
 }
 
 impl WindowEncoder {
-    fn new(horizon: usize, n_zones: usize, force_exact: bool) -> WindowEncoder {
+    fn new(horizon: usize, n_zones: usize) -> WindowEncoder {
         let mut solver = Solver::new();
-        if force_exact {
-            solver.set_numeric_mode(NumericMode::ExactOnly);
-        }
         let x: Vec<Vec<BoolVar>> = (0..horizon)
             .map(|_| (0..n_zones).map(|_| solver.new_bool()).collect())
             .collect();
         // Eq. 18: exactly one zone per slot — the template rows shared by
-        // every window of this span.
+        // every window of this span, and the objective's groups.
         for row in &x {
-            solver.assert_formula(Formula::exactly_one(row));
+            solver.assert_exactly_one(row);
         }
-        let y: Vec<RealVar> = (0..horizon).map(|_| solver.new_real()).collect();
-        WindowEncoder { solver, x, y }
+        WindowEncoder { solver, x }
     }
 
     /// Solves one window: push the window-specific constraints, maximize
@@ -251,16 +220,14 @@ impl WindowEncoder {
         if let Some(kind) = shatter_faults::hit("smt.window") {
             match kind {
                 FaultKind::Panic => shatter_faults::panic_now("smt.window"),
-                kind => {
-                    // Every other kind degrades the window; an overflow
-                    // also marks it for the exact retry. A window solve
-                    // has no real I/O, so `io` degrades like `budget`.
+                FaultKind::Budget | FaultKind::Io => {
+                    // A window solve has no real I/O, so `io` degrades
+                    // the window like `budget`.
                     return WindowSolution {
                         effort: SmtStats {
                             degraded_windows: 1,
                             ..SmtStats::default()
                         },
-                        overflow: kind == FaultKind::Overflow,
                         ..WindowSolution::default()
                     };
                 }
@@ -270,7 +237,6 @@ impl WindowEncoder {
         debug_assert_eq!(self.x.len(), p.horizon, "encoder span mismatch");
         let conflicts_before = self.solver.theory_conflicts;
         let sat_before = self.solver.sat_stats();
-        let simplex_before = self.solver.simplex_stats();
         self.solver.push();
 
         let x = &self.x;
@@ -363,22 +329,17 @@ impl WindowEncoder {
             }
         }
 
-        // Objective: y[t] = reward of the chosen zone, in micro-dollars.
-        let mut objective = LinExpr::constant(0);
-        let mut hi = 1.0f64;
+        // Objective: each slot scores the reward of its chosen zone, in
+        // micro-dollars; the slot rows are the template's exactly-one
+        // groups.
+        let mut objective = Objective::new();
         for t in w..w + p.horizon {
-            let y = self.y[t - w];
-            let mut best = 0i64;
-            for z in 0..n_zones {
-                let r = micro(p.table.rate(p.o, ZoneId(z), t as Minute));
-                best = best.max(r);
-                self.solver.assert_formula(Formula::implies(
-                    lit(t, z),
-                    LinExpr::var(y).eq(Rat::int(r as i128)),
-                ));
-            }
-            hi += best as f64;
-            objective = objective.plus(&LinExpr::var(y));
+            objective.add_group(
+                x[t - w]
+                    .iter()
+                    .enumerate()
+                    .map(|(z, &v)| (v, micro(p.table.rate(p.o, ZoneId(z), t as Minute)))),
+            );
         }
 
         // Fresh per-window allowance: the caps are absolute ceilings of
@@ -387,15 +348,12 @@ impl WindowEncoder {
         if let Some(budget) = p.budget {
             self.solver.set_budget(budget);
         }
-        let (model, value, degraded, overflow) =
-            match self.solver.maximize(&objective, 0.0, hi, TOL_MICROUSD) {
-                OmtOutcome::Optimal { model, value } => (Some(model), Some(value), false, false),
-                OmtOutcome::Degraded { model, cause, .. } => {
-                    (Some(model), None, true, cause == HaltCause::Overflow)
-                }
-                OmtOutcome::Unsat => (None, None, false, false),
-                OmtOutcome::Halted(cause) => (None, None, true, cause == HaltCause::Overflow),
-            };
+        let (model, value, degraded) = match self.solver.maximize(&objective) {
+            OmtOutcome::Optimal { model, value } => (Some(model), Some(value), false),
+            OmtOutcome::Degraded { model, .. } => (Some(model), None, true),
+            OmtOutcome::Unsat => (None, None, false),
+            OmtOutcome::Halted(_) => (None, None, true),
+        };
         let zones = model.map(|model| {
             let mut out = Vec::with_capacity(p.horizon);
             for t in w..w + p.horizon {
@@ -407,54 +365,23 @@ impl WindowEncoder {
             out
         });
         let live = self.solver.live_learnts() as u64;
-        // The pop restores the checkpointed template state — including a
-        // clean tableau after an overflow poisoned this window's.
+        // The pop restores the checkpointed template state.
         self.solver.pop();
 
         WindowSolution {
             zones,
             effort: SmtStats::of_window(
                 self.solver.sat_stats().since(sat_before),
-                self.solver.simplex_stats().since(simplex_before),
                 self.solver.theory_conflicts - conflicts_before,
                 live,
                 degraded,
             ),
-            // Exact: see `TOL_MICROUSD`.
-            objective: value.map(|v| v.round() as i64),
-            overflow,
+            objective: value.and_then(|v| i64::try_from(v).ok()),
         }
     }
 }
 
 impl SmtScheduler {
-    /// One window solve on `encoder` with the overflow-retry policy:
-    /// when the float fast path overflows (poisoning its tableau), the
-    /// window is retried once on a fresh forced-exact encoder before the
-    /// fallback row is accepted. The transient `overflow` marker is
-    /// consumed here — cached fragments never carry it.
-    fn run_window(
-        &self,
-        encoder: &mut WindowEncoder,
-        p: &WindowProblem<'_>,
-        n_zones: usize,
-    ) -> WindowSolution {
-        let mut sol = encoder.solve_window(p);
-        if sol.overflow && !self.force_exact {
-            // The failed attempt contributes effort, not outcome: the
-            // retry alone decides whether the window is degraded.
-            let failed = SmtStats {
-                degraded_windows: 0,
-                ..sol.effort
-            };
-            sol = WindowEncoder::new(p.horizon, n_zones, true).solve_window(p);
-            sol.effort.merge(&failed);
-            sol.effort.retried_windows = 1;
-        }
-        sol.overflow = false;
-        sol
-    }
-
     /// Schedules one occupant over `[0, until)` slots, returning the zone
     /// row and solver statistics. `until` defaults to the full day in
     /// [`Scheduler::schedule`]; the scalability bench uses shorter spans.
@@ -473,7 +400,7 @@ impl SmtScheduler {
     /// Like [`SmtScheduler::schedule_occupant`], memoizing each window's
     /// solution through `memo` when given. Keys carry the window span,
     /// boundary stay, capability signature and final-window flag, plus
-    /// the numeric mode and budget; `prefix` must identify everything
+    /// the budget; `prefix` must identify everything
     /// else the solver sees — the day trace, the reward table contents
     /// and the ADM — or unrelated solves will alias.
     ///
@@ -520,12 +447,7 @@ impl SmtScheduler {
         let budget_key = match self.budget {
             Some(b) if !b.is_unlimited() => {
                 let f = |o: Option<u64>| o.map_or_else(|| "-".to_string(), |n| n.to_string());
-                format!(
-                    "/bu{}:{}:{}",
-                    f(b.max_conflicts),
-                    f(b.max_pivots),
-                    f(b.max_probes)
-                )
+                format!("/bu{}:{}", f(b.max_conflicts), f(b.max_probes))
             }
             _ => String::new(),
         };
@@ -546,9 +468,9 @@ impl SmtScheduler {
             let encoder: &mut WindowEncoder = if self.reuse_solver {
                 encoders
                     .entry(horizon)
-                    .or_insert_with(|| WindowEncoder::new(horizon, n_zones, self.force_exact))
+                    .or_insert_with(|| WindowEncoder::new(horizon, n_zones))
             } else {
-                fresh_store.insert(WindowEncoder::new(horizon, n_zones, self.force_exact))
+                fresh_store.insert(WindowEncoder::new(horizon, n_zones))
             };
             let problem = WindowProblem {
                 o,
@@ -578,20 +500,15 @@ impl SmtScheduler {
                     // final-window distinction, so the flag (not the span)
                     // keys it — shared interior windows hit across spans.
                     let is_final = u8::from(w + horizon >= until);
-                    // Schedules are mode-independent, but the replayed
-                    // effort counters (float pivots, exact fallbacks)
-                    // are not: the mode marker keeps cached fragments
-                    // honest about how they were solved.
-                    let ex = if self.force_exact { "/ex" } else { "" };
                     let key = match boundary {
                         Some((bz, ba)) => format!(
-                            "{prefix}/o{}/w{w}+{horizon}/b{}:{ba}/c{:016x}/f{is_final}{ex}{budget_key}",
+                            "{prefix}/o{}/w{w}+{horizon}/b{}:{ba}/c{:016x}/f{is_final}{budget_key}",
                             o.index(),
                             bz.index(),
                             cap.signature(),
                         ),
                         None => format!(
-                            "{prefix}/o{}/w{w}+{horizon}/b-/c{:016x}/f{is_final}{ex}{budget_key}",
+                            "{prefix}/o{}/w{w}+{horizon}/b-/c{:016x}/f{is_final}{budget_key}",
                             o.index(),
                             cap.signature(),
                         ),
@@ -599,11 +516,9 @@ impl SmtScheduler {
                     // The fragment stores the solver effort alongside the
                     // zones: a cache hit replays the original counters
                     // instead of reporting zero.
-                    m.window(&key, &mut || {
-                        self.run_window(&mut *encoder, &problem, n_zones)
-                    })
+                    m.window(&key, &mut || encoder.solve_window(&problem))
                 }
-                None => self.run_window(encoder, &problem, n_zones),
+                None => encoder.solve_window(&problem),
             };
             stats.merge(&solution.effort);
             match solution.zones {
@@ -723,49 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_pivot_overflow_degrades_never_panics_in_both_modes() {
-        // Satellite: a forced mid-pivot overflow inside a scheduled
-        // window must degrade (exact retry on the float path, fallback
-        // row on the forced-exact path) — never panic — in both numeric
-        // modes.
-        let (ds, adm, table, cap) = setup();
-        let day = &ds.days[10];
-        for force_exact in [false, true] {
-            let scope = if force_exact {
-                "smt-overflow-exact"
-            } else {
-                "smt-overflow-float"
-            };
-            shatter_faults::install(vec![shatter_faults::FaultSpec {
-                scenario: scope.to_string(),
-                site: "simplex.pivot".to_string(),
-                kind: FaultKind::Overflow,
-                hit: 0,
-            }]);
-            let sched = SmtScheduler {
-                force_exact,
-                budget: None,
-                ..SmtScheduler::default()
-            };
-            let (row, stats) = shatter_faults::with_scenario(scope, || {
-                sched.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60)
-            });
-            assert_eq!(row.len(), 60);
-            if force_exact {
-                // No cheaper pipeline left to retry with: the poisoned
-                // window falls back to mirroring actual behaviour.
-                assert!(stats.degraded_windows >= 1, "exact path must degrade");
-                assert!(stats.fallbacks >= 1);
-            } else {
-                // The float path retries the poisoned window on a fresh
-                // forced-exact encoder; the one-shot fault has already
-                // fired, so the retry completes the window.
-                assert!(stats.retried_windows >= 1, "float path must retry");
-            }
-        }
-    }
-
-    #[test]
     fn exhausted_budget_degrades_to_fallback_rows() {
         // A zero budget halts every window before its base model: each
         // one degrades to mirroring actual behaviour — deterministic,
@@ -775,7 +647,6 @@ mod tests {
         let sched = SmtScheduler {
             budget: Some(Budget {
                 max_conflicts: Some(0),
-                max_pivots: Some(0),
                 max_probes: Some(0),
             }),
             ..SmtScheduler::default()
@@ -810,7 +681,6 @@ mod tests {
         let capped = SmtScheduler {
             budget: Some(Budget {
                 max_conflicts: Some(10_000_000),
-                max_pivots: Some(100_000_000),
                 max_probes: Some(10_000),
             }),
             ..SmtScheduler::default()
@@ -820,7 +690,6 @@ mod tests {
             capped.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
         assert_eq!(row_free, row_capped);
         assert_eq!(stats.degraded_windows, 0);
-        assert_eq!(stats.retried_windows, 0);
     }
 
     #[test]

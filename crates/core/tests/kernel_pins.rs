@@ -20,9 +20,9 @@
 //! it shows here before it reaches a schedule or a cost.
 //!
 //! Two more pins cover the formal scheduler: its zone rows, and apart
-//! from them every `SmtStats` counter, so a change to the SAT core, the
-//! simplex or the rational arithmetic that alters the search fails the
-//! effort pin even when the schedules hold.
+//! from them every live `SmtStats` counter, so a change to the SAT core
+//! or the objective theory that alters the search fails the effort pin
+//! even when the schedules hold.
 
 use shatter_adm::{AdmKind, HullAdm};
 use shatter_core::{
@@ -252,9 +252,10 @@ fn smt_rows_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
     h.0
 }
 
-/// Hash of every [`SmtStats`] counter of [`smt_runs`]: the search
+/// Hash of every live [`SmtStats`] counter of [`smt_runs`]: the search
 /// itself. A solver change that keeps schedules but takes a different
-/// path through the CDCL core or the simplex moves it.
+/// path through the CDCL core or the objective theory moves it. The two
+/// retired simplex counters always read 0 and are left out.
 fn smt_effort_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for (_, stats) in runs {
@@ -268,10 +269,9 @@ fn smt_effort_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
             sat_restarts,
             sat_gc_clauses,
             sat_learnt_live,
-            float_pivots,
-            exact_fallbacks,
+            float_pivots: _,
+            exact_fallbacks: _,
             degraded_windows,
-            retried_windows,
             bin_props,
         } = *stats;
         for v in [
@@ -284,10 +284,7 @@ fn smt_effort_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
             sat_restarts,
             sat_gc_clauses,
             sat_learnt_live,
-            float_pivots,
-            exact_fallbacks,
             degraded_windows,
-            retried_windows,
             bin_props,
         ] {
             h.word(v);
@@ -312,17 +309,19 @@ fn smt_schedules_match_pin() {
     );
 }
 
-/// Recorded after the OMT search's first probe became the optimality
-/// check and window clauses lost their Tseitin variables: both change
-/// the search, not the schedule.
-const SMT_EFFORT: u64 = 0xed8a_a649_9bda_1f15;
+/// Recorded after the window objective became pseudo-Boolean: the
+/// objective theory replaced the simplex and its reward-tie clauses,
+/// which changes the search, not the schedule.
+const SMT_EFFORT: u64 = 0xd5f1_9481_3862_f8e5;
 
 #[test]
 fn smt_effort_matches_pin() {
     let runs = smt_runs();
-    let decisions: u64 = runs.iter().map(|(_, s)| s.sat_decisions).sum();
-    let pivots: u64 = runs.iter().map(|(_, s)| s.float_pivots).sum();
-    assert!(decisions > 0 && pivots > 0, "vacuous runs");
+    // These night-time windows propagate to their rows without a single
+    // decision; each optimality probe is refuted by the objective theory.
+    let propagations: u64 = runs.iter().map(|(_, s)| s.sat_propagations).sum();
+    let conflicts: u64 = runs.iter().map(|(_, s)| s.theory_conflicts).sum();
+    assert!(propagations > 0 && conflicts > 0, "vacuous runs");
     let hash = smt_effort_hash(&runs);
     assert_eq!(
         hash, SMT_EFFORT,

@@ -3,7 +3,7 @@
 //!
 //! [`SmtScheduler`] carries one `shatter-smt` solver across a day's
 //! windows (template clauses encoded once, probes guarded by assumption
-//! literals, warm-started simplex). Because `Solver::pop` restores the
+//! literals). Because `Solver::pop` restores the
 //! solver exactly — heuristics included — the committed schedule must be
 //! *byte-identical* to the `reuse_solver: false` reference path that
 //! rebuilds a solver per window, across seeds, spans, horizons and
@@ -159,111 +159,6 @@ fn memoized_reused_solver_matches_direct_path() {
     );
     assert_eq!(replay_row, direct[0]);
     assert_eq!(replay_stats, direct_stats);
-}
-
-// ----- numeric modes (certified float fast path vs forced exact) ---------
-
-/// The float fast path re-certifies every verdict with exact rationals,
-/// so schedules, window counts and fallbacks must be byte-identical to
-/// the forced-exact reference across spans, horizons and capability
-/// profiles — only the effort counters (float pivots, exact fallbacks)
-/// may differ between the modes.
-#[test]
-fn forced_exact_mode_schedules_byte_identically() {
-    for &(seed, span, restrict) in &[(71u64, 40usize, false), (5, 30, true)] {
-        let (ds, adm, table, cap_full) = world(seed);
-        let day = &ds.days[10];
-        let caps: Vec<(&str, AttackerCapability)> = if restrict {
-            vec![
-                ("full", cap_full.clone()),
-                (
-                    "zones123",
-                    cap_full
-                        .clone()
-                        .with_zone_access([ZoneId(1), ZoneId(2), ZoneId(3)]),
-                ),
-            ]
-        } else {
-            vec![("full", cap_full.clone())]
-        };
-        for (cap_name, cap) in &caps {
-            for &horizon in &[7usize, 10] {
-                let fast = SmtScheduler {
-                    horizon,
-                    force_exact: false,
-                    ..SmtScheduler::default()
-                };
-                let exact = SmtScheduler {
-                    force_exact: true,
-                    ..fast
-                };
-                let o = OccupantId(0);
-                let (fast_row, fast_stats) =
-                    fast.schedule_occupant(o, &table, &adm, cap, day, span);
-                let (exact_row, exact_stats) =
-                    exact.schedule_occupant(o, &table, &adm, cap, day, span);
-                let ctx = format!("seed={seed} span={span} cap={cap_name} horizon={horizon}");
-                assert_eq!(fast_row, exact_row, "zone rows diverge ({ctx})");
-                assert_eq!(
-                    (fast_stats.windows, fast_stats.fallbacks),
-                    (exact_stats.windows, exact_stats.fallbacks),
-                    "window accounting diverges ({ctx})"
-                );
-                assert_eq!(
-                    (fast_stats.theory_conflicts, fast_stats.sat_decisions),
-                    (exact_stats.theory_conflicts, exact_stats.sat_decisions),
-                    "search effort diverges ({ctx})"
-                );
-                // The counters prove each mode really ran its pipeline.
-                assert!(fast_stats.float_pivots > 0, "fast path idle ({ctx})");
-                assert_eq!(
-                    exact_stats.float_pivots, 0,
-                    "exact mode used floats ({ctx})"
-                );
-            }
-        }
-    }
-}
-
-/// Mode is part of the memo key: a cache populated by the fast path must
-/// not replay its effort counters into a forced-exact run (schedules may
-/// be shared only when the mode matches).
-#[test]
-fn memo_keys_separate_numeric_modes() {
-    let (ds, adm, table, cap) = world(71);
-    let day = &ds.days[10];
-    let memo = MapMemo::default();
-    let fast = SmtScheduler::default();
-    let exact = SmtScheduler {
-        force_exact: true,
-        ..SmtScheduler::default()
-    };
-    let (fast_row, fast_stats) = fast.schedule_occupant_memo(
-        OccupantId(0),
-        &table,
-        &adm,
-        &cap,
-        day,
-        30,
-        Some((&memo, "t")),
-    );
-    let keys_after_fast = memo.0.lock().unwrap().len();
-    let (exact_row, exact_stats) = exact.schedule_occupant_memo(
-        OccupantId(0),
-        &table,
-        &adm,
-        &cap,
-        day,
-        30,
-        Some((&memo, "t")),
-    );
-    assert_eq!(fast_row, exact_row);
-    assert!(fast_stats.float_pivots > 0);
-    assert_eq!(exact_stats.float_pivots, 0);
-    assert!(
-        memo.0.lock().unwrap().len() > keys_after_fast,
-        "exact run must miss the fast-path cache entries"
-    );
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! that reproduces the statistical regularities the framework consumes —
 //! habitual (arrival-time × stay-duration) clusters per occupant and zone,
 //! activity-conditioned appliance usage, and house-level behavioural
-//! differences between House A and House B. See `DESIGN.md` §2 for the
-//! substitution argument.
+//! differences between House A and House B. The README's "Scaling the
+//! house axis" section describes the specs that drive the generator.
 //!
 //! Main entry points:
 //!

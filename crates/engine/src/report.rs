@@ -311,7 +311,7 @@ mod tests {
     fn csv_reporter_writes_run_status_rollup() {
         let mut out = outcome();
         out.reports[0].status = ScenarioStatus::Degraded {
-            notes: vec!["partial".into(), "under conflicts=0,pivots=0".into()],
+            notes: vec!["partial".into(), "under conflicts=0,probes=0".into()],
         };
         let dir = std::env::temp_dir().join(format!(
             "shatter-report-test-{}-{:?}",
@@ -332,7 +332,7 @@ mod tests {
         let body = std::fs::read_to_string(status_path).unwrap();
         assert!(body.contains("scenario,status,retried,quarantined,detail"));
         // The note's commas stay inside one quoted `detail` cell.
-        assert!(body.contains("x,degraded,2,1,\"partial; under conflicts=0,pivots=0\"\n"));
+        assert!(body.contains("x,degraded,2,1,\"partial; under conflicts=0,probes=0\"\n"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

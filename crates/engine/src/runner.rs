@@ -184,7 +184,7 @@ fn run_one(
                     FaultKind::Panic => shatter_faults::panic_now("scenario.run"),
                     // The runner has no solver to exhaust or I/O to
                     // tear: the non-panic kinds degrade the scenario.
-                    FaultKind::Overflow | FaultKind::Budget | FaultKind::Io => cx
+                    FaultKind::Budget | FaultKind::Io => cx
                         .health
                         .note_degraded(format!("injected {} at scenario.run", kind.name())),
                 }
@@ -424,7 +424,7 @@ mod tests {
         reg.register(FnScenario::new("soft", "probe", |cx| {
             cx.health.note_degraded("window budget exhausted");
             cx.health.note_degraded("window budget exhausted");
-            cx.health.note_degraded("tableau overflow");
+            cx.health.note_degraded("probe budget exhausted");
             Table::new("soft", "probe", &["v"])
         }));
         let cache = crate::FixtureCache::new();
@@ -432,7 +432,10 @@ mod tests {
         assert!(!out.any_failed());
         match &out.reports[0].status {
             ScenarioStatus::Degraded { notes } => {
-                assert_eq!(notes, &["window budget exhausted", "tableau overflow"]);
+                assert_eq!(
+                    notes,
+                    &["window budget exhausted", "probe budget exhausted"]
+                );
             }
             other => panic!("expected Degraded, got {other:?}"),
         }

@@ -28,8 +28,8 @@ pub struct RunParams {
     /// Base seed mixed into each scenario's deterministic seed.
     pub base_seed: u64,
     /// The formal scheduler every SMT-running scenario starts from
-    /// (numeric mode and per-window budget; `repro --exact-simplex` /
-    /// `--budget`). Scenarios override only the fields they sweep.
+    /// (its per-window budget: `repro --budget`). Scenarios override only
+    /// the fields they sweep.
     pub smt: SmtScheduler,
 }
 

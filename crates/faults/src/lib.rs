@@ -2,12 +2,13 @@
 //!
 //! A *fault plan* is a set of rules keyed by `(scenario id, site,
 //! hit-counter)`. Instrumented code names its sites (`scenario.run`,
-//! `smt.window`, `simplex.pivot`, …) and consults [`hit`] at each one;
+//! `smt.window`, `fleet.house`, …) and consults [`hit`] at each one;
 //! the harness counts consults per `(scenario, site)` pair and fires a
 //! rule exactly once — on the consult whose counter matches the rule's
 //! `hit` index (default 0, the first consult). Counters are advanced by
-//! solver events (pivots, window solves), never by wall time, so a
-//! serial chaos run fires the same fault at the same point every time.
+//! program events (window solves, house attempts, store records), never
+//! by wall time, so a serial chaos run fires the same fault at the same
+//! point every time.
 //!
 //! Plans are installed by the embedding program through [`install`] or
 //! [`install_str`] (`repro --inject PLAN`); the library reads no
@@ -18,15 +19,15 @@
 //! repro --inject 'fig3/scenario.run/panic,strategies/smt.window/budget@2'
 //! ```
 //!
-//! `kind` is one of `panic`, `overflow`, `budget`, `io`; `scenario` may
+//! `kind` is one of `panic`, `budget`, `io`; `scenario` may
 //! be `*` to match any scenario (including code running outside a
 //! scenario scope). With no plan installed every entry point is a single
 //! relaxed atomic load, so clean runs pay nothing and stay
 //! byte-identical.
 //!
 //! Site catalog: `scenario.run` (runner, before the scenario body),
-//! `smt.window` (per SMT window solve), `simplex.pivot` (per simplex
-//! pivot), `fleet.house` (per-house fleet evaluation, inside the retry
+//! `smt.window` (per SMT window solve), `fleet.house` (per-house fleet
+//! evaluation, inside the retry
 //! loop), `store.write` (journal record / blob write; `io` tears the
 //! write, `panic` crashes mid-fleet), `store.read` (blob-store read;
 //! `io` treats the cached blob as damaged — deleted, counted as
@@ -46,16 +47,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// What an armed fault rule does when it fires. The *site* decides the
-/// mechanics: `panic` unwinds (isolation path), `overflow` forces the
-/// site's rational-overflow degradation (poisoned tableau → `ExactOnly`
-/// retry), `budget` forces the site's budget-exhaustion degradation
-/// (anytime best-so-far / fallback).
+/// mechanics: `panic` unwinds (isolation path), `budget` forces the
+/// site's budget-exhaustion degradation (anytime best-so-far /
+/// fallback), `io` its I/O failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Unwind with a panic at the site.
     Panic,
-    /// Behave as if the site hit an `i128` rational overflow.
-    Overflow,
     /// Behave as if the site exhausted its deterministic budget.
     Budget,
     /// Behave as if the site's I/O went wrong: `store.write` produces a
@@ -65,12 +63,11 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Lowercase plan-syntax name of the kind (`panic` / `overflow` /
-    /// `budget` / `io`).
+    /// Lowercase plan-syntax name of the kind (`panic` / `budget` /
+    /// `io`).
     pub fn name(self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
-            FaultKind::Overflow => "overflow",
             FaultKind::Budget => "budget",
             FaultKind::Io => "io",
         }
@@ -79,11 +76,10 @@ impl FaultKind {
     fn parse(s: &str) -> Result<FaultKind, String> {
         match s {
             "panic" => Ok(FaultKind::Panic),
-            "overflow" => Ok(FaultKind::Overflow),
             "budget" => Ok(FaultKind::Budget),
             "io" => Ok(FaultKind::Io),
             other => Err(format!(
-                "unknown fault kind {other:?} (expected panic|overflow|budget|io)"
+                "unknown fault kind {other:?} (expected panic|budget|io)"
             )),
         }
     }
@@ -271,7 +267,7 @@ mod tests {
 
     #[test]
     fn parse_full_plan() {
-        let specs = parse_plan("fig3/scenario.run/panic, s2/simplex.pivot/overflow@7").unwrap();
+        let specs = parse_plan("fig3/scenario.run/panic, s2/smt.window/budget@7").unwrap();
         assert_eq!(
             specs,
             vec![
@@ -283,8 +279,8 @@ mod tests {
                 },
                 FaultSpec {
                     scenario: "s2".into(),
-                    site: "simplex.pivot".into(),
-                    kind: FaultKind::Overflow,
+                    site: "smt.window".into(),
+                    kind: FaultKind::Budget,
                     hit: 7,
                 },
             ]
@@ -303,6 +299,8 @@ mod tests {
     fn parse_rejects_malformed_rules() {
         assert!(parse_plan("no-slashes").is_err());
         assert!(parse_plan("a/b/notakind").is_err());
+        // The retired `overflow` kind is unknown too.
+        assert!(parse_plan("a/b/overflow").is_err());
         assert!(parse_plan("a/b/panic@x").is_err());
         assert!(parse_plan("/b/panic").is_err());
         assert!(parse_plan("").unwrap().is_empty());
@@ -369,11 +367,11 @@ mod tests {
         install(vec![FaultSpec {
             scenario: "*".into(),
             site: "site.wild-faults-test".into(),
-            kind: FaultKind::Overflow,
+            kind: FaultKind::Budget,
             hit: 0,
         }]);
         with_scenario("faults-test-wild", || {
-            assert_eq!(hit("site.wild-faults-test"), Some(FaultKind::Overflow));
+            assert_eq!(hit("site.wild-faults-test"), Some(FaultKind::Budget));
         });
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic resource budgets for the solver stack.
 //!
-//! Budgets are counted in *deterministic* effort units — CDCL conflicts,
-//! simplex pivots, OMT probes — never wall time, so a budgeted run makes
+//! Budgets are counted in *deterministic* effort units — CDCL conflicts
+//! and OMT probes — never wall time, so a budgeted run makes
 //! the same decisions on every machine and thread count: either a window
 //! finishes identically everywhere, or it degrades identically
 //! everywhere.
@@ -14,8 +14,6 @@
 pub struct Budget {
     /// CDCL conflicts allowed across the solve (all probes combined).
     pub max_conflicts: Option<u64>,
-    /// Simplex pivots allowed across the solve.
-    pub max_pivots: Option<u64>,
     /// OMT probes (the optimality check and each bisection step)
     /// allowed per `maximize` call.
     pub max_probes: Option<u64>,
@@ -25,7 +23,6 @@ impl Budget {
     /// No limits — identical to running without a budget.
     pub const UNLIMITED: Budget = Budget {
         max_conflicts: None,
-        max_pivots: None,
         max_probes: None,
     };
 
@@ -43,12 +40,11 @@ impl Budget {
         let scale = |limit: Option<u64>| limit.map(|n| n.saturating_mul(factor));
         Budget {
             max_conflicts: scale(self.max_conflicts),
-            max_pivots: scale(self.max_pivots),
             max_probes: scale(self.max_probes),
         }
     }
 
-    /// Canonical `conflicts=N,pivots=N,probes=N` spec string of this
+    /// Canonical `conflicts=N,probes=N` spec string of this
     /// budget (set limits only; empty for [`Budget::UNLIMITED`]).
     /// Round-trips through [`Budget::parse`]; fleet manifests and
     /// per-window memo keys embed it.
@@ -57,17 +53,15 @@ impl Budget {
         if let Some(n) = self.max_conflicts {
             parts.push(format!("conflicts={n}"));
         }
-        if let Some(n) = self.max_pivots {
-            parts.push(format!("pivots={n}"));
-        }
         if let Some(n) = self.max_probes {
             parts.push(format!("probes={n}"));
         }
         parts.join(",")
     }
 
-    /// Parses a `conflicts=N,pivots=N,probes=N` spec (any subset, any
-    /// order), the syntax of `repro --budget` and `--house-budget`.
+    /// Parses a `conflicts=N,probes=N` spec (any subset, any order), the
+    /// syntax of `repro --budget` and `--house-budget`. Any other key is
+    /// an error that names it.
     pub fn parse(spec: &str) -> Result<Budget, String> {
         let mut budget = Budget::UNLIMITED;
         for part in spec.split(',') {
@@ -84,11 +78,10 @@ impl Budget {
                 .map_err(|_| format!("bad budget value in {part:?}"))?;
             match key.trim() {
                 "conflicts" => budget.max_conflicts = Some(n),
-                "pivots" => budget.max_pivots = Some(n),
                 "probes" => budget.max_probes = Some(n),
                 other => {
                     return Err(format!(
-                        "unknown budget key {other:?} (expected conflicts|pivots|probes)"
+                        "unknown budget key {other:?} (expected conflicts|probes)"
                     ))
                 }
             }
@@ -104,17 +97,16 @@ mod tests {
     #[test]
     fn parses_full_and_partial_specs() {
         assert_eq!(
-            Budget::parse("conflicts=100,pivots=2000,probes=8").unwrap(),
+            Budget::parse("conflicts=100,probes=8").unwrap(),
             Budget {
                 max_conflicts: Some(100),
-                max_pivots: Some(2000),
                 max_probes: Some(8),
             }
         );
         assert_eq!(
-            Budget::parse(" pivots=5 ").unwrap(),
+            Budget::parse(" probes=5 ").unwrap(),
             Budget {
-                max_pivots: Some(5),
+                max_probes: Some(5),
                 ..Budget::UNLIMITED
             }
         );
@@ -125,15 +117,13 @@ mod tests {
     fn escalates_set_limits_only() {
         let b = Budget {
             max_conflicts: Some(100),
-            max_pivots: None,
-            max_probes: Some(8),
+            max_probes: None,
         };
         assert_eq!(
             b.escalated(4),
             Budget {
                 max_conflicts: Some(400),
-                max_pivots: None,
-                max_probes: Some(32),
+                max_probes: None,
             }
         );
         assert_eq!(
@@ -153,10 +143,9 @@ mod tests {
     fn spec_string_roundtrips() {
         let b = Budget {
             max_conflicts: Some(100),
-            max_pivots: Some(2000),
-            max_probes: None,
+            max_probes: Some(8),
         };
-        assert_eq!(b.to_spec(), "conflicts=100,pivots=2000");
+        assert_eq!(b.to_spec(), "conflicts=100,probes=8");
         assert_eq!(Budget::parse(&b.to_spec()).unwrap(), b);
         assert_eq!(Budget::UNLIMITED.to_spec(), "");
     }
@@ -166,5 +155,8 @@ mod tests {
         assert!(Budget::parse("conflicts").is_err());
         assert!(Budget::parse("conflicts=x").is_err());
         assert!(Budget::parse("walltime=9").is_err());
+        // The retired pivot budget is an unknown key, named in the error.
+        let err = Budget::parse("conflicts=1,pivots=2").unwrap_err();
+        assert!(err.contains("\"pivots\""), "{err}");
     }
 }

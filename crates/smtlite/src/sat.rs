@@ -68,10 +68,10 @@ pub enum SatVerdict {
     Sat(Vec<bool>),
     /// Unsatisfiable.
     Unsat,
-    /// Undecided: the deterministic conflict budget ran out, or the
-    /// theory reported [`TheoryResult::Halt`]. The solver backtracked to
-    /// level 0 and remains usable — everything learned so far persists,
-    /// so a re-solve with a larger budget resumes the search.
+    /// Undecided: the deterministic conflict budget ran out. The solver
+    /// backtracked to level 0 and remains usable — everything learned so
+    /// far persists, so a re-solve with a larger budget resumes the
+    /// search.
     Unknown,
 }
 
@@ -117,10 +117,6 @@ pub enum TheoryResult {
     /// theory-infeasible; the solver learns their negation as a blocking
     /// lemma and resolves the conflict in place.
     Conflict(Vec<Lit>),
-    /// The theory solver cannot continue (its own resource budget ran
-    /// out, or its state degraded — e.g. a poisoned tableau). The search
-    /// stops immediately with [`SatVerdict::Unknown`].
-    Halt,
 }
 
 /// A theory solver consulted during CDCL search (DPLL(T)).
@@ -469,8 +465,8 @@ pub struct SatSolver {
     /// for every two-literal clause `{lit, other}` (index `ci` in the
     /// clause database). When `lit` becomes false, `other` is implied
     /// with `ci` as its reason — a direct adjacency lookup with no watch
-    /// hunt and no literal swapping. Theory propagation emits
-    /// predominantly binary bound-chain lemmas, which is why they get a
+    /// hunt and no literal swapping. The pairwise exactly-one rows of
+    /// the scheduler's encoding are binary, which is why they get a
     /// dedicated graph; it is propagated exhaustively before the long
     /// clauses of the same trail literal. Derived state: rebuilt (never
     /// snapshotted) on `pop` and GC, exactly like `watches`.
@@ -1428,10 +1424,6 @@ impl SatSolver {
                                 }
                                 continue;
                             }
-                            TheoryResult::Halt => {
-                                self.backtrack_to(0);
-                                return SatVerdict::Unknown;
-                            }
                         }
                     }
                 }
@@ -1454,10 +1446,6 @@ impl SatSolver {
                                 }
                                 TheoryResult::Implied(_) => {
                                     unreachable!("complete assignment implies nothing")
-                                }
-                                TheoryResult::Halt => {
-                                    self.backtrack_to(0);
-                                    return SatVerdict::Unknown;
                                 }
                             }
                         }

@@ -214,8 +214,8 @@ impl BlobStore {
                 }
                 return None;
             }
-            // No budget/overflow to model in a read; treat as a miss.
-            Some(FaultKind::Overflow) | Some(FaultKind::Budget) => return None,
+            // No budget to model in a read; treat as a miss.
+            Some(FaultKind::Budget) => return None,
             None => {}
         }
         let bytes = fs::read(&path).ok()?;
@@ -273,7 +273,7 @@ impl BlobStore {
                 self.torn.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
-            Some(FaultKind::Overflow) | Some(FaultKind::Budget) => return Ok(()),
+            Some(FaultKind::Budget) => return Ok(()),
             None => {}
         }
         let tmp = self.dir.join(format!(
