@@ -4,9 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use shatter_smt::ast::{BoolVar, Formula};
 use shatter_smt::sat::{Lit, SatSolver};
-use shatter_smt::{Objective, Solver};
+use shatter_smt::{BoolVar, Objective, Solver};
 
 fn pigeonhole(pigeons: usize) -> SatSolver {
     let holes = pigeons - 1;
@@ -63,10 +62,10 @@ fn bench_omt(c: &mut Criterion) {
                 }
                 for t in 1..n {
                     let heavy = |u: usize| (4 - u % 4) % 4;
-                    s.assert_formula(Formula::or([
-                        Formula::not(Formula::Bool(slots[t - 1][heavy(t - 1)])),
-                        Formula::not(Formula::Bool(slots[t][heavy(t)])),
-                    ]));
+                    s.add_clause(&[
+                        slots[t - 1][heavy(t - 1)].lit().negated(),
+                        slots[t][heavy(t)].lit().negated(),
+                    ]);
                 }
                 black_box(s.maximize(&objective))
             })

@@ -29,7 +29,7 @@ use std::time::Instant;
 use shatter_adm::AdmKind;
 use shatter_core::{AttackerCapability, SmtScheduler, WindowDpScheduler};
 use shatter_dataset::HouseSpec;
-use shatter_engine::{FixtureCache, RunParams, Scenario, ScenarioCtx, Table};
+use shatter_engine::{RunParams, Scenario, ScenarioCtx, Table};
 use shatter_faults::FaultKind;
 use shatter_smarthome::OccupantId;
 use shatter_smt::Budget;
@@ -514,84 +514,6 @@ impl Scenario for FleetScenario {
         );
         table
     }
-}
-
-/// The pinned fleet-scaling exhibit: measured homes/sec at several
-/// fleet sizes, cold (empty blob store) versus warm (a second run over
-/// the store the cold leg just filled). Each leg gets a private
-/// [`FixtureCache`] over the same on-disk store and a fresh
-/// [`HealthSink`](shatter_engine::HealthSink), so the warm leg's speedup
-/// comes purely from the disk tier — exactly what a second
-/// `repro --fleet N --store DIR` pays.
-/// Timing columns make this exhibit nondeterministic by construction;
-/// the `disk_hits` column is the deterministic witness that the warm
-/// leg actually replayed fixtures instead of recomputing them.
-pub fn fleet_scaling(cx: &ScenarioCtx<'_>) -> Table {
-    let sizes = [2usize, 4, 8];
-    // Clamp the horizon so the largest fleet stays exhibit-scale.
-    let params = RunParams {
-        days: cx.params.days.min(4),
-        ..cx.params
-    };
-    let root = std::env::temp_dir().join(format!(
-        "shatter-fleet-scaling-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let mut t = Table::new(
-        "fleet_scaling",
-        "Fleet throughput vs size: cold vs disk-warm fixture store",
-        &[
-            "fleet",
-            "cold_s",
-            "cold_homes_s",
-            "warm_s",
-            "warm_homes_s",
-            "warmup_x",
-            "disk_hits",
-        ],
-    );
-    for &n in &sizes {
-        let store_dir = root.join(format!("n{n}"));
-        let cfg = FleetConfig {
-            n_houses: n,
-            sample: None,
-            policy: FleetPolicy::default(),
-        };
-        let mut wall = [0.0f64; 2];
-        let mut disk_hits = 0;
-        for (leg, slot) in wall.iter_mut().enumerate() {
-            let store = BlobStore::open(&store_dir, shatter_engine::disk_schema_sig())
-                .unwrap_or_else(|e| panic!("opening scaling store {}: {e}", store_dir.display()));
-            let cache = FixtureCache::new().with_disk(store);
-            // Both legs run serially on a private context: the curve
-            // measures the disk tier, not thread-count luck.
-            let inner = ScenarioCtx {
-                cache: &cache,
-                params,
-                seed: cx.seed,
-                pool: shatter_engine::WorkPool::serial(),
-                health: shatter_engine::HealthSink::new(),
-            };
-            let start = Instant::now();
-            let _ = run_fleet(&inner, &cfg, None);
-            *slot = start.elapsed().as_secs_f64().max(1e-9);
-            if leg == 1 {
-                disk_hits = cache.stats().disk_hits;
-            }
-        }
-        t.push(vec![
-            n.to_string(),
-            format!("{:.3}", wall[0]),
-            format!("{:.1}", n as f64 / wall[0]),
-            format!("{:.3}", wall[1]),
-            format!("{:.1}", n as f64 / wall[1]),
-            format!("{:.2}", wall[0] / wall[1]),
-            disk_hits.to_string(),
-        ]);
-    }
-    std::fs::remove_dir_all(&root).ok();
-    t
 }
 
 /// Manifest entries persisted next to the journal records so `repro

@@ -99,17 +99,6 @@ pub fn builtin_registry() -> Registry {
     // exercised by every full-suite run; `repro --fleet N` registers
     // the journaled, arbitrarily-sized variant on top of this.
     reg.register(crate::fleet::FleetScenario::new("fleet_smoke", 6));
-    reg.register(
-        FnScenario::new(
-            "fleet_scaling",
-            "Fleet throughput vs size (cold vs warm store)",
-            crate::fleet::fleet_scaling,
-        )
-        .describe(
-            "Measured homes/sec per fleet size, cold vs disk-warm fixture store (timing output)",
-        )
-        .nondeterministic(),
-    );
     reg
 }
 
@@ -177,20 +166,19 @@ mod tests {
             "capability_grid",
             "defense_sweep",
             "fleet_smoke",
-            "fleet_scaling",
         ] {
             let s = reg.get(id).unwrap_or_else(|| panic!("missing {id}"));
             assert!(!s.title().is_empty());
             assert!(!s.description().is_empty());
         }
-        assert_eq!(reg.len(), 19);
-        // Only the timing exhibits are non-deterministic.
+        assert_eq!(reg.len(), 18);
+        // Only fig11, which reports solve timings, is non-deterministic.
         let nondet: Vec<String> = reg
             .all()
             .iter()
             .filter(|s| !s.deterministic())
             .map(|s| s.id().to_string())
             .collect();
-        assert_eq!(nondet, ["fig11", "fleet_scaling"]);
+        assert_eq!(nondet, ["fig11"]);
     }
 }

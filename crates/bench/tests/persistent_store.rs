@@ -281,18 +281,21 @@ fn injected_read_fault_discards_and_recomputes() {
 #[test]
 fn retired_window_solution_tags_are_discarded_and_recomputed() {
     // Payloads persisted by older builds under a live window memo key,
-    // all with zones, 14 effort counters and an objective:
-    // `window-solution/1` (then degraded/retried/overflow flags),
-    // `window-solution/2` (an overflow flag; the effort counters of the
-    // search before the first OMT probe became an optimality check) and
-    // `window-solution/3` (the `/2` layout, with the simplex's pivot
-    // counters before the window objective became pseudo-Boolean). The
-    // current build must never decode any of them, only discard it and
-    // recompute.
-    for (tag, flags) in [
-        ("window-solution/1", 3),
-        ("window-solution/2", 1),
-        ("window-solution/3", 1),
+    // all with zones, effort counters and an objective:
+    // `window-solution/1` (14 counters, then degraded/retried/overflow
+    // flags), `window-solution/2` (14 counters and an overflow flag; the
+    // effort of the search before the first OMT probe became an
+    // optimality check), `window-solution/3` (the `/2` layout, with the
+    // simplex's pivot counters before the window objective became
+    // pseudo-Boolean) and `window-solution/4` (the current field layout: 11
+    // counters and no flag, with the propagation counts of window clauses
+    // that still went through a constant-true variable). The current
+    // build must never decode any of them, only discard it and recompute.
+    for (tag, counters, flags) in [
+        ("window-solution/1", 14, 3),
+        ("window-solution/2", 14, 1),
+        ("window-solution/3", 14, 1),
+        ("window-solution/4", 11, 0),
     ] {
         let dir = store_dir(&tag.replace('/', "-"));
         let key = "window-retired-test/o0/w0+10/b-";
@@ -303,7 +306,7 @@ fn retired_window_solution_tags_are_discarded_and_recomputed() {
             w.usize(2);
             w.u32(1);
             w.u32(3);
-            for v in 1..=14u64 {
+            for v in 1..=counters {
                 w.u64(v);
             }
             w.opt_i64(Some(-7));

@@ -10,7 +10,9 @@
 //! effort counters a window solve reports, or a store written by an
 //! older build would replay its counters into a newer run
 //! (`window-solution/4` dropped the simplex counters and the overflow
-//! marker of `/3` when the window objective became pseudo-Boolean).
+//! marker of `/3` when the window objective became pseudo-Boolean;
+//! `/5` keeps the `/4` layout for the propagation counts of window
+//! clauses asserted without a constant-true variable).
 
 use shatter_smarthome::{Activity, ZoneId};
 use shatter_store::wire::{Reader, Writer};
@@ -20,7 +22,7 @@ use crate::schedule::{AttackSchedule, WindowSolution};
 use crate::SmtStats;
 
 impl Blob for WindowSolution {
-    const TAG: &'static str = "window-solution/4";
+    const TAG: &'static str = "window-solution/5";
 
     fn encode(&self, w: &mut Writer) {
         match &self.zones {

@@ -5,16 +5,16 @@ use shatter_adm::{HullAdm, StayProfile};
 use shatter_dataset::DayTrace;
 use shatter_faults::FaultKind;
 use shatter_smarthome::{Minute, OccupantId, ZoneId, MINUTES_PER_DAY};
-use shatter_smt::ast::{BoolVar, Formula};
-use shatter_smt::{Budget, Objective, OmtOutcome, SatStats, Solver};
+use shatter_smt::sat::Lit;
+use shatter_smt::{BoolVar, Budget, Objective, OmtOutcome, SatStats, Solver};
 
 use crate::schedule::{Scheduler, WindowMemo, WindowSolution};
 use crate::{AttackerCapability, RewardTable};
 
 /// The formal window scheduler: encodes each optimization window
-/// (Eq. 17–20) as Boolean constraints and maximizes the energy-cost
-/// objective with the `shatter-smt` OMT loop — the role Z3 plays in the
-/// paper, and the subject of its Fig. 11 scalability study.
+/// (Eq. 17–20) as clauses over slot×zone Booleans and maximizes the
+/// energy-cost objective with the `shatter-smt` OMT loop — the role Z3
+/// plays in the paper, and the subject of its Fig. 11 scalability study.
 ///
 /// Per occupant and window `[w, w+I)`:
 ///
@@ -241,18 +241,20 @@ impl WindowEncoder {
 
         let x = &self.x;
         let w = p.w;
-        let lit = |t: usize, z: usize| Formula::Bool(x[t - w][z]);
-        let nlit = |t: usize, z: usize| Formula::not(Formula::Bool(x[t - w][z]));
+        let end = w + p.horizon;
+        let lit = |t: usize, z: usize| x[t - w][z].lit();
         let micro = |r: f64| -> i64 { (r * 1e6).round() as i64 };
+        // Every window constraint is one clause, built in this buffer.
+        let mut clause: Vec<Lit> = Vec::new();
 
         // Capability pruning (template rows already say "exactly one").
-        for t in w..w + p.horizon {
+        for t in w..end {
             for z in 0..n_zones {
                 if !p
                     .cap
                     .can_relocate(p.o, p.act_zone[t], ZoneId(z), t as Minute)
                 {
-                    self.solver.assert_formula(nlit(t, z));
+                    self.solver.add_clause(&[lit(t, z).negated()]);
                 }
             }
         }
@@ -260,71 +262,73 @@ impl WindowEncoder {
         // Boundary stay constraints.
         if let Some((z0, a0)) = p.boundary {
             let z0i = z0.index();
-            for e in w..w + p.horizon {
+            for e in w..end {
                 // Run continues through [w, e) then leaves at e.
                 if !(p.in_range)(z0, a0, e as u32 - a0) {
-                    let mut clause: Vec<Formula> = (w..e).map(|t| nlit(t, z0i)).collect();
+                    clause.clear();
+                    clause.extend((w..e).map(|t| lit(t, z0i).negated()));
                     clause.push(lit(e, z0i));
-                    self.solver.assert_formula(Formula::or(clause));
+                    self.solver.add_clause(&clause);
                 }
             }
             // Run continues to the window end.
-            let end_len = (w + p.horizon) as u32 - a0;
-            let ok = if w + p.horizon >= p.day_end {
+            let end_len = end as u32 - a0;
+            let ok = if end >= p.day_end {
                 (p.in_range)(z0, a0, end_len)
             } else {
                 (p.can_extend)(z0, a0, end_len)
             };
             if !ok {
-                let clause: Vec<Formula> = (w..w + p.horizon).map(|t| nlit(t, z0i)).collect();
-                self.solver.assert_formula(Formula::or(clause));
+                clause.clear();
+                clause.extend((w..end).map(|t| lit(t, z0i).negated()));
+                self.solver.add_clause(&clause);
             }
         }
 
-        // Interior runs: arrival at s in zone z.
-        for s in w..w + p.horizon {
+        // Interior runs: arrival at s in zone z. Each clause below forbids
+        // a run shape and opens with the negated arrival condition
+        // ¬A(s, z) = ¬x[s][z] ∨ x[s−1][z].
+        for s in w..end {
             for z in 0..n_zones {
+                // The boundary zone at s == w continues the boundary run:
+                // it is no arrival, and has no clause here.
+                if s == w && p.boundary.is_some_and(|(z0, _)| z0.index() == z) {
+                    continue;
+                }
                 let zid = ZoneId(z);
-                // Arrival condition A(s, z).
-                let arrival_cond = |_: ()| -> Vec<Formula> {
-                    let mut c = vec![lit(s, z)];
+                let not_arrival = |clause: &mut Vec<Lit>| {
+                    clause.clear();
+                    clause.push(lit(s, z).negated());
                     if s > w {
-                        c.push(nlit(s - 1, z));
-                    } else if let Some((z0, _)) = p.boundary {
-                        if z0.index() == z {
-                            // Boundary zone at s == w is a continuation,
-                            // not an arrival.
-                            c.push(Formula::False);
-                        }
+                        clause.push(lit(s - 1, z));
                     }
-                    c
                 };
                 // Arrival viability.
                 if !(p.has_future)(zid, s) {
-                    let c = arrival_cond(());
-                    self.solver.assert_formula(Formula::not(Formula::and(c)));
+                    not_arrival(&mut clause);
+                    self.solver.add_clause(&clause);
                     continue;
                 }
                 // Exits at e.
-                for e in (s + 1)..(w + p.horizon) {
+                for e in (s + 1)..end {
                     if !(p.in_range)(zid, s as u32, (e - s) as u32) {
-                        let mut c = arrival_cond(());
-                        c.extend(((s + 1)..e).map(|t| lit(t, z)));
-                        c.push(nlit(e, z));
-                        self.solver.assert_formula(Formula::not(Formula::and(c)));
+                        not_arrival(&mut clause);
+                        clause.extend(((s + 1)..e).map(|t| lit(t, z).negated()));
+                        clause.push(lit(e, z));
+                        self.solver.add_clause(&clause);
                     }
                 }
                 // Run to the window end.
-                let end_len = (w + p.horizon - s) as u32;
-                let ok = if w + p.horizon >= p.day_end {
+                let end_len = (end - s) as u32;
+                let ok = if end >= p.day_end {
                     (p.in_range)(zid, s as u32, end_len)
                 } else {
                     (p.can_extend)(zid, s as u32, end_len)
                 };
                 if !ok {
-                    let mut c = arrival_cond(());
-                    c.extend(((s + 1)..(w + p.horizon)).map(|t| lit(t, z)));
-                    self.solver.assert_formula(Formula::not(Formula::and(c)));
+                    not_arrival(&mut clause);
+                    clause.extend(((s + 1)..end).map(|t| lit(t, z).negated()));
+                    self.solver.add_clause(&clause);
                 }
             }
         }
@@ -333,7 +337,7 @@ impl WindowEncoder {
         // micro-dollars; the slot rows are the template's exactly-one
         // groups.
         let mut objective = Objective::new();
-        for t in w..w + p.horizon {
+        for t in w..end {
             objective.add_group(
                 x[t - w]
                     .iter()
@@ -356,7 +360,7 @@ impl WindowEncoder {
         };
         let zones = model.map(|model| {
             let mut out = Vec::with_capacity(p.horizon);
-            for t in w..w + p.horizon {
+            for t in w..end {
                 let z = (0..n_zones)
                     .find(|&z| model.bool(x[t - w][z]))
                     .expect("exactly-one guarantees a zone");

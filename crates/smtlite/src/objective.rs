@@ -21,9 +21,9 @@
 //! bound fails under these literals" and stays valid for later probes.
 //! All arithmetic is integer: weights are `i64` and sums `i128`.
 
-use crate::ast::BoolVar;
 use crate::sat::{Lit, Theory, TheoryResult, TheoryView};
 use crate::solver::Model;
+use crate::BoolVar;
 
 /// A pseudo-Boolean objective: exactly-one groups of `(variable, weight)`
 /// literals. A model's value is the sum of the weights of its true

@@ -9,8 +9,8 @@
 //! exploit:
 //!
 //! - clauses may be added between [`SatSolver::solve`] calls, and learned
-//!   clauses are retained across calls (the OMT binary search re-solves
-//!   the same skeleton ~20 times per window);
+//!   clauses are retained across calls (the OMT probes of one window
+//!   share what earlier probes learned);
 //! - [`SatSolver::solve`] decides the clause set under a list of
 //!   *assumption* literals without asserting them;
 //! - the same call optionally consults a [`Theory`] during the search:
@@ -524,8 +524,7 @@ impl Default for SatSolver {
     /// Same as [`SatSolver::new`]: an empty solver with live heuristic
     /// increments. (A derived `Default` would zero `var_inc`/`cla_inc`
     /// and the GC budget, silently disabling VSIDS and making the
-    /// reducer fire on every conflict — the exact misconfiguration the
-    /// embedding `Encoder::default()` used to hit.)
+    /// reducer fire on every conflict.)
     fn default() -> SatSolver {
         SatSolver {
             n_vars: 0,
@@ -567,6 +566,11 @@ impl SatSolver {
     /// Number of variables allocated.
     pub fn n_vars(&self) -> usize {
         self.n_vars
+    }
+
+    /// Number of open [`SatSolver::push`] checkpoints.
+    pub(crate) fn depth(&self) -> usize {
+        self.frames.len()
     }
 
     /// Live learnt clauses currently stored (gauge; drops on GC and pop).

@@ -1,24 +1,24 @@
-//! The solver facade: Boolean formulas go to the CDCL core as clauses,
-//! and [`Solver::maximize`] searches a pseudo-Boolean [`Objective`]
-//! through probes that the objective theory enforces.
+//! The solver facade: clauses go straight to the CDCL core, and
+//! [`Solver::maximize`] searches a pseudo-Boolean [`Objective`] through
+//! probes that the objective theory enforces.
 
 use std::collections::HashMap;
 
-use crate::ast::{BoolVar, Formula};
 use crate::budget::Budget;
-use crate::cnf::Encoder;
 use crate::objective::{Objective, ObjectiveTheory};
-use crate::sat::{Lit, SatStats, SatVerdict, Theory};
+use crate::sat::{Lit, SatSolver, SatStats, SatVerdict, Theory};
+use crate::BoolVar;
 
 /// A satisfying assignment.
 #[derive(Debug, Clone)]
 pub struct Model {
-    /// Value per [`BoolVar`] index.
+    /// Value per CDCL-core variable, indexed by [`BoolVar::index`].
     bools: Vec<bool>,
 }
 
 impl Model {
-    /// Value of a Boolean variable (false when never constrained).
+    /// Value of a Boolean variable (false for a variable the model's
+    /// solver did not have).
     pub fn bool(&self, b: BoolVar) -> bool {
         self.bools.get(b.index()).copied().unwrap_or(false)
     }
@@ -73,18 +73,10 @@ pub enum OmtOutcome {
     Halted(HaltCause),
 }
 
-/// Checkpoint for [`Solver::pop`].
-#[derive(Debug, Clone)]
-struct SolverFrame {
-    n_bools: usize,
-}
-
-/// The solver: Boolean formulas over a CDCL core, plus the
-/// pseudo-Boolean optimizer [`Solver::maximize`].
-///
-/// Asserted formulas become clauses: their top-level conjunctions,
-/// disjunctions and implications directly, and only nested subformulas
-/// through Tseitin variables.
+/// The solver: clauses over a CDCL core, plus the pseudo-Boolean
+/// optimizer [`Solver::maximize`]. A [`BoolVar`] is a variable of the
+/// core, and [`Solver::add_clause`] hands a clause of its literals
+/// ([`BoolVar::lit`]) to the core as is.
 ///
 /// The solver is incremental end to end:
 ///
@@ -101,13 +93,11 @@ struct SolverFrame {
 ///   instead of cloning.
 #[derive(Debug, Default, Clone)]
 pub struct Solver {
-    enc: Encoder,
-    n_bools: usize,
+    sat: SatSolver,
     /// Exactly-one groups asserted through [`Solver::assert_exactly_one`],
     /// keyed by their sorted variables, each with the frame depth it was
     /// asserted at.
     exactly_one: HashMap<Vec<BoolVar>, usize>,
-    frames: Vec<SolverFrame>,
     /// OMT probe cap from the active [`Budget`] (`None` = unlimited).
     probe_limit: Option<u64>,
     /// Statistics: theory conflicts encountered across `maximize` calls.
@@ -120,29 +110,39 @@ impl Solver {
         Solver::default()
     }
 
-    /// Allocates a propositional variable.
+    /// Allocates a propositional variable: a fresh variable of the CDCL
+    /// core.
     pub fn new_bool(&mut self) -> BoolVar {
-        let v = BoolVar(self.n_bools);
-        self.n_bools += 1;
-        v
+        BoolVar(self.sat.new_var())
     }
 
-    /// Asserts a formula.
-    pub fn assert_formula(&mut self, f: Formula) {
-        self.enc.assert_formula(&f);
+    /// Asserts the clause `lits[0] ∨ lits[1] ∨ …`; an empty clause makes
+    /// the solver unsatisfiable.
+    pub fn add_clause(&mut self, lits: &[Lit]) {
+        self.sat.add_clause(lits);
     }
 
     /// Asserts that exactly one of `vars` is true (paper Eq. 18) and
     /// records the group, so [`Solver::maximize`] does not assert it
     /// again for an objective group over the same variables. Asserting a
     /// recorded group again is a no-op.
+    ///
+    /// The encoding is pairwise: the at-least-one clause, then `¬vᵢ ∨ ¬vⱼ`
+    /// for each pair `i < j` in order.
     pub fn assert_exactly_one(&mut self, vars: &[BoolVar]) {
         let mut key = vars.to_vec();
         key.sort();
-        if !self.exactly_one.contains_key(&key) {
-            self.enc.assert_formula(&Formula::exactly_one(vars));
-            self.exactly_one.insert(key, self.frames.len());
+        if self.exactly_one.contains_key(&key) {
+            return;
         }
+        let lits: Vec<Lit> = vars.iter().map(|v| v.lit()).collect();
+        self.sat.add_clause(&lits);
+        for (i, &a) in lits.iter().enumerate() {
+            for &b in &lits[i + 1..] {
+                self.sat.add_clause(&[a.negated(), b.negated()]);
+            }
+        }
+        self.exactly_one.insert(key, self.sat.depth());
     }
 
     /// Cumulative CDCL effort counters (decisions, propagations,
@@ -150,12 +150,12 @@ impl Solver {
     /// Like [`Solver::theory_conflicts`] they measure work done and
     /// survive [`Solver::pop`].
     pub fn sat_stats(&self) -> SatStats {
-        self.enc.sat.stats
+        self.sat.stats
     }
 
     /// Learnt clauses currently stored in the CDCL core (gauge).
     pub fn live_learnts(&self) -> usize {
-        self.enc.sat.live_learnts()
+        self.sat.live_learnts()
     }
 
     /// Installs `budget` for subsequent solves. Limits are counted in
@@ -167,22 +167,18 @@ impl Solver {
     /// [`Solver::maximize`] as [`CheckOutcome::Halted`] /
     /// [`OmtOutcome::Degraded`]. [`Budget::UNLIMITED`] lifts all limits.
     pub fn set_budget(&mut self, budget: Budget) {
-        let conflicts = self.enc.sat.stats.conflicts;
-        self.enc
-            .sat
+        let conflicts = self.sat.stats.conflicts;
+        self.sat
             .set_conflict_limit(budget.max_conflicts.map(|m| conflicts.saturating_add(m)));
         self.probe_limit = budget.max_probes;
     }
 
-    /// Checkpoints the assertion stack: formulas asserted and variables
+    /// Checkpoints the assertion stack: clauses asserted and variables
     /// created after `push` are removed again by the matching
     /// [`Solver::pop`], which also restores the SAT heuristics to their
     /// checkpointed state.
     pub fn push(&mut self) {
-        self.enc.push();
-        self.frames.push(SolverFrame {
-            n_bools: self.n_bools,
-        });
+        self.sat.push();
     }
 
     /// Restores the state of the matching [`Solver::push`]. Statistics
@@ -192,11 +188,9 @@ impl Solver {
     ///
     /// Panics when no matching `push` exists.
     pub fn pop(&mut self) {
-        let f = self.frames.pop().expect("pop without matching push");
-        self.n_bools = f.n_bools;
-        let depth = self.frames.len();
+        self.sat.pop();
+        let depth = self.sat.depth();
         self.exactly_one.retain(|_, d| *d <= depth);
-        self.enc.pop();
     }
 
     /// Decides the asserted conjunction. A conflict-budget halt comes
@@ -209,12 +203,8 @@ impl Solver {
     /// Decides the clauses under `assumptions` (SAT-level literals: the
     /// probe guards of [`Solver::maximize`]), without asserting them.
     fn solve(&mut self, assumptions: &[Lit], theory: Option<&mut dyn Theory>) -> CheckOutcome {
-        match self.enc.sat.solve(assumptions, theory) {
-            SatVerdict::Sat(assignment) => CheckOutcome::Sat(Model {
-                bools: (0..self.n_bools)
-                    .map(|b| self.enc.bool_value(BoolVar(b), &assignment) == Some(true))
-                    .collect(),
-            }),
+        match self.sat.solve(assumptions, theory) {
+            SatVerdict::Sat(bools) => CheckOutcome::Sat(Model { bools }),
             SatVerdict::Unsat => CheckOutcome::Unsat,
             // The objective theory never halts, so Unknown means the
             // CDCL conflict budget ran out.
@@ -223,7 +213,7 @@ impl Solver {
     }
 
     /// Maximizes a pseudo-Boolean objective subject to the asserted
-    /// formulas — the OMT loop SHATTER runs per attack window (paper
+    /// clauses — the OMT loop SHATTER runs per attack window (paper
     /// Eq. 17). Each objective group's exactly-one is asserted first,
     /// unless [`Solver::assert_exactly_one`] already asserted it.
     ///
@@ -267,11 +257,7 @@ impl Solver {
         let groups = objective
             .groups()
             .iter()
-            .map(|g| {
-                g.iter()
-                    .map(|&(b, w)| (self.enc.bool_sat_var(b), w))
-                    .collect()
-            })
+            .map(|g| g.iter().map(|&(b, w)| (b.index(), w)).collect())
             .collect();
         let mut theory = ObjectiveTheory::new(groups);
         let mut probes = 0u64;
@@ -289,7 +275,7 @@ impl Solver {
                 lo + (hi - lo) / 2
             };
             probes += 1;
-            let guard = Lit::pos(self.enc.sat.new_var());
+            let guard = self.new_bool().lit();
             theory.probe(guard, target);
             let outcome = self.solve(&[guard], Some(&mut theory as &mut dyn Theory));
             match outcome {
@@ -297,14 +283,14 @@ impl Solver {
                     lo = objective.value(&m);
                     debug_assert!(lo >= target, "the theory enforces the probe");
                     best_model = m;
-                    self.enc.sat.add_clause(&[guard]);
+                    self.sat.add_clause(&[guard]);
                 }
                 CheckOutcome::Unsat => {
                     hi = target;
-                    self.enc.sat.add_clause(&[guard.negated()]);
+                    self.sat.add_clause(&[guard.negated()]);
                 }
                 CheckOutcome::Halted(cause) => {
-                    self.enc.sat.add_clause(&[guard.negated()]);
+                    self.sat.add_clause(&[guard.negated()]);
                     halt = Some(cause);
                     break;
                 }
@@ -355,8 +341,8 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_bool();
         let b = s.new_bool();
-        s.assert_formula(Formula::or([Formula::Bool(a), Formula::Bool(b)]));
-        s.assert_formula(Formula::not(Formula::Bool(a)));
+        s.add_clause(&[a.lit(), b.lit()]);
+        s.add_clause(&[a.lit().negated()]);
         let m = sat(&mut s);
         assert!(!m.bool(a));
         assert!(m.bool(b));
@@ -367,7 +353,7 @@ mod tests {
         let mut s = Solver::new();
         let v: Vec<BoolVar> = (0..3).map(|_| s.new_bool()).collect();
         // The heaviest literal is excluded.
-        s.assert_formula(Formula::not(Formula::Bool(v[2])));
+        s.add_clause(&[v[2].lit().negated()]);
         let (value, m) = optimal(s.maximize(&group(&v, &[4, 7, 9])));
         assert_eq!(value, 7);
         assert!(m.bool(v[1]) && !m.bool(v[0]) && !m.bool(v[2]));
@@ -390,14 +376,43 @@ mod tests {
     }
 
     #[test]
+    fn exactly_one_structure() {
+        // The at-least-one clause, then the pairwise exclusions in
+        // (i, j) order: 1 + 3 clauses over three variables.
+        let mut s = Solver::new();
+        let v: Vec<BoolVar> = (0..3).map(|_| s.new_bool()).collect();
+        s.assert_exactly_one(&v);
+        let mut reference = SatSolver::new();
+        let l: Vec<Lit> = (0..3).map(|_| Lit::pos(reference.new_var())).collect();
+        reference.add_clause(&l);
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            reference.add_clause(&[l[a].negated(), l[b].negated()]);
+        }
+        assert_eq!(format!("{:?}", s.sat), format!("{reference:?}"));
+    }
+
+    #[test]
+    fn exactly_one_enforced() {
+        let mut s = Solver::new();
+        let v: Vec<BoolVar> = (0..3).map(|_| s.new_bool()).collect();
+        s.assert_exactly_one(&v);
+        let m = sat(&mut s);
+        assert_eq!(v.iter().filter(|&&b| m.bool(b)).count(), 1);
+        // Forcing two of them on is a contradiction.
+        s.add_clause(&[v[0].lit()]);
+        s.add_clause(&[v[2].lit()]);
+        assert!(matches!(s.check(), CheckOutcome::Unsat));
+    }
+
+    #[test]
     fn recorded_groups_are_not_asserted_twice() {
         let mut s = Solver::new();
         let v: Vec<BoolVar> = (0..3).map(|_| s.new_bool()).collect();
         s.assert_exactly_one(&v);
-        let clauses = s.enc.sat.clone();
+        let clauses = s.sat.clone();
         // Same variables in another order: already recorded.
         s.assert_exactly_one(&[v[2], v[0], v[1]]);
-        assert_eq!(format!("{:?}", s.enc.sat), format!("{clauses:?}"));
+        assert_eq!(format!("{:?}", s.sat), format!("{clauses:?}"));
         // A group asserted inside a frame is forgotten by its pop.
         s.push();
         let w: Vec<BoolVar> = (0..2).map(|_| s.new_bool()).collect();
@@ -411,8 +426,8 @@ mod tests {
     fn maximize_infeasible_returns_unsat() {
         let mut s = Solver::new();
         let v: Vec<BoolVar> = (0..2).map(|_| s.new_bool()).collect();
-        s.assert_formula(Formula::not(Formula::Bool(v[0])));
-        s.assert_formula(Formula::not(Formula::Bool(v[1])));
+        s.add_clause(&[v[0].lit().negated()]);
+        s.add_clause(&[v[1].lit().negated()]);
         assert!(matches!(s.maximize(&group(&v, &[1, 2])), OmtOutcome::Unsat));
     }
 
@@ -421,7 +436,7 @@ mod tests {
         let mut s = Solver::new();
         let a = s.new_bool();
         let b = s.new_bool();
-        s.assert_formula(Formula::or([Formula::Bool(a), Formula::Bool(b)]));
+        s.add_clause(&[a.lit(), b.lit()]);
         s.set_budget(Budget {
             max_conflicts: Some(0),
             ..Budget::UNLIMITED
@@ -471,7 +486,7 @@ mod tests {
         let mut s = Solver::new();
         let v: Vec<BoolVar> = (0..3).map(|_| s.new_bool()).collect();
         s.assert_exactly_one(&v);
-        s.assert_formula(Formula::not(Formula::Bool(v[1])));
+        s.add_clause(&[v[1].lit().negated()]);
         s.push();
         let (up, _) = optimal(s.maximize(&group(&v, &[1, 5, 3])));
         s.pop();
@@ -481,7 +496,7 @@ mod tests {
         assert_eq!((up, down), (3, 4));
         assert!(m.bool(v[0]));
         // And the un-popped assertions still admit the low corner.
-        s.assert_formula(Formula::not(Formula::Bool(v[0])));
+        s.add_clause(&[v[0].lit().negated()]);
         assert!(sat(&mut s).bool(v[2]));
     }
 
@@ -489,14 +504,12 @@ mod tests {
     fn push_pop_restores_assertions_and_variables() {
         let mut s = Solver::new();
         let a = s.new_bool();
-        s.assert_formula(Formula::Bool(a));
+        s.add_clause(&[a.lit()]);
         s.push();
         let p = s.new_bool();
-        s.assert_formula(Formula::implies(
-            Formula::Bool(p),
-            Formula::not(Formula::Bool(a)),
-        ));
-        s.assert_formula(Formula::Bool(p));
+        // p → ¬a
+        s.add_clause(&[p.lit().negated(), a.lit().negated()]);
+        s.add_clause(&[p.lit()]);
         assert!(matches!(s.check(), CheckOutcome::Unsat));
         s.pop();
         assert_eq!(s.new_bool(), p, "the popped variable is reused");

@@ -4,9 +4,8 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 
-use shatter_smt::ast::{BoolVar, Formula};
 use shatter_smt::sat::{Lit, SatSolver, SatVerdict};
-use shatter_smt::{Budget, CheckOutcome, HaltCause, Model, Objective, OmtOutcome, Solver};
+use shatter_smt::{BoolVar, Budget, CheckOutcome, HaltCause, Model, Objective, OmtOutcome, Solver};
 
 // ---------- SAT layer -----------------------------------------------------
 
@@ -219,6 +218,20 @@ fn arb_pb_instance() -> impl Strategy<Value = PbInstance> {
         })
 }
 
+/// The clause of signed 1-based literals `c` over `vars`.
+fn clause(vars: &[BoolVar], c: &[i32]) -> Vec<Lit> {
+    c.iter()
+        .map(|&l| {
+            let b = vars[(l.unsigned_abs() - 1) as usize].lit();
+            if l > 0 {
+                b
+            } else {
+                b.negated()
+            }
+        })
+        .collect()
+}
+
 /// The instance's solver (clauses asserted), its variables and objective.
 fn build(inst: &PbInstance) -> (Solver, Vec<BoolVar>, Objective) {
     let mut s = Solver::new();
@@ -235,14 +248,7 @@ fn build(inst: &PbInstance) -> (Solver, Vec<BoolVar>, Objective) {
         objective.add_group(group.iter().copied().zip(weights.iter().copied()));
     }
     for c in &inst.clauses {
-        s.assert_formula(Formula::or(c.iter().map(|&l| {
-            let b = Formula::Bool(vars[(l.unsigned_abs() - 1) as usize]);
-            if l > 0 {
-                b
-            } else {
-                Formula::not(b)
-            }
-        })));
+        s.add_clause(&clause(&vars, c));
     }
     (s, vars, objective)
 }
@@ -405,10 +411,7 @@ proptest! {
             next += weights.len();
         }
         for c in &frame.clauses {
-            reused.assert_formula(Formula::or(c.iter().map(|&l| {
-                let b = Formula::Bool(extra[(l.unsigned_abs() - 1) as usize]);
-                if l > 0 { b } else { Formula::not(b) }
-            })));
+            reused.add_clause(&clause(&extra, c));
         }
         let _ = reused.maximize(&frame_objective);
         let _ = reused.maximize(&objective);
@@ -426,72 +429,5 @@ proptest! {
             (outcome, s.sat_stats().since(sat), s.theory_conflicts - conflicts)
         };
         prop_assert_eq!(observe(&mut reused), observe(&mut fresh));
-    }
-}
-
-/// Builds a formula over `vars` bottom-up: node `k` is a leaf, or a
-/// connective over earlier nodes picked by its index fields (leaves
-/// when `k == 0`). `And`/`Or` are built through the enum, so they may be
-/// empty or unary. The last node is the formula.
-fn build_formula(vars: &[BoolVar], nodes: &[(u8, usize, [usize; 3])]) -> Formula {
-    let mut built: Vec<Formula> = Vec::new();
-    for &(op, arity, picks) in nodes {
-        let child = |i: usize| match built.len() {
-            0 => Formula::Bool(vars[picks[i] % vars.len()]),
-            k => built[picks[i] % k].clone(),
-        };
-        let f = match op {
-            0 => Formula::True,
-            1 => Formula::False,
-            2 => Formula::not(child(0)),
-            3 => Formula::And((0..arity).map(child).collect()),
-            4 => Formula::Or((0..arity).map(child).collect()),
-            5 => Formula::implies(child(0), child(1)),
-            _ => Formula::Bool(vars[picks[0] % vars.len()]),
-        };
-        built.push(f);
-    }
-    built.pop().expect("at least one node")
-}
-
-fn truth(f: &Formula, mask: u32) -> bool {
-    match f {
-        Formula::True => true,
-        Formula::False => false,
-        Formula::Bool(b) => mask >> b.index() & 1 == 1,
-        Formula::Not(g) => !truth(g, mask),
-        Formula::And(gs) => gs.iter().all(|g| truth(g, mask)),
-        Formula::Or(gs) => gs.iter().any(|g| truth(g, mask)),
-        Formula::Implies(a, b) => !truth(a, mask) || truth(b, mask),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// `assert_formula` agrees with the formula's truth table: under each
-    /// assignment's unit literals the assertion is Sat exactly when the
-    /// formula evaluates true.
-    #[test]
-    fn assert_formula_matches_truth_table(
-        n in 1usize..6,
-        nodes in prop::collection::vec((0u8..8, 0usize..4, (0usize..64, 0usize..64, 0usize..64)), 1..12),
-    ) {
-        let nodes: Vec<(u8, usize, [usize; 3])> =
-            nodes.into_iter().map(|(op, arity, (a, b, c))| (op, arity, [a, b, c])).collect();
-        let mut s = Solver::new();
-        let vars: Vec<BoolVar> = (0..n).map(|_| s.new_bool()).collect();
-        let f = build_formula(&vars, &nodes);
-        for mask in 0..1u32 << n {
-            s.push();
-            s.assert_formula(f.clone());
-            for (i, &v) in vars.iter().enumerate() {
-                let lit = Formula::Bool(v);
-                s.assert_formula(if mask >> i & 1 == 1 { lit } else { Formula::not(lit) });
-            }
-            let sat = model(s.check()).is_some();
-            s.pop();
-            prop_assert_eq!(sat, truth(&f, mask), "{:?} under assignment {:#b}", f, mask);
-        }
     }
 }
