@@ -1,12 +1,11 @@
-//! Criterion microbench of single-window OMT latency — the unit of work
-//! the incremental `shatter-smt` refactor targets (one solver carried
-//! across probes and windows instead of a clone per binary-search probe).
+//! Criterion microbench of single-window OMT latency: each window copies
+//! its span's template into a kept solver, asserts its clauses and runs
+//! every probe of its search inside that copy.
 //!
 //! `single_window/N` solves exactly one window of span `N` minutes;
-//! `window_chain` solves six consecutive 10-minute windows through one
-//! carried solver, which is the shape `strategies`/`fig11` pay per day.
-//! `window_chain_fresh` is the same chain on the fresh-solver-per-window
-//! reference path, so the reuse win stays visible in the report.
+//! `window_chain` solves six consecutive 10-minute windows, each on its
+//! own copy of the shared template, which is the shape
+//! `strategies`/`fig11` pay per day.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -37,13 +36,6 @@ fn bench_omt_window(c: &mut Criterion) {
     }
     group.bench_function("window_chain", |b| {
         let sched = SmtScheduler::default();
-        b.iter(|| black_box(sched.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60)))
-    });
-    group.bench_function("window_chain_fresh", |b| {
-        let sched = SmtScheduler {
-            reuse_solver: false,
-            ..SmtScheduler::default()
-        };
         b.iter(|| black_box(sched.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60)))
     });
     group.finish();

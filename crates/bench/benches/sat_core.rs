@@ -18,24 +18,15 @@
 //! `binary_propagation` probes a pure implication-cascade instance, so
 //! the wall tracks the binary adjacency layer (len-2 clauses propagate
 //! from compact `(other, clause)` lists before any long-watch work).
-//! `push_pop_restore` opens and closes assertion frames around an
-//! unsatisfiable subproblem, timing the incremental order-heap repair
-//! the pop path performs instead of a full rebuild.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use shatter_smt::sat::{Lit, SatSolver, SatVerdict};
 
+/// An N-pigeon pigeonhole instance.
 fn pigeonhole(pigeons: usize) -> SatSolver {
     let mut s = SatSolver::new();
-    add_pigeonhole(&mut s, pigeons);
-    s
-}
-
-/// Adds an N-pigeon pigeonhole subproblem over fresh variables (so it
-/// can also be asserted inside a push frame of a larger instance).
-fn add_pigeonhole(s: &mut SatSolver, pigeons: usize) {
     let holes = pigeons - 1;
     let base: Vec<usize> = (0..pigeons * holes).map(|_| s.new_var()).collect();
     let var = |i: usize, j: usize| base[i * holes + j];
@@ -50,6 +41,7 @@ fn add_pigeonhole(s: &mut SatSolver, pigeons: usize) {
             }
         }
     }
+    s
 }
 
 /// A satisfiable padded instance with a guard selector: probing it under
@@ -174,35 +166,12 @@ fn bench_binary_propagation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_push_pop_restore(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sat_core/push_pop_restore");
-    group.sample_size(10);
-    group.bench_function("guarded500_ph5_frames_x20", |b| {
-        // A large ambient heap (1501 vars) makes the pop-time repair
-        // cost visible; each frame's refuted subproblem reorders
-        // activities before the pop restores the outer state.
-        let (mut s, guard) = guarded_chain(500);
-        assert!(matches!(s.solve(&[guard], None), SatVerdict::Sat(_)));
-        b.iter(|| {
-            for _ in 0..20 {
-                s.push();
-                add_pigeonhole(&mut s, 5);
-                assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
-                s.pop();
-            }
-            black_box(s.stats.conflicts)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_decide_propagate,
     bench_gc_cycle,
     bench_assumption_chain,
     bench_minimization,
-    bench_binary_propagation,
-    bench_push_pop_restore
+    bench_binary_propagation
 );
 criterion_main!(benches);

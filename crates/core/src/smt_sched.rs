@@ -33,31 +33,22 @@ use crate::{AttackerCapability, RewardTable};
 /// [`crate::WindowDpScheduler`]; on an infeasible window (over-restricted
 /// capability) the scheduler mirrors actual behaviour for that window.
 ///
-/// # Incremental solving
+/// # One template per span, one copy per window
 ///
-/// The solver is carried across a day's windows through a window
-/// encoder: the window-shape *template* (the `x` variables and their
-/// exactly-one rows, which only depend on the window span and zone
-/// count) is encoded once per span, and each window pushes only its
-/// specific boundary/capability/run constraints onto the assertion trail
-/// as clauses, maximizes its reward objective, and pops. The OMT search
-/// itself runs inside that one solver: its first probe asks for one
-/// micro-dollar more than the first model found, which proves that
-/// model optimal in most windows; probes are guarded by fresh assumption
-/// literals, and clauses learned by one probe prune the next. Because
-/// [`Solver::pop`] restores the solver bit-for-bit (heuristics
-/// included), the committed schedule is byte-identical to solving every
-/// window with a fresh solver — the `reuse_solver: false` reference path
-/// the equivalence property test runs.
+/// Each window is its own OMT problem, as in the paper (§IV-C). The
+/// window-shape *template* — the `x` variables and their exactly-one
+/// rows, which depend only on the span and the zone count — is built
+/// once per span and never solved. Every window starts from a copy of
+/// it (`clone_from` into a kept solver, reusing its allocations), adds
+/// its own capability/boundary/run clauses and maximizes. Inside a
+/// window the first probe asks for one micro-dollar more than the first
+/// model, which proves that model optimal in most windows; probes are
+/// guarded by fresh assumption literals, and clauses learned by one
+/// probe prune the next.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmtScheduler {
     /// Optimization window `I` in slots (paper: 10).
     pub horizon: usize,
-    /// Carry one solver (template clauses, learned-clause reuse inside a
-    /// window) across the day's windows. `false` rebuilds a fresh solver
-    /// per window — the slow reference path kept for the
-    /// incremental-vs-fresh equivalence tests.
-    pub reuse_solver: bool,
     /// Per-window resource budget in deterministic effort units
     /// (conflicts / OMT probes — never wall time). Re-installed
     /// at the start of every window solve, so each window gets the same
@@ -75,7 +66,6 @@ impl Default for SmtScheduler {
     fn default() -> Self {
         SmtScheduler {
             horizon: 10,
-            reuse_solver: true,
             budget: None,
         }
     }
@@ -163,14 +153,16 @@ impl SmtStats {
     }
 }
 
-/// Reusable per-span window encoder: owns the incremental [`Solver`]
-/// carried across windows, with the span-shaped template — slot×zone
-/// choice Booleans and the Eq. 18 exactly-one rows — asserted once at
-/// the base level. [`WindowEncoder::solve_window`] pushes the
-/// window-specific constraints, runs the OMT search, and pops back to
-/// the template.
+/// Per-span window encoder. [`WindowEncoder::solve_window`] copies the
+/// template into the scratch solver, asserts the window's clauses on the
+/// copy and runs the OMT search there.
 struct WindowEncoder {
-    solver: Solver,
+    /// The span's slot×zone choice Booleans and their Eq. 18 exactly-one
+    /// rows; never solved.
+    template: Solver,
+    /// The solver a window runs on, overwritten from `template` at the
+    /// start of every window.
+    scratch: Solver,
     /// `x[t][z]`: choice Booleans, window-relative slot index.
     x: Vec<Vec<BoolVar>>,
 }
@@ -197,26 +189,30 @@ struct WindowProblem<'a> {
 
 impl WindowEncoder {
     fn new(horizon: usize, n_zones: usize) -> WindowEncoder {
-        let mut solver = Solver::new();
+        let mut template = Solver::new();
         let x: Vec<Vec<BoolVar>> = (0..horizon)
-            .map(|_| (0..n_zones).map(|_| solver.new_bool()).collect())
+            .map(|_| (0..n_zones).map(|_| template.new_bool()).collect())
             .collect();
         // Eq. 18: exactly one zone per slot — the template rows shared by
         // every window of this span, and the objective's groups.
         for row in &x {
-            solver.assert_exactly_one(row);
+            template.assert_exactly_one(row);
         }
-        WindowEncoder { solver, x }
+        WindowEncoder {
+            template,
+            scratch: Solver::new(),
+            x,
+        }
     }
 
-    /// Solves one window: push the window-specific constraints, maximize
-    /// the reward objective, extract the zone row, pop back to the
-    /// template. Solver effort (theory conflicts + SAT counters) goes
+    /// Solves one window on a fresh copy of the template: assert the
+    /// window's constraints, maximize the reward objective, extract the
+    /// zone row. Solver effort (theory conflicts + SAT counters) goes
     /// into the returned [`WindowSolution`] so memo hits can replay it.
     fn solve_window(&mut self, p: &WindowProblem<'_>) -> WindowSolution {
         // Fault-injection site "smt.window": fires before any solver
         // state is touched, so an injected halt degrades this window
-        // exactly like a real one and leaves the encoder reusable.
+        // exactly like a real one.
         if let Some(kind) = shatter_faults::hit("smt.window") {
             match kind {
                 FaultKind::Panic => shatter_faults::panic_now("smt.window"),
@@ -235,9 +231,8 @@ impl WindowEncoder {
         }
         let n_zones = p.table.n_zones();
         debug_assert_eq!(self.x.len(), p.horizon, "encoder span mismatch");
-        let conflicts_before = self.solver.theory_conflicts;
-        let sat_before = self.solver.sat_stats();
-        self.solver.push();
+        self.scratch.clone_from(&self.template);
+        let solver = &mut self.scratch;
 
         let x = &self.x;
         let w = p.w;
@@ -254,7 +249,7 @@ impl WindowEncoder {
                     .cap
                     .can_relocate(p.o, p.act_zone[t], ZoneId(z), t as Minute)
                 {
-                    self.solver.add_clause(&[lit(t, z).negated()]);
+                    solver.add_clause(&[lit(t, z).negated()]);
                 }
             }
         }
@@ -268,7 +263,7 @@ impl WindowEncoder {
                     clause.clear();
                     clause.extend((w..e).map(|t| lit(t, z0i).negated()));
                     clause.push(lit(e, z0i));
-                    self.solver.add_clause(&clause);
+                    solver.add_clause(&clause);
                 }
             }
             // Run continues to the window end.
@@ -281,7 +276,7 @@ impl WindowEncoder {
             if !ok {
                 clause.clear();
                 clause.extend((w..end).map(|t| lit(t, z0i).negated()));
-                self.solver.add_clause(&clause);
+                solver.add_clause(&clause);
             }
         }
 
@@ -306,7 +301,7 @@ impl WindowEncoder {
                 // Arrival viability.
                 if !(p.has_future)(zid, s) {
                     not_arrival(&mut clause);
-                    self.solver.add_clause(&clause);
+                    solver.add_clause(&clause);
                     continue;
                 }
                 // Exits at e.
@@ -315,7 +310,7 @@ impl WindowEncoder {
                         not_arrival(&mut clause);
                         clause.extend(((s + 1)..e).map(|t| lit(t, z).negated()));
                         clause.push(lit(e, z));
-                        self.solver.add_clause(&clause);
+                        solver.add_clause(&clause);
                     }
                 }
                 // Run to the window end.
@@ -328,7 +323,7 @@ impl WindowEncoder {
                 if !ok {
                     not_arrival(&mut clause);
                     clause.extend(((s + 1)..end).map(|t| lit(t, z).negated()));
-                    self.solver.add_clause(&clause);
+                    solver.add_clause(&clause);
                 }
             }
         }
@@ -346,13 +341,12 @@ impl WindowEncoder {
             );
         }
 
-        // Fresh per-window allowance: the caps are absolute ceilings of
-        // "cumulative counter now + max", so a reused solver never bills
-        // this window for effort earlier windows spent.
+        // The caps count from the template's counters, so every window
+        // gets the same allowance.
         if let Some(budget) = p.budget {
-            self.solver.set_budget(budget);
+            solver.set_budget(budget);
         }
-        let (model, value, degraded) = match self.solver.maximize(&objective) {
+        let (model, value, degraded) = match solver.maximize(&objective) {
             OmtOutcome::Optimal { model, value } => (Some(model), Some(value), false),
             OmtOutcome::Degraded { model, .. } => (Some(model), None, true),
             OmtOutcome::Unsat => (None, None, false),
@@ -368,16 +362,12 @@ impl WindowEncoder {
             }
             out
         });
-        let live = self.solver.live_learnts() as u64;
-        // The pop restores the checkpointed template state.
-        self.solver.pop();
-
         WindowSolution {
             zones,
             effort: SmtStats::of_window(
-                self.solver.sat_stats().since(sat_before),
-                self.solver.theory_conflicts - conflicts_before,
-                live,
+                solver.sat_stats().since(self.template.sat_stats()),
+                solver.theory_conflicts - self.template.theory_conflicts,
+                solver.live_learnts() as u64,
                 degraded,
             ),
             objective: value.and_then(|v| i64::try_from(v).ok()),
@@ -408,10 +398,10 @@ impl SmtScheduler {
     /// else the solver sees — the day trace, the reward table contents
     /// and the ADM — or unrelated solves will alias.
     ///
-    /// The keys stay valid under solver reuse because every window solve
-    /// starts from the popped template state: a window's solution is a
-    /// function of the key inputs alone, never of which windows happened
-    /// to be solved (or replayed from cache) before it.
+    /// The keys stay valid because every window solves on a fresh copy of
+    /// its span's template: a window's solution is a function of the key
+    /// inputs alone, never of which windows happened to be solved (or
+    /// replayed from cache) before it.
     #[allow(clippy::too_many_arguments)]
     pub fn schedule_occupant_memo(
         &self,
@@ -459,7 +449,7 @@ impl SmtScheduler {
         let mut zones: Vec<ZoneId> = Vec::with_capacity(until);
         // Boundary stay carried between windows: None before the first slot.
         let mut boundary: Option<(ZoneId, u32)> = None;
-        // One encoder (and thus one carried solver) per window span; a
+        // One encoder (template plus scratch solver) per window span; a
         // day at horizon `I` needs at most two — the interior span and
         // the final partial window.
         let mut encoders: BTreeMap<usize, WindowEncoder> = BTreeMap::new();
@@ -468,14 +458,9 @@ impl SmtScheduler {
         while w < until {
             let horizon = self.horizon.min(until - w);
             stats.windows += 1;
-            let mut fresh_store = None;
-            let encoder: &mut WindowEncoder = if self.reuse_solver {
-                encoders
-                    .entry(horizon)
-                    .or_insert_with(|| WindowEncoder::new(horizon, n_zones))
-            } else {
-                fresh_store.insert(WindowEncoder::new(horizon, n_zones))
-            };
+            let encoder = encoders
+                .entry(horizon)
+                .or_insert_with(|| WindowEncoder::new(horizon, n_zones));
             let problem = WindowProblem {
                 o,
                 table,
@@ -673,9 +658,9 @@ mod tests {
 
     #[test]
     fn generous_budget_matches_unbudgeted_schedule() {
-        // Budgets are absolute effort ceilings: one the solver never
-        // reaches must leave the schedule byte-identical to the
-        // unbudgeted run.
+        // Budgets are effort ceilings: one the solver never reaches must
+        // leave the schedule byte-identical to the unbudgeted run. Over a
+        // full day, because night windows take no decisions.
         let (ds, adm, table, cap) = setup();
         let day = &ds.days[10];
         let free = SmtScheduler {
@@ -689,10 +674,14 @@ mod tests {
             }),
             ..SmtScheduler::default()
         };
-        let (row_free, _) = free.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
+        let o = OccupantId(0);
+        let (row_free, free_stats) =
+            free.schedule_occupant(o, &table, &adm, &cap, day, MINUTES_PER_DAY);
         let (row_capped, stats) =
-            capped.schedule_occupant(OccupantId(0), &table, &adm, &cap, day, 60);
+            capped.schedule_occupant(o, &table, &adm, &cap, day, MINUTES_PER_DAY);
+        assert!(free_stats.sat_decisions > 0, "the day must search");
         assert_eq!(row_free, row_capped);
+        assert_eq!(stats, free_stats);
         assert_eq!(stats.degraded_windows, 0);
     }
 

@@ -13,8 +13,8 @@
 //!
 //! - [`sat`]: an *incremental* CDCL SAT solver (two-watched-literals,
 //!   1UIP learning, VSIDS-style activity, Luby restarts) with
-//!   assumption-based solving, retained learned clauses, an
-//!   assertion-trail `push`/`pop` and a theory hook,
+//!   assumption-based solving, retained learned clauses, a theory hook
+//!   and allocation-reusing copies (`clone_from`),
 //! - [`objective`]: the pseudo-Boolean [`Objective`] — exactly-one
 //!   groups of weighted literals — and the bound theory that enforces a
 //!   probe `objective ≥ target` during the CDCL search,

@@ -5,7 +5,7 @@
 //! sized for the few-thousand-variable encodings the SHATTER attack
 //! windows produce.
 //!
-//! The solver is *incremental* along four axes the DPLL(T)/OMT drivers
+//! The solver is *incremental* along three axes the DPLL(T)/OMT drivers
 //! exploit:
 //!
 //! - clauses may be added between [`SatSolver::solve`] calls, and learned
@@ -16,14 +16,13 @@
 //! - the same call optionally consults a [`Theory`] during the search:
 //!   theory conflicts are analyzed *in place* like Boolean conflicts (no
 //!   solve-from-scratch per blocking clause), and theory-implied literals
-//!   enter the trail through attached lemma clauses;
-//! - [`SatSolver::push`]/[`SatSolver::pop`] checkpoint the assertion
-//!   trail: `pop` removes every clause and variable added since the
-//!   matching `push` and restores the heuristic state (activity, phase,
-//!   bump increments, clause activities, GC budget) byte-for-byte, so a
-//!   popped solver replays exactly like a fresh one — the property the
-//!   scheduler's window memoization and the incremental-vs-fresh
-//!   equivalence tests rely on.
+//!   enter the trail through attached lemma clauses.
+//!
+//! Asserted clauses are never retracted: a caller that needs a solver's
+//! state again copies it first. `clone_from` copies every field into the
+//! destination's existing allocations, so the copy replays exactly like
+//! its source — the scheduler solves each window on such a copy of its
+//! span template.
 
 /// A literal: variable index with a sign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,9 +130,10 @@ pub trait Theory {
     fn consult(&mut self, view: TheoryView<'_>, complete: bool) -> TheoryResult;
 }
 
-/// Cumulative search-effort counters, never reset by [`SatSolver::pop`]
-/// (they measure work done, not state held). Surfaced through
-/// `SmtStats`/`WindowMemo` into the scalability exhibits.
+/// Cumulative search-effort counters (they measure work done, not state
+/// held). A copy starts from its source's counters, so the effort spent
+/// on a copy is its counters [`SatStats::since`] the source's. Surfaced
+/// through `SmtStats`/`WindowMemo` into the scalability exhibits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SatStats {
     /// Branching decisions taken (assumption enqueues excluded).
@@ -143,7 +143,7 @@ pub struct SatStats {
     /// Conflicts handled (Boolean and theory alike).
     pub conflicts: u64,
     /// Learned clauses stored (unit learnts assert directly and are not
-    /// counted; stored learnts stay until GC'd or popped).
+    /// counted; stored learnts stay until GC'd).
     pub learned: u64,
     /// Luby restarts performed.
     pub restarts: u64,
@@ -199,7 +199,7 @@ const GC_BUDGET_GROWTH_PERMILLE: usize = 1100;
 /// Header of one clause stored in the flat [`ClauseDb`] arena: everything
 /// about the clause except its literals, which live at
 /// `data[start..start + len]` of the owning database.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct ClauseHdr {
     /// Offset of the first literal in the shared literal arena.
     start: u32,
@@ -217,11 +217,10 @@ struct ClauseHdr {
 /// Arena-backed clause database: all literals live contiguously in one
 /// shared `Vec<Lit>` with per-clause [`ClauseHdr`] offsets, instead of
 /// one heap `Vec` per clause. Storing a clause extends the arena;
-/// snapshotting the whole database (every [`SatSolver::push`]) is two
-/// flat memcpys; dropping or restoring it never walks clauses. The
-/// garbage collector rebuilds both vectors compactly, so dead literals
-/// do not accumulate.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// copying the whole database (each window's copy of its template) is
+/// two flat memcpys that never walk clauses. The garbage collector
+/// rebuilds both vectors compactly, so dead literals do not accumulate.
+#[derive(Debug, Default)]
 struct ClauseDb {
     data: Vec<Lit>,
     heads: Vec<ClauseHdr>,
@@ -270,7 +269,7 @@ impl ClauseDb {
 /// the same total order the previous O(n) argmax scan implied). The heap
 /// may lag the assignment: assigned variables are skipped lazily by
 /// [`SatSolver::decide`] and re-inserted when the trail unwinds.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct OrderHeap {
     heap: Vec<u32>,
     /// Variable -> heap position (`u32::MAX` = absent).
@@ -368,93 +367,12 @@ impl OrderHeap {
             self.sift_up(act, p);
         }
     }
-
-    /// Rebuilds the heap to contain exactly the variables `0..n_vars`.
-    /// Any valid heap layout yields the same `pop_max` sequence because
-    /// the comparison is a total order, so this is replay-safe. Kept as
-    /// the reference implementation the incremental [`OrderHeap::restore`]
-    /// is checked against (`order_heap_restore_matches_rebuild`); `pop`
-    /// itself now restores incrementally.
-    #[cfg(test)]
-    fn rebuild(&mut self, act: &[f64], n_vars: usize) {
-        self.heap.clear();
-        self.pos.clear();
-        self.pos.resize(n_vars, ABSENT);
-        for v in 0..n_vars {
-            self.pos[v] = v as u32;
-            self.heap.push(v as u32);
-        }
-        for i in (0..n_vars / 2).rev() {
-            self.sift_down(act, i);
-        }
-    }
-
-    /// Incrementally restores the heap to cover exactly `0..n_vars` after
-    /// a frame pop: drops entries for popped variables, re-admits
-    /// variables that were absent (assigned inside the frame), and
-    /// repairs the order with one Floyd heapify pass. A full pass over
-    /// the *entries* is unavoidable — the pop restores the whole activity
-    /// array, re-keying every element at once — but unlike
-    /// [`OrderHeap::rebuild`] this reuses the surviving layout instead of
-    /// resetting to the identity permutation, so the heapify starts
-    /// mostly ordered and the position table is never reallocated.
-    /// Replay-safe for the same reason rebuild is: (activity, index) is a
-    /// total order, so every valid heap layout yields the same `pop_max`
-    /// sequence.
-    fn restore(&mut self, act: &[f64], n_vars: usize) {
-        self.pos.truncate(n_vars);
-        let mut k = 0usize;
-        for i in 0..self.heap.len() {
-            let v = self.heap[i];
-            if (v as usize) < n_vars {
-                self.heap[k] = v;
-                self.pos[v as usize] = k as u32;
-                k += 1;
-            }
-        }
-        self.heap.truncate(k);
-        for v in 0..n_vars {
-            if self.pos[v] == ABSENT {
-                self.pos[v] = self.heap.len() as u32;
-                self.heap.push(v as u32);
-            }
-        }
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(act, i);
-        }
-    }
-}
-
-/// Checkpoint recorded by [`SatSolver::push`]; `pop` restores it exactly.
-#[derive(Debug, Clone)]
-struct SatFrame {
-    n_vars: usize,
-    /// Full snapshot of the clause database, not just its length:
-    /// propagation permutes literal order *inside* surviving clauses
-    /// (watch maintenance swaps positions 0/1/k), the garbage collector
-    /// compacts the arena, and clause activities/LBDs evolve; the
-    /// replay contract needs all of it restored. Thanks to the flat
-    /// [`ClauseDb`] layout this snapshot is two memcpys, not a
-    /// clause-by-clause deep clone.
-    clauses: ClauseDb,
-    trail_len: usize,
-    /// Reason indices of the push-time (level-0) trail: a `reduce_db`
-    /// inside the frame compacts clause indices, so the reasons of
-    /// pre-push facts must be restored alongside the clause vector or
-    /// they dangle into the wrong clauses after the pop (the GC's
-    /// locked-clause set would then protect the wrong entries).
-    reason: Vec<Option<usize>>,
-    activity: Vec<f64>,
-    phase: Vec<bool>,
-    var_inc: f64,
-    cla_inc: f64,
-    gc_budget: usize,
-    unsat: bool,
 }
 
 /// The CDCL solver. Clauses may be added between [`SatSolver::solve`]
-/// calls (incremental use by the DPLL(T) loop).
-#[derive(Debug, Clone)]
+/// calls (incremental use by the DPLL(T) loop). A clone is the whole
+/// state, and `clone_from` reuses the destination's allocations.
+#[derive(Debug)]
 pub struct SatSolver {
     n_vars: usize,
     clauses: ClauseDb,
@@ -468,8 +386,8 @@ pub struct SatSolver {
     /// hunt and no literal swapping. The pairwise exactly-one rows of
     /// the scheduler's encoding are binary, which is why they get a
     /// dedicated graph; it is propagated exhaustively before the long
-    /// clauses of the same trail literal. Derived state: rebuilt (never
-    /// snapshotted) on `pop` and GC, exactly like `watches`.
+    /// clauses of the same trail literal. Derived state: rebuilt on GC,
+    /// exactly like `watches`.
     bin_watches: Vec<Vec<(Lit, usize)>>,
     /// Per-variable value: 0 false, 1 true, -1 unassigned.
     assign: Vec<i8>,
@@ -510,8 +428,6 @@ pub struct SatSolver {
     /// Reusable DFS stack for `lit_redundant` (cleared per call, so
     /// conflict analysis stays allocation-free after warm-up).
     min_stack: Vec<(Lit, usize, usize)>,
-    /// Assertion-trail checkpoints.
-    frames: Vec<SatFrame>,
     /// Absolute cap on `stats.conflicts` (`None` = unlimited): the
     /// search returns [`SatVerdict::Unknown`] once cumulative conflicts
     /// reach it. Deterministic — conflicts, never wall time.
@@ -550,10 +466,80 @@ impl Default for SatSolver {
             min_removable: Vec::new(),
             min_poison: Vec::new(),
             min_stack: Vec::new(),
-            frames: Vec::new(),
             conflict_limit: None,
             stats: SatStats::default(),
         }
+    }
+}
+
+impl Clone for SatSolver {
+    fn clone(&self) -> SatSolver {
+        let mut copy = SatSolver::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copies every field of `source` into this solver's allocations:
+    /// `Vec::clone_from` reuses the destination's buffers, the inner
+    /// vectors of `watches` and `bin_watches` included, so copying a
+    /// window template into a kept solver allocates next to nothing. The
+    /// source is destructured without `..`, so a field added later does
+    /// not compile until it is copied here.
+    fn clone_from(&mut self, source: &SatSolver) {
+        let SatSolver {
+            n_vars,
+            clauses: ClauseDb { data, heads },
+            watches,
+            bin_watches,
+            assign,
+            phase,
+            trail,
+            trail_lim,
+            qhead,
+            reason,
+            level,
+            activity,
+            var_inc,
+            order: OrderHeap { heap, pos },
+            cla_inc,
+            gc_budget,
+            n_learnts,
+            unsat,
+            seen,
+            seen_stamp,
+            min_removable,
+            min_poison,
+            min_stack,
+            conflict_limit,
+            stats,
+        } = source;
+        self.n_vars = *n_vars;
+        self.clauses.data.clone_from(data);
+        self.clauses.heads.clone_from(heads);
+        self.watches.clone_from(watches);
+        self.bin_watches.clone_from(bin_watches);
+        self.assign.clone_from(assign);
+        self.phase.clone_from(phase);
+        self.trail.clone_from(trail);
+        self.trail_lim.clone_from(trail_lim);
+        self.qhead = *qhead;
+        self.reason.clone_from(reason);
+        self.level.clone_from(level);
+        self.activity.clone_from(activity);
+        self.var_inc = *var_inc;
+        self.order.heap.clone_from(heap);
+        self.order.pos.clone_from(pos);
+        self.cla_inc = *cla_inc;
+        self.gc_budget = *gc_budget;
+        self.n_learnts = *n_learnts;
+        self.unsat = *unsat;
+        self.seen.clone_from(seen);
+        self.seen_stamp = *seen_stamp;
+        self.min_removable.clone_from(min_removable);
+        self.min_poison.clone_from(min_poison);
+        self.min_stack.clone_from(min_stack);
+        self.conflict_limit = *conflict_limit;
+        self.stats = *stats;
     }
 }
 
@@ -568,12 +554,7 @@ impl SatSolver {
         self.n_vars
     }
 
-    /// Number of open [`SatSolver::push`] checkpoints.
-    pub(crate) fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Live learnt clauses currently stored (gauge; drops on GC and pop).
+    /// Live learnt clauses currently stored (gauge; drops on GC).
     pub fn live_learnts(&self) -> usize {
         self.n_learnts
     }
@@ -680,96 +661,6 @@ impl SatSolver {
         }
         self.clauses.push(lits, learnt, lbd);
         idx
-    }
-
-    /// Checkpoints the clause set, variable count, level-0 trail and the
-    /// heuristic state. The matching [`SatSolver::pop`] restores all of
-    /// it exactly — including VSIDS activity, saved phases, clause
-    /// activities and the GC budget — so search behaviour after a pop is
-    /// indistinguishable from a solver that never saw the popped clauses.
-    pub fn push(&mut self) {
-        self.backtrack_to(0);
-        self.frames.push(SatFrame {
-            n_vars: self.n_vars,
-            clauses: self.clauses.clone(),
-            trail_len: self.trail.len(),
-            reason: self.reason.clone(),
-            activity: self.activity.clone(),
-            phase: self.phase.clone(),
-            var_inc: self.var_inc,
-            cla_inc: self.cla_inc,
-            gc_budget: self.gc_budget,
-            unsat: self.unsat,
-        });
-    }
-
-    /// Undoes everything since the matching [`SatSolver::push`]: clauses,
-    /// variables, level-0 facts, and the heuristic state. Effort counters
-    /// in [`SatSolver::stats`] are deliberately kept.
-    ///
-    /// Every clause added since the push — original *and* learned — is
-    /// dropped: learnts may resolve on popped clauses, so keeping an
-    /// arbitrary one would be unsound, and dropping all of them makes the
-    /// pop replay-exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no matching `push` exists.
-    pub fn pop(&mut self) {
-        let f = self.frames.pop().expect("pop without matching push");
-        self.backtrack_to(0);
-        while self.trail.len() > f.trail_len {
-            let l = self.trail.pop().expect("non-empty");
-            self.assign[l.var()] = UNASSIGNED;
-            self.reason[l.var()] = None;
-        }
-        self.qhead = self.trail.len();
-        self.clauses = f.clauses;
-        self.n_learnts = self.clauses.heads.iter().filter(|h| h.learnt).count();
-        self.n_vars = f.n_vars;
-        self.assign.truncate(f.n_vars);
-        // Restore (not merely truncate) the reasons of the surviving
-        // level-0 facts: an in-frame `reduce_db` remapped them to the
-        // compacted clause indices, which the restored clause vector
-        // just invalidated.
-        self.reason = f.reason;
-        self.level.truncate(f.n_vars);
-        self.seen.truncate(f.n_vars);
-        self.min_removable.truncate(f.n_vars);
-        self.min_poison.truncate(f.n_vars);
-        self.activity = f.activity;
-        self.phase = f.phase;
-        self.var_inc = f.var_inc;
-        self.cla_inc = f.cla_inc;
-        self.gc_budget = f.gc_budget;
-        self.unsat = f.unsat;
-        // Rebuild the watch lists over the surviving clauses: binary
-        // clauses re-enter the implication graph, longer ones watch
-        // positions 0 and 1.
-        self.watches.truncate(2 * f.n_vars);
-        self.bin_watches.truncate(2 * f.n_vars);
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for w in &mut self.bin_watches {
-            w.clear();
-        }
-        for i in 0..self.clauses.len() {
-            let l = self.clauses.lits(i);
-            if l.len() == 2 {
-                self.bin_watches[l[0].index()].push((l[1], i));
-                self.bin_watches[l[1].index()].push((l[0], i));
-            } else {
-                self.watches[l[0].index()].push(i);
-                self.watches[l[1].index()].push(i);
-            }
-        }
-        // The order heap follows the restored variable set; the restored
-        // activity array re-keys it wholesale, so the incremental restore
-        // heapifies in place rather than rebuilding from the identity
-        // layout (the total order (activity, index) makes either
-        // replay-safe — pinned by `order_heap_restore_matches_rebuild`).
-        self.order.restore(&self.activity, f.n_vars);
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<usize>) -> bool {
@@ -1806,25 +1697,6 @@ mod tests {
         assert_eq!(got, vec![1, 2, 4, 0, 3]);
     }
 
-    #[test]
-    fn order_heap_rebuild_matches_incremental_inserts() {
-        let act = [0.25f64, 4.0, 1.0, 1.0, 0.0, 7.5];
-        let mut a = OrderHeap::default();
-        for v in [5, 2, 0, 3, 1, 4] {
-            a.insert(&act, v);
-        }
-        let mut b = OrderHeap::default();
-        b.rebuild(&act, act.len());
-        let drain = |mut h: OrderHeap| {
-            let mut out = Vec::new();
-            while let Some(v) = h.pop_max(&act) {
-                out.push(v);
-            }
-            out
-        };
-        assert_eq!(drain(a), drain(b));
-    }
-
     // ----- clause-DB reduction -------------------------------------------
 
     #[test]
@@ -1977,109 +1849,29 @@ mod tests {
         assert!(matches!(s.solve(&lits(&[7]), None), SatVerdict::Sat(_)));
     }
 
-    // ----- push / pop ----------------------------------------------------
+    // ----- copies --------------------------------------------------------
 
     #[test]
-    fn push_pop_restores_satisfiability() {
-        let mut s = solver_with(2, &[&[1, 2]]);
-        s.push();
-        s.add_clause(&lits(&[-1]));
-        s.add_clause(&lits(&[-2]));
-        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
-        s.pop();
-        assert!(matches!(s.solve(&[], None), SatVerdict::Sat(_)));
-    }
-
-    #[test]
-    fn pop_removes_variables_and_level0_facts() {
-        let mut s = solver_with(1, &[]);
-        s.push();
-        let v = s.new_var();
-        s.add_clause(&[Lit::pos(v)]);
-        s.add_clause(&[Lit::neg(v), Lit::pos(0)]);
-        let SatVerdict::Sat(m) = s.solve(&[], None) else {
-            panic!()
-        };
-        assert!(m[0] && m[v]);
-        s.pop();
-        assert_eq!(s.n_vars(), 1);
-        // Var 0 is free again: both polarities satisfiable.
-        assert!(matches!(s.solve(&[Lit::neg(0)], None), SatVerdict::Sat(_)));
-        assert!(matches!(s.solve(&[Lit::pos(0)], None), SatVerdict::Sat(_)));
-    }
-
-    #[test]
-    fn pop_replays_identically_to_fresh_solver() {
-        // Solve the same instance (a) on a fresh solver, (b) after a
-        // push/solve/pop detour: models must match bit for bit.
-        let base: &[&[i32]] = &[&[1, 2, -3], &[-1, 3], &[2, 3], &[-2, -3, 4]];
-        let extra: &[&[i32]] = &[&[-4], &[3, 4]];
-        let instance: &[&[i32]] = &[&[1, -2], &[2, 3, 4], &[-3, -4]];
-
-        let mut fresh = solver_with(4, base);
-        let mut detoured = solver_with(4, base);
-        detoured.push();
-        for c in extra {
-            detoured.add_clause(&lits(c));
-        }
-        let _ = detoured.solve(&[], None);
-        detoured.pop();
-
-        fresh.push();
-        detoured.push();
-        for c in instance {
-            fresh.add_clause(&lits(c));
-            detoured.add_clause(&lits(c));
-        }
-        assert_eq!(fresh.solve(&[], None), detoured.solve(&[], None));
-    }
-
-    #[test]
-    fn pop_restores_clause_internal_literal_order() {
-        // Propagation permutes literal order inside surviving clauses
-        // while hunting for new watches; pop must undo that too, or the
-        // post-pop watch traversal diverges from a fresh solver's.
-        let mut s = solver_with(4, &[&[1, 2, 3], &[1, 4], &[2, -3, 4]]);
-        let before = s.clauses.clone();
-        s.push();
-        s.add_clause(&lits(&[-1]));
-        s.add_clause(&lits(&[-2]));
-        let _ = s.solve(&[], None);
-        // Precondition: the detour really permuted a pre-push clause
-        // (otherwise this test is vacuous).
-        let permuted = (0..before.len()).any(|i| s.clauses.lits(i) != before.lits(i));
-        assert!(permuted, "detour was a no-op");
-        s.pop();
-        assert_eq!(s.clauses, before);
-    }
-
-    #[test]
-    fn pop_restores_unsat_flag() {
-        let mut s = solver_with(1, &[]);
-        s.push();
-        s.add_clause(&lits(&[1]));
-        s.add_clause(&lits(&[-1]));
-        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
-        s.pop();
-        assert!(matches!(s.solve(&[], None), SatVerdict::Sat(_)));
-    }
-
-    #[test]
-    fn pop_restores_level0_reason_indices_after_inframe_gc() {
-        // Depth-0 state: pigeonhole learnts first (low clause indices),
-        // then a propagated level-0 fact whose reason index sits above
-        // them. A reduce_db inside the frame removes depth-0 learnts and
-        // remaps the fact's reason; pop must restore the push-time
-        // reason array alongside the clause vector, or the fact's reason
-        // dangles into the wrong clause.
-        // Depth-0 learnts on a solver that stays satisfiable: planted
-        // 3-SAT (every clause has a positive literal; all-true is a
-        // model) with default all-false phases forces early conflicts.
+    fn clone_from_overwrites_a_dirty_solver_field_for_field() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        // The source, like a window template: clauses, never solved.
+        let base: &[&[i32]] = &[&[1, 2, -3], &[-1, 3], &[2, 3], &[-2, -3, 4]];
+        let source = solver_with(4, base);
+        let mut dirty: Vec<SatSolver> = Vec::new();
+        // A detour: the source's clauses plus two more, solved.
+        let mut detour = solver_with(4, base);
+        detour.add_clause(&lits(&[-4]));
+        detour.add_clause(&lits(&[3, 4]));
+        let _ = detour.solve(&[], None);
+        dirty.push(detour);
+        // More variables, and the learnt clauses a forced GC left behind:
+        // planted 3-SAT (every clause has a positive literal, so all-true
+        // is a model) conflicts under the all-false default phases.
         let mut rng = StdRng::seed_from_u64(3);
         let n = 25usize;
-        let mut s = solver_with(n, &[]);
+        let mut gc = solver_with(n, &[]);
+        gc.set_gc_budget(1);
         for _ in 0..150 {
             let mut c: Vec<i32> = (0..3)
                 .map(|_| {
@@ -2093,62 +1885,42 @@ mod tests {
                 .collect();
             let planted: usize = rng.random_range(0..3);
             c[planted] = c[planted].abs();
-            s.add_clause(&lits(&c));
+            gc.add_clause(&lits(&c));
         }
-        assert!(matches!(s.solve(&[], None), SatVerdict::Sat(_)));
-        assert!(s.live_learnts() > 0, "depth-0 learnts required");
-        let u = s.new_var();
-        let w = s.new_var();
-        s.add_clause(&[Lit::neg(u), Lit::pos(w)]); // stored first...
-        s.add_clause(&[Lit::pos(u)]); // ...then u propagates w through it
-        assert!(s.reason[w].is_some(), "fact w must carry a reason");
-        s.push();
-        s.set_gc_budget(1); // reduce_db on every conflict inside the frame
-        let (m, clauses) = pigeonhole_clauses(6);
-        let base = s.n_vars();
-        for _ in 0..m {
-            s.new_var();
-        }
-        for c in &clauses {
-            let shifted: Vec<Lit> = c
-                .iter()
-                .map(|&l| {
-                    let v = base + (l.unsigned_abs() - 1) as usize;
-                    if l > 0 {
-                        Lit::pos(v)
-                    } else {
-                        Lit::neg(v)
-                    }
-                })
-                .collect();
-            s.add_clause(&shifted);
-        }
-        let gc_before = s.stats.gc_clauses;
-        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
-        assert!(s.stats.gc_clauses > gc_before, "in-frame GC never ran");
-        s.pop();
-        for v in 0..s.n_vars {
-            if s.assign[v] != UNASSIGNED {
-                if let Some(ci) = s.reason[v] {
-                    assert!(
-                        s.clauses.lits(ci).iter().any(|l| l.var() == v),
-                        "reason of var {v} points at a clause not containing it"
-                    );
-                }
-            }
-        }
-    }
+        assert!(matches!(gc.solve(&[], None), SatVerdict::Sat(_)));
+        assert!(gc.stats.gc_clauses > 0, "GC never ran");
+        assert!(gc.live_learnts() > 0, "GC left no learnts");
+        dirty.push(gc);
+        // A level-0 unit (which implies a second fact), and the unsat flag.
+        dirty.push(solver_with(4, &[&[1, 2], &[-1]]));
+        let unsat = solver_with(1, &[&[1], &[-1]]);
+        assert!(unsat.unsat);
+        dirty.push(unsat);
+        // Fewer variables than the source.
+        dirty.push(SatSolver::new());
 
-    #[test]
-    fn pop_drops_all_learnts() {
-        let (n, clauses) = pigeonhole_clauses(5);
-        let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
-        let mut s = solver_with(n, &refs);
-        s.push();
-        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
-        assert!(s.live_learnts() > 0);
-        s.pop();
-        assert_eq!(s.live_learnts(), 0);
+        let instance: &[&[i32]] = &[&[1, -2], &[2, 3, 4], &[-3, -4]];
+        let replay = |s: &mut SatSolver| {
+            for c in instance {
+                s.add_clause(&lits(c));
+            }
+            let verdicts = [
+                s.solve(&[], None),
+                s.solve(&lits(&[-1]), None),
+                s.solve(&lits(&[-2, 4]), None),
+            ];
+            (verdicts, s.stats)
+        };
+        let fresh = replay(&mut solver_with(4, base));
+        for (i, mut copy) in dirty.into_iter().enumerate() {
+            copy.clone_from(&source);
+            assert_eq!(
+                format!("{copy:?}"),
+                format!("{source:?}"),
+                "destination {i}"
+            );
+            assert_eq!(replay(&mut copy), fresh, "destination {i}");
+        }
     }
 
     #[test]
@@ -2205,27 +1977,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_layer_survives_push_pop() {
-        // Binary clauses added inside a frame must vanish on pop, and
-        // pre-push binaries must keep propagating afterwards.
-        let mut s = solver_with(3, &[&[-1, 2], &[-2, 3]]);
-        s.push();
-        s.add_clause(&lits(&[1]));
-        s.add_clause(&lits(&[-3]));
-        assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
-        s.pop();
-        s.push();
-        let before = s.stats.bin_props;
-        s.add_clause(&lits(&[1]));
-        match s.solve(&[], None) {
-            SatVerdict::Sat(model) => assert!(model.iter().all(|&b| b)),
-            v => panic!("expected Sat, got {v:?}"),
-        }
-        assert!(s.stats.bin_props >= before + 2, "pre-push chain must fire");
-        s.pop();
-    }
-
-    #[test]
     fn binary_layer_survives_gc_compaction() {
         // reduce_db rebuilds both watch schemes over compacted clause
         // indices; a GC-heavy Unsat run followed by continued use would
@@ -2237,48 +1988,5 @@ mod tests {
         assert_eq!(s.solve(&[], None), SatVerdict::Unsat);
         assert!(s.stats.gc_clauses > 0, "GC never ran");
         assert!(s.stats.bin_props > 0, "hole-exclusion binaries must fire");
-    }
-
-    // ----- order-heap restore ---------------------------------------------
-
-    #[test]
-    fn order_heap_restore_matches_rebuild() {
-        // `restore` must land on the same pop_max drain as the reference
-        // full rebuild from any surviving layout: arbitrary insert
-        // orders, popped subsets, duplicate activities (tie-breaking),
-        // and shrunken variable ranges.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(41);
-        for round in 0..200 {
-            let total = rng.random_range(1..30usize);
-            let act: Vec<f64> = (0..total)
-                .map(|_| f64::from(rng.random_range(0..6u32)))
-                .collect();
-            let mut h = OrderHeap::default();
-            let mut order: Vec<usize> = (0..total).collect();
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.random_range(0..=i));
-            }
-            for &v in &order {
-                h.insert(&act, v);
-            }
-            for _ in 0..rng.random_range(0..=total) {
-                h.pop_max(&act);
-            }
-            let n_vars = rng.random_range(1..=total);
-            let mut restored = h.clone();
-            restored.restore(&act, n_vars);
-            let mut rebuilt = h;
-            rebuilt.rebuild(&act, n_vars);
-            let drain = |mut h: OrderHeap| {
-                let mut out = Vec::new();
-                while let Some(v) = h.pop_max(&act) {
-                    out.push(v);
-                }
-                out
-            };
-            assert_eq!(drain(restored), drain(rebuilt), "round {round}");
-        }
     }
 }

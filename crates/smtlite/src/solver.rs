@@ -2,7 +2,7 @@
 //! [`Solver::maximize`] searches a pseudo-Boolean [`Objective`] through
 //! probes that the objective theory enforces.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::budget::Budget;
 use crate::objective::{Objective, ObjectiveTheory};
@@ -78,30 +78,48 @@ pub enum OmtOutcome {
 /// core, and [`Solver::add_clause`] hands a clause of its literals
 /// ([`BoolVar::lit`]) to the core as is.
 ///
-/// The solver is incremental end to end:
-///
-/// - every check retains everything the CDCL core learns for later
-///   calls;
-/// - [`Solver::push`]/[`Solver::pop`] checkpoint the whole stack
-///   (clauses, variables, exactly-one groups, heuristics), and `pop`
-///   restores it *exactly* — a popped solver continues byte-for-byte
-///   like a fresh one that never saw the popped assertions, which is what
-///   lets the attack scheduler reuse one solver across windows while
-///   keeping schedules identical to the fresh-solver path;
-/// - [`Solver::maximize`] runs its whole objective search inside this
-///   one solver, guarding each probe with a fresh assumption literal
-///   instead of cloning.
-#[derive(Debug, Default, Clone)]
+/// The solver is incremental: every check retains everything the CDCL
+/// core learns for later calls, and [`Solver::maximize`] runs its whole
+/// objective search inside this one solver, guarding each probe with a
+/// fresh assumption literal. Asserted clauses are never retracted; to
+/// solve from a saved state, copy it. `clone_from` copies the whole
+/// solver into the destination's allocations, and the copy continues
+/// exactly like its source: the attack scheduler solves each window on a
+/// copy of its span's template.
+#[derive(Debug, Default)]
 pub struct Solver {
     sat: SatSolver,
     /// Exactly-one groups asserted through [`Solver::assert_exactly_one`],
-    /// keyed by their sorted variables, each with the frame depth it was
-    /// asserted at.
-    exactly_one: HashMap<Vec<BoolVar>, usize>,
+    /// keyed by their sorted variables.
+    exactly_one: HashSet<Vec<BoolVar>>,
     /// OMT probe cap from the active [`Budget`] (`None` = unlimited).
     probe_limit: Option<u64>,
     /// Statistics: theory conflicts encountered across `maximize` calls.
     pub theory_conflicts: u64,
+}
+
+impl Clone for Solver {
+    fn clone(&self) -> Solver {
+        let mut copy = Solver::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copies `source` into this solver's allocations (see the CDCL
+    /// core's `clone_from`), destructured without `..` so that a new
+    /// field does not compile until it is copied.
+    fn clone_from(&mut self, source: &Solver) {
+        let Solver {
+            sat,
+            exactly_one,
+            probe_limit,
+            theory_conflicts,
+        } = source;
+        self.sat.clone_from(sat);
+        self.exactly_one.clone_from(exactly_one);
+        self.probe_limit = *probe_limit;
+        self.theory_conflicts = *theory_conflicts;
+    }
 }
 
 impl Solver {
@@ -132,7 +150,7 @@ impl Solver {
     pub fn assert_exactly_one(&mut self, vars: &[BoolVar]) {
         let mut key = vars.to_vec();
         key.sort();
-        if self.exactly_one.contains_key(&key) {
+        if self.exactly_one.contains(&key) {
             return;
         }
         let lits: Vec<Lit> = vars.iter().map(|v| v.lit()).collect();
@@ -142,13 +160,13 @@ impl Solver {
                 self.sat.add_clause(&[a.negated(), b.negated()]);
             }
         }
-        self.exactly_one.insert(key, self.sat.depth());
+        self.exactly_one.insert(key);
     }
 
     /// Cumulative CDCL effort counters (decisions, propagations,
     /// conflicts, learned clauses, restarts, GC'd clauses).
-    /// Like [`Solver::theory_conflicts`] they measure work done and
-    /// survive [`Solver::pop`].
+    /// Like [`Solver::theory_conflicts`] they measure work done, and a
+    /// copy starts from its source's counts.
     pub fn sat_stats(&self) -> SatStats {
         self.sat.stats
     }
@@ -171,26 +189,6 @@ impl Solver {
         self.sat
             .set_conflict_limit(budget.max_conflicts.map(|m| conflicts.saturating_add(m)));
         self.probe_limit = budget.max_probes;
-    }
-
-    /// Checkpoints the assertion stack: clauses asserted and variables
-    /// created after `push` are removed again by the matching
-    /// [`Solver::pop`], which also restores the SAT heuristics to their
-    /// checkpointed state.
-    pub fn push(&mut self) {
-        self.sat.push();
-    }
-
-    /// Restores the state of the matching [`Solver::push`]. Statistics
-    /// counters are kept (they measure effort, not state).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no matching `push` exists.
-    pub fn pop(&mut self) {
-        self.sat.pop();
-        let depth = self.sat.depth();
-        self.exactly_one.retain(|_, d| *d <= depth);
     }
 
     /// Decides the asserted conjunction. A conflict-budget halt comes
@@ -239,9 +237,9 @@ impl Solver {
     /// rather than the search hanging or panicking. A halt before the
     /// base model is [`OmtOutcome::Halted`].
     ///
-    /// On return the lemmas of the Sat probes remain: callers that need
-    /// the original assertion set afterwards should bracket the call in
-    /// [`Solver::push`]/[`Solver::pop`].
+    /// On return the probe guards and their lemmas remain: callers that
+    /// need the original assertion set afterwards should maximize on a
+    /// copy.
     pub fn maximize(&mut self, objective: &Objective) -> OmtOutcome {
         for group in objective.groups() {
             let vars: Vec<BoolVar> = group.iter().map(|&(b, _)| b).collect();
@@ -413,13 +411,6 @@ mod tests {
         // Same variables in another order: already recorded.
         s.assert_exactly_one(&[v[2], v[0], v[1]]);
         assert_eq!(format!("{:?}", s.sat), format!("{clauses:?}"));
-        // A group asserted inside a frame is forgotten by its pop.
-        s.push();
-        let w: Vec<BoolVar> = (0..2).map(|_| s.new_bool()).collect();
-        s.assert_exactly_one(&w);
-        assert_eq!(s.exactly_one.len(), 2);
-        s.pop();
-        assert_eq!(s.exactly_one.len(), 1);
     }
 
     #[test]
@@ -451,16 +442,16 @@ mod tests {
 
     #[test]
     fn probe_budget_degrades_to_base_model() {
-        let mut s = Solver::new();
-        let v: Vec<BoolVar> = (0..4).map(|_| s.new_bool()).collect();
+        let mut template = Solver::new();
+        let v: Vec<BoolVar> = (0..4).map(|_| template.new_bool()).collect();
         // The search's default phase picks the last literal first, so
         // the base model is not the optimum.
         let objective = group(&v, &[4, 3, 2, 1]);
+        let mut s = template.clone();
         s.set_budget(Budget {
             max_probes: Some(0),
             ..Budget::UNLIMITED
         });
-        s.push();
         match s.maximize(&objective) {
             OmtOutcome::Degraded {
                 value,
@@ -473,46 +464,29 @@ mod tests {
             }
             other => panic!("expected degraded best-so-far, got {other:?}"),
         }
-        s.pop();
-        s.set_budget(Budget::UNLIMITED);
+        // A copy of the template has the template's (unlimited) budget.
+        s.clone_from(&template);
         let (value, _) = optimal(s.maximize(&objective));
         assert_eq!(value, 4);
     }
 
     #[test]
-    fn maximize_twice_under_push_pop() {
-        // After a push/maximize/pop round-trip the solver must answer a
-        // different objective exactly like a fresh solver would.
-        let mut s = Solver::new();
-        let v: Vec<BoolVar> = (0..3).map(|_| s.new_bool()).collect();
-        s.assert_exactly_one(&v);
-        s.add_clause(&[v[1].lit().negated()]);
-        s.push();
+    fn maximize_twice_on_template_copies() {
+        // A copy of the template answers a second objective like a fresh
+        // solver would, whatever the first maximize left in the copy.
+        let mut template = Solver::new();
+        let v: Vec<BoolVar> = (0..3).map(|_| template.new_bool()).collect();
+        template.assert_exactly_one(&v);
+        template.add_clause(&[v[1].lit().negated()]);
+        let mut s = template.clone();
         let (up, _) = optimal(s.maximize(&group(&v, &[1, 5, 3])));
-        s.pop();
-        s.push();
+        s.clone_from(&template);
+        assert_eq!(format!("{:?}", s.sat), format!("{:?}", template.sat));
         let (down, m) = optimal(s.maximize(&group(&v, &[4, 9, 2])));
-        s.pop();
         assert_eq!((up, down), (3, 4));
         assert!(m.bool(v[0]));
-        // And the un-popped assertions still admit the low corner.
-        s.add_clause(&[v[0].lit().negated()]);
-        assert!(sat(&mut s).bool(v[2]));
-    }
-
-    #[test]
-    fn push_pop_restores_assertions_and_variables() {
-        let mut s = Solver::new();
-        let a = s.new_bool();
-        s.add_clause(&[a.lit()]);
-        s.push();
-        let p = s.new_bool();
-        // p → ¬a
-        s.add_clause(&[p.lit().negated(), a.lit().negated()]);
-        s.add_clause(&[p.lit()]);
-        assert!(matches!(s.check(), CheckOutcome::Unsat));
-        s.pop();
-        assert_eq!(s.new_bool(), p, "the popped variable is reused");
-        assert!(sat(&mut s).bool(a));
+        // And the template, never solved, still admits the low corner.
+        template.add_clause(&[v[0].lit().negated()]);
+        assert!(sat(&mut template).bool(v[2]));
     }
 }

@@ -389,33 +389,34 @@ fn maximize_matches_brute_force_optimum() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A maximize inside push/pop leaves no trace: afterwards a second
-    /// maximize answers, models and counts effort exactly like a fresh
-    /// solver that never saw the frame — the property the scheduler's
-    /// solver reuse rests on.
+    /// A copy of a template leaves no trace of what its destination held:
+    /// a solver dirtied by another instance and two maximize calls, then
+    /// overwritten by `clone_from` from a freshly built template, answers,
+    /// models and counts effort exactly like a fresh solver — the property
+    /// the scheduler's per-window copies rest on.
     #[test]
-    fn maximize_under_push_pop_replays_like_a_fresh_solver(
+    fn maximize_on_a_template_copy_replays_like_a_fresh_solver(
         inst in arb_pb_instance(),
-        frame in arb_pb_instance(),
+        other in arb_pb_instance(),
     ) {
-        let (mut reused, vars, objective) = build(&inst);
-        reused.push();
-        // The frame's own variables, groups and clauses over them.
-        let n = frame.groups.iter().map(Vec::len).sum::<usize>() + frame.free;
-        let extra: Vec<BoolVar> = (0..n).map(|_| reused.new_bool()).collect();
-        let mut frame_objective = Objective::new();
+        let (mut copy, vars, objective) = build(&inst);
+        // The other instance's own variables, groups and clauses.
+        let n = other.groups.iter().map(Vec::len).sum::<usize>() + other.free;
+        let extra: Vec<BoolVar> = (0..n).map(|_| copy.new_bool()).collect();
+        let mut other_objective = Objective::new();
         let mut next = 0;
-        for weights in &frame.groups {
+        for weights in &other.groups {
             let group = &extra[next..next + weights.len()];
-            frame_objective.add_group(group.iter().copied().zip(weights.iter().copied()));
+            other_objective.add_group(group.iter().copied().zip(weights.iter().copied()));
             next += weights.len();
         }
-        for c in &frame.clauses {
-            reused.add_clause(&clause(&extra, c));
+        for c in &other.clauses {
+            copy.add_clause(&clause(&extra, c));
         }
-        let _ = reused.maximize(&frame_objective);
-        let _ = reused.maximize(&objective);
-        reused.pop();
+        let _ = copy.maximize(&other_objective);
+        let _ = copy.maximize(&objective);
+        let (template, _, _) = build(&inst);
+        copy.clone_from(&template);
         let (mut fresh, _, _) = build(&inst);
         let observe = |s: &mut Solver| {
             let (sat, conflicts) = (s.sat_stats(), s.theory_conflicts);
@@ -428,6 +429,6 @@ proptest! {
             };
             (outcome, s.sat_stats().since(sat), s.theory_conflicts - conflicts)
         };
-        prop_assert_eq!(observe(&mut reused), observe(&mut fresh));
+        prop_assert_eq!(observe(&mut copy), observe(&mut fresh));
     }
 }
