@@ -1,10 +1,11 @@
 //! Criterion bench for the `smtlite` substrate itself: CDCL SAT on a
-//! pigeonhole family and OMT maximization of a pseudo-Boolean chain.
+//! pigeonhole family, re-probes of one solver under alternating
+//! assumptions, and OMT maximization of a pseudo-Boolean chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use shatter_smt::sat::{Lit, SatSolver};
+use shatter_smt::sat::{Lit, SatSolver, SatVerdict};
 use shatter_smt::{BoolVar, Objective, Solver};
 
 fn pigeonhole(pigeons: usize) -> SatSolver {
@@ -42,6 +43,42 @@ fn bench_sat(c: &mut Criterion) {
     group.finish();
 }
 
+/// A satisfiable padded instance with a guard selector: probing it under
+/// alternating guard assumptions mimics the OMT loop's probe chain.
+fn guarded_chain(n_chains: usize) -> (SatSolver, Lit) {
+    let mut s = SatSolver::new();
+    let guard = Lit::pos(s.new_var());
+    for _ in 0..n_chains {
+        let a = s.new_var();
+        let b = s.new_var();
+        let c = s.new_var();
+        // guard -> (a -> b -> c), plus a free disjunction.
+        s.add_clause(&[guard.negated(), Lit::neg(a), Lit::pos(b)]);
+        s.add_clause(&[guard.negated(), Lit::neg(b), Lit::pos(c)]);
+        s.add_clause(&[Lit::pos(a), Lit::pos(b), Lit::pos(c)]);
+    }
+    (s, guard)
+}
+
+/// One solver re-probed under alternating assumptions, the shape the OMT
+/// binary search pays per window.
+fn bench_assumption_chain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("assumption_chain");
+    group.sample_size(10);
+    group.bench_function("guarded_probes_x20", |b| {
+        let (mut s, guard) = guarded_chain(200);
+        b.iter(|| {
+            for i in 0..20 {
+                let a = if i % 2 == 0 { guard } else { guard.negated() };
+                let v = s.solve(&[a], None);
+                assert!(matches!(v, SatVerdict::Sat(_)));
+            }
+            black_box(s.stats)
+        })
+    });
+    group.finish();
+}
+
 /// `n` slots choosing one of four zones each, scored by a rotating
 /// weight pattern, where two neighbouring slots may not both pick their
 /// heaviest zone: the base model is rarely optimal, so the search probes.
@@ -74,5 +111,5 @@ fn bench_omt(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sat, bench_omt);
+criterion_group!(benches, bench_sat, bench_assumption_chain, bench_omt);
 criterion_main!(benches);

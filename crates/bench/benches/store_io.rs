@@ -30,7 +30,7 @@ fn sample_window_solution() -> WindowSolution {
             sat_decisions: 9_310,
             sat_propagations: 88_412,
             sat_learned: 512,
-            bin_props: 14_890,
+            sat_learnt_live: 512,
             ..SmtStats::default()
         },
         objective: Some(123_456),

@@ -713,17 +713,14 @@ pub fn tab5(cx: &ScenarioCtx<'_>) -> Table {
 }
 
 /// The solver-effort columns shared by `strategies` and `fig11`, in
-/// header order (`theory_conflicts` … `bin_props`).
+/// header order (`theory_conflicts` … `sat_live`).
 fn effort_cells(stats: &SmtStats) -> Vec<String> {
     [
         stats.theory_conflicts,
         stats.sat_decisions,
         stats.sat_propagations,
         stats.sat_learned,
-        stats.sat_restarts,
-        stats.sat_gc_clauses,
         stats.sat_learnt_live,
-        stats.bin_props,
     ]
     .iter()
     .map(u64::to_string)
@@ -757,10 +754,7 @@ pub fn strategies(cx: &ScenarioCtx<'_>) -> Table {
             "sat_decisions",
             "sat_propagations",
             "sat_learned",
-            "sat_restarts",
-            "sat_gcd",
             "sat_live",
-            "bin_props",
         ],
     );
     let registry = StrategyRegistry::builtin(cx.params.smt);
@@ -1031,10 +1025,7 @@ pub fn fig11(cx: &ScenarioCtx<'_>) -> Table {
             "sat_decisions",
             "sat_propagations",
             "sat_learned",
-            "sat_restarts",
-            "sat_gcd",
             "sat_live",
-            "bin_props",
         ],
     );
     /// One measurement of the span sweep: (a) a time-horizon point on an

@@ -49,7 +49,7 @@ const TABLE_PINS: [(&str, u64); 16] = [
     ("tab3", 0x6c29b27246993e58),
     ("tab4", 0x39145cc7d70f56c7),
     ("tab5", 0xed2b341c080af8f8),
-    ("strategies", 0x98be6e2b23618371),
+    ("strategies", 0x1b3192f683bbd505),
     ("fig10", 0x62e7a173bb5588b7),
     ("tab6", 0xaf4a9473e200ecaa),
     ("tab7", 0x6b4678d4afdee97a),

@@ -287,15 +287,18 @@ fn retired_window_solution_tags_are_discarded_and_recomputed() {
     // effort of the search before the first OMT probe became an
     // optimality check), `window-solution/3` (the `/2` layout, with the
     // simplex's pivot counters before the window objective became
-    // pseudo-Boolean) and `window-solution/4` (the current field layout: 11
-    // counters and no flag, with the propagation counts of window clauses
-    // that still went through a constant-true variable). The current
-    // build must never decode any of them, only discard it and recompute.
+    // pseudo-Boolean), `window-solution/4` (11 counters and no flag, with
+    // the propagation counts of window clauses that still went through a
+    // constant-true variable) and `window-solution/5` (the `/4` layout,
+    // still carrying the restart, GC and binary-layer counters of a CDCL
+    // core that has none of them now). The current build must never
+    // decode any of them, only discard it and recompute.
     for (tag, counters, flags) in [
         ("window-solution/1", 14, 3),
         ("window-solution/2", 14, 1),
         ("window-solution/3", 14, 1),
         ("window-solution/4", 11, 0),
+        ("window-solution/5", 11, 0),
     ] {
         let dir = store_dir(&tag.replace('/', "-"));
         let key = "window-retired-test/o0/w0+10/b-";

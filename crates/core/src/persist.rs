@@ -11,8 +11,10 @@
 //! older build would replay its counters into a newer run
 //! (`window-solution/4` dropped the simplex counters and the overflow
 //! marker of `/3` when the window objective became pseudo-Boolean;
-//! `/5` keeps the `/4` layout for the propagation counts of window
-//! clauses asserted without a constant-true variable).
+//! `/5` kept the `/4` layout for the propagation counts of window
+//! clauses asserted without a constant-true variable; `/6` drops the
+//! restart, GC and binary-layer counters of a CDCL core that no longer
+//! has them).
 
 use shatter_smarthome::{Activity, ZoneId};
 use shatter_store::wire::{Reader, Writer};
@@ -22,7 +24,7 @@ use crate::schedule::{AttackSchedule, WindowSolution};
 use crate::SmtStats;
 
 impl Blob for WindowSolution {
-    const TAG: &'static str = "window-solution/5";
+    const TAG: &'static str = "window-solution/6";
 
     fn encode(&self, w: &mut Writer) {
         match &self.zones {
@@ -43,11 +45,8 @@ impl Blob for WindowSolution {
             e.sat_decisions,
             e.sat_propagations,
             e.sat_learned,
-            e.sat_restarts,
-            e.sat_gc_clauses,
             e.sat_learnt_live,
             e.degraded_windows,
-            e.bin_props,
         ] {
             w.u64(v);
         }
@@ -72,11 +71,8 @@ impl Blob for WindowSolution {
             sat_decisions: r.u64()?,
             sat_propagations: r.u64()?,
             sat_learned: r.u64()?,
-            sat_restarts: r.u64()?,
-            sat_gc_clauses: r.u64()?,
             sat_learnt_live: r.u64()?,
             degraded_windows: r.u64()?,
-            bin_props: r.u64()?,
             ..SmtStats::default()
         };
         Some(WindowSolution {
@@ -147,11 +143,8 @@ mod tests {
                 sat_decisions: 1000,
                 sat_propagations: 123_456,
                 sat_learned: 17,
-                sat_restarts: 2,
-                sat_gc_clauses: 5,
                 sat_learnt_live: 9,
                 degraded_windows: 1,
-                bin_props: 404,
                 ..SmtStats::default()
             },
             objective: Some(-12_345),

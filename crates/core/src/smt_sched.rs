@@ -90,11 +90,9 @@ pub struct SmtStats {
     pub sat_propagations: u64,
     /// Learned clauses kept by the CDCL core.
     pub sat_learned: u64,
-    /// CDCL restarts.
-    pub sat_restarts: u64,
-    /// Learnt clauses removed by the clause-DB reduction (GC).
-    pub sat_gc_clauses: u64,
-    /// Peak live learnt-clause count observed at any window's end.
+    /// Peak learnt clauses held by one window: a window's learnt clauses
+    /// live exactly as long as its copy of the template, so this is the
+    /// largest single window's `sat_learned`.
     pub sat_learnt_live: u64,
     /// Always 0: the solver has no simplex since the window objective
     /// became pseudo-Boolean. Kept, outside the persisted layout, only
@@ -106,35 +104,25 @@ pub struct SmtStats {
     /// Windows that stopped early on budget exhaustion and committed a
     /// best-so-far (or fallback) row.
     pub degraded_windows: u64,
-    /// Literals implied through the SAT core's binary implication layer.
-    pub bin_props: u64,
 }
 
 impl SmtStats {
     /// Converts the solver's native counters for one window solve — the
     /// only place [`SatStats`] become [`SmtStats`]. `windows` and
     /// `fallbacks` stay zero: the scheduler counts those.
-    fn of_window(
-        sat: SatStats,
-        theory_conflicts: u64,
-        learnt_live: u64,
-        degraded: bool,
-    ) -> SmtStats {
+    fn of_window(sat: SatStats, theory_conflicts: u64, degraded: bool) -> SmtStats {
         SmtStats {
             theory_conflicts,
             sat_decisions: sat.decisions,
             sat_propagations: sat.propagations,
             sat_learned: sat.learned,
-            sat_restarts: sat.restarts,
-            sat_gc_clauses: sat.gc_clauses,
-            sat_learnt_live: learnt_live,
+            sat_learnt_live: sat.learned,
             degraded_windows: u64::from(degraded),
-            bin_props: sat.bin_props,
             ..SmtStats::default()
         }
     }
 
-    /// Folds `other` into this one: counters add, the live-learnt gauge
+    /// Folds `other` into this one: counters add, `sat_learnt_live`
     /// keeps its peak. Callers fold in a fixed order (windows left to
     /// right, occupants by index), so totals never depend on which worker
     /// solved what.
@@ -145,11 +133,8 @@ impl SmtStats {
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
         self.sat_learned += other.sat_learned;
-        self.sat_restarts += other.sat_restarts;
-        self.sat_gc_clauses += other.sat_gc_clauses;
         self.sat_learnt_live = self.sat_learnt_live.max(other.sat_learnt_live);
         self.degraded_windows += other.degraded_windows;
-        self.bin_props += other.bin_props;
     }
 }
 
@@ -367,7 +352,6 @@ impl WindowEncoder {
             effort: SmtStats::of_window(
                 solver.sat_stats().since(self.template.sat_stats()),
                 solver.theory_conflicts - self.template.theory_conflicts,
-                solver.live_learnts() as u64,
                 degraded,
             ),
             objective: value.and_then(|v| i64::try_from(v).ok()),

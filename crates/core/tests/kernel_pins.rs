@@ -19,10 +19,11 @@
 //! the outdoor temperature, so a change to how the energy model derives
 //! it shows here before it reaches a schedule or a cost.
 //!
-//! Two more pins cover the formal scheduler: its zone rows, and apart
-//! from them every live `SmtStats` counter, so a change to the SAT core
-//! or the objective theory that alters the search fails the effort pin
-//! even when the schedules hold.
+//! Three more pins cover the formal scheduler: its zone rows at the
+//! paper's 10-slot horizon and at 26 and 30 slots, and apart from them
+//! every live `SmtStats` counter, so a change to the SAT core or the
+//! objective theory that alters the search fails the effort pin even
+//! when the schedules hold.
 
 use shatter_adm::{AdmKind, HullAdm};
 use shatter_core::{
@@ -220,9 +221,12 @@ fn reward_table_bytes_match_pin() {
 
 /// The formal scheduler's zone rows and [`SmtStats`] over the whole of
 /// day 10, for each occupant of both houses, under full capability and
-/// under a zone subset.
-fn smt_runs() -> Vec<(Vec<ZoneId>, SmtStats)> {
-    let smt = SmtScheduler::default();
+/// under a zone subset, with `horizon`-slot windows.
+fn smt_runs(horizon: usize) -> Vec<(Vec<ZoneId>, SmtStats)> {
+    let smt = SmtScheduler {
+        horizon,
+        ..SmtScheduler::default()
+    };
     let mut runs = Vec::new();
     for spec in [HouseSpec::aras_a(), HouseSpec::aras_b()] {
         let month = synthesize(&SynthConfig::new(spec.clone(), 12, spec.canonical_seed));
@@ -273,13 +277,10 @@ fn smt_effort_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
             sat_decisions,
             sat_propagations,
             sat_learned,
-            sat_restarts,
-            sat_gc_clauses,
             sat_learnt_live,
             float_pivots: _,
             exact_fallbacks: _,
             degraded_windows,
-            bin_props,
         } = *stats;
         for v in [
             windows,
@@ -288,11 +289,8 @@ fn smt_effort_hash(runs: &[(Vec<ZoneId>, SmtStats)]) -> u64 {
             sat_decisions,
             sat_propagations,
             sat_learned,
-            sat_restarts,
-            sat_gc_clauses,
             sat_learnt_live,
             degraded_windows,
-            bin_props,
         ] {
             h.word(v);
         }
@@ -306,7 +304,7 @@ const SMT_ROWS: u64 = 0x8bac_8ae9_52d5_24a6;
 
 #[test]
 fn smt_schedules_match_pin() {
-    let runs = smt_runs();
+    let runs = smt_runs(SmtScheduler::default().horizon);
     assert_eq!(runs.len(), 8);
     let hash = smt_rows_hash(&runs);
     assert_eq!(
@@ -315,14 +313,39 @@ fn smt_schedules_match_pin() {
     );
 }
 
-/// Recorded after window constraints reached the CDCL core as plain
-/// clauses: the constant-true variable that each check re-propagated is
-/// gone, so propagations fall and every other counter holds.
-const SMT_EFFORT: u64 = 0x5c56_fa41_628d_ae0e;
+/// The rows of [`smt_runs`] at horizons 26 and 30, hashed in that order.
+/// Recorded while the CDCL core still garbage-collected learnt clauses,
+/// which it did at these horizons (237 and 583 clauses removed), so the
+/// pin shows that the windows kept their schedules without it.
+const SMT_ROWS_LONG_WINDOWS: u64 = 0x657d_97a9_eea8_ece9;
+
+#[test]
+fn smt_long_window_schedules_match_pin() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for horizon in [26, 30] {
+        let runs = smt_runs(horizon);
+        assert_eq!(runs.len(), 8);
+        h.word(smt_rows_hash(&runs));
+    }
+    assert_eq!(
+        h.0, SMT_ROWS_LONG_WINDOWS,
+        "the formal scheduler changed its long-window schedule: {:#018x}",
+        h.0
+    );
+}
+
+/// Recorded when the CDCL core began deciding variables in index order
+/// and lost its restarts, learnt-clause GC, clause minimization and
+/// binary-clause layer. Per-counter totals over the eight runs moved from
+/// 431 to 506 decisions, 1,107 to 1,097 theory conflicts, 167,015 to
+/// 166,869 propagations and 1,195 to 1,173 learned clauses, and the
+/// peak learnt clauses of one window from 40 to 33; the 1,152 windows,
+/// 111 fallbacks and 0 degraded windows held.
+const SMT_EFFORT: u64 = 0xa3ee_2156_5d5e_5262;
 
 #[test]
 fn smt_effort_matches_pin() {
-    let runs = smt_runs();
+    let runs = smt_runs(SmtScheduler::default().horizon);
     // Full days include the active hours, where windows branch and the
     // objective theory refutes probes; night-time windows alone would
     // propagate to their rows without a single decision.

@@ -11,8 +11,9 @@
 //! objective: one weight (a reward in integer micro-dollars) per chosen
 //! slot literal. This crate decides that end to end:
 //!
-//! - [`sat`]: an *incremental* CDCL SAT solver (two-watched-literals,
-//!   1UIP learning, VSIDS-style activity, Luby restarts) with
+//! - [`sat`]: an *incremental* CDCL SAT solver sized for attack windows
+//!   (two-watched-literals, 1UIP learning, decisions in variable-index
+//!   order with phase saving, and no restarts or learnt-clause GC) with
 //!   assumption-based solving, retained learned clauses, a theory hook
 //!   and allocation-reusing copies (`clone_from`),
 //! - [`objective`]: the pseudo-Boolean [`Objective`] — exactly-one

@@ -164,16 +164,11 @@ impl Solver {
     }
 
     /// Cumulative CDCL effort counters (decisions, propagations,
-    /// conflicts, learned clauses, restarts, GC'd clauses).
-    /// Like [`Solver::theory_conflicts`] they measure work done, and a
-    /// copy starts from its source's counts.
+    /// conflicts, learned clauses). Like [`Solver::theory_conflicts`]
+    /// they measure work done, and a copy starts from its source's
+    /// counts.
     pub fn sat_stats(&self) -> SatStats {
         self.sat.stats
-    }
-
-    /// Learnt clauses currently stored in the CDCL core (gauge).
-    pub fn live_learnts(&self) -> usize {
-        self.sat.live_learnts()
     }
 
     /// Installs `budget` for subsequent solves. Limits are counted in

@@ -31,136 +31,85 @@ fn brute_force_sat(n: usize, clauses: &[Vec<i32>]) -> bool {
     })
 }
 
+/// A solver over `n` variables holding `clauses` (DIMACS-style literals).
+fn sat_solver(n: usize, clauses: &[Vec<i32>]) -> SatSolver {
+    let mut s = SatSolver::new();
+    for _ in 0..n {
+        s.new_var();
+    }
+    for c in clauses {
+        let lits: Vec<Lit> = c.iter().map(|&l| dimacs_lit(l)).collect();
+        s.add_clause(&lits);
+    }
+    s
+}
+
+/// Whether `model` satisfies clause `c`.
+fn satisfies(model: &[bool], c: &[i32]) -> bool {
+    c.iter()
+        .any(|&l| (l > 0) == model[(l.unsigned_abs() - 1) as usize])
+}
+
+fn dimacs_lit(l: i32) -> Lit {
+    let v = (l.unsigned_abs() - 1) as usize;
+    if l > 0 {
+        Lit::pos(v)
+    } else {
+        Lit::neg(v)
+    }
+}
+
 proptest! {
     #[test]
     fn cdcl_agrees_with_brute_force((n, clauses) in arb_cnf()) {
-        let mut s = SatSolver::new();
-        for _ in 0..n {
-            s.new_var();
-        }
-        for c in &clauses {
-            let lits: Vec<Lit> = c
-                .iter()
-                .map(|&l| {
-                    let v = (l.unsigned_abs() - 1) as usize;
-                    if l > 0 { Lit::pos(v) } else { Lit::neg(v) }
-                })
-                .collect();
-            s.add_clause(&lits);
-        }
+        let mut s = sat_solver(n, &clauses);
         let expected = brute_force_sat(n, &clauses);
         match s.solve(&[], None) {
             SatVerdict::Sat(model) => {
                 prop_assert!(expected, "solver SAT, brute force UNSAT");
                 for c in &clauses {
-                    prop_assert!(c.iter().any(|&l| {
-                        let v = (l.unsigned_abs() - 1) as usize;
-                        (l > 0) == model[v]
-                    }), "model violates clause {c:?}");
+                    prop_assert!(satisfies(&model, c), "model violates clause {c:?}");
                 }
             }
             SatVerdict::Unsat => prop_assert!(!expected, "solver UNSAT, brute force SAT"),
             SatVerdict::Unknown => prop_assert!(false, "unbudgeted solve returned Unknown"),
         }
     }
-}
 
-proptest! {
-    /// Clause-DB reduction preserves verdicts and model validity: a
-    /// solver forced to garbage-collect constantly (budget 1, so the
-    /// reducer fires at every conflict) must agree with the untouched
-    /// solver on every random instance, and any model it returns must
-    /// satisfy every clause.
+    /// Alternating solves under a probe literal and under its negation,
+    /// the way the OMT loop probes one solver: clauses learned under one
+    /// assumption carry into the next solve, and every verdict must still
+    /// match brute force over the clauses plus that assumption, with any
+    /// model satisfying both.
     #[test]
-    fn gc_preserves_verdicts_and_models((n, clauses) in arb_cnf()) {
-        let build = |gc_budget: Option<usize>| {
-            let mut s = SatSolver::new();
-            if let Some(b) = gc_budget {
-                s.set_gc_budget(b);
-            }
-            for _ in 0..n {
-                s.new_var();
-            }
-            for c in &clauses {
-                let lits: Vec<Lit> = c
-                    .iter()
-                    .map(|&l| {
-                        let v = (l.unsigned_abs() - 1) as usize;
-                        if l > 0 { Lit::pos(v) } else { Lit::neg(v) }
-                    })
-                    .collect();
-                s.add_clause(&lits);
-            }
-            s
-        };
-        let expected = brute_force_sat(n, &clauses);
-        let mut gc = build(Some(1));
-        match gc.solve(&[], None) {
-            SatVerdict::Sat(model) => {
-                prop_assert!(expected, "GC solver SAT, brute force UNSAT");
-                for c in &clauses {
-                    prop_assert!(c.iter().any(|&l| {
-                        let v = (l.unsigned_abs() - 1) as usize;
-                        (l > 0) == model[v]
-                    }), "GC-solver model violates clause {c:?}");
-                }
-            }
-            SatVerdict::Unsat => prop_assert!(!expected, "GC solver UNSAT, brute force SAT"),
-            SatVerdict::Unknown => prop_assert!(false, "unbudgeted solve returned Unknown"),
-        }
-        // And the default-budget solver agrees (differently-searched,
-        // same verdict).
-        let mut plain = build(None);
-        prop_assert_eq!(matches!(plain.solve(&[], None), SatVerdict::Sat(_)), expected);
-    }
-
-    /// Reduction under assumption probes: interleaved assumption solves
-    /// with a constantly-firing reducer keep verdicts equal to a
-    /// GC-free reference solver.
-    #[test]
-    fn gc_stable_under_assumption_probes(
+    fn alternating_probe_solves_agree_with_brute_force(
         (n, clauses) in arb_cnf(),
-        probe_var in 0usize..8,
+        probe_var in 1i32..9,
         polarity in any::<bool>(),
     ) {
-        let probe_var = probe_var % n.max(1);
-        let assumption = if polarity { Lit::pos(probe_var) } else { Lit::neg(probe_var) };
-        let mut solvers: Vec<SatSolver> = [Some(1usize), None]
-            .iter()
-            .map(|budget| {
-                let mut s = SatSolver::new();
-                if let Some(b) = budget {
-                    s.set_gc_budget(*b);
+        let probe_var = (probe_var - 1) % n as i32 + 1;
+        let probe = if polarity { probe_var } else { -probe_var };
+        let mut s = sat_solver(n, &clauses);
+        for assumption in [probe, -probe, probe, -probe] {
+            let mut with_unit = clauses.clone();
+            with_unit.push(vec![assumption]);
+            let expected = brute_force_sat(n, &with_unit);
+            match s.solve(&[dimacs_lit(assumption)], None) {
+                SatVerdict::Sat(model) => {
+                    prop_assert!(expected, "SAT under {assumption}, brute force UNSAT");
+                    for c in &with_unit {
+                        prop_assert!(
+                            satisfies(&model, c),
+                            "model under {assumption} violates clause {c:?}"
+                        );
+                    }
                 }
-                for _ in 0..n {
-                    s.new_var();
+                SatVerdict::Unsat => {
+                    prop_assert!(!expected, "UNSAT under {assumption}, brute force SAT");
                 }
-                for c in &clauses {
-                    let lits: Vec<Lit> = c
-                        .iter()
-                        .map(|&l| {
-                            let v = (l.unsigned_abs() - 1) as usize;
-                            if l > 0 { Lit::pos(v) } else { Lit::neg(v) }
-                        })
-                        .collect();
-                    s.add_clause(&lits);
-                }
-                s
-            })
-            .collect();
-        let verdicts: Vec<(bool, bool, bool)> = solvers
-            .iter_mut()
-            .map(|s| {
-                let under = matches!(s.solve(&[assumption], None), SatVerdict::Sat(_));
-                let free = matches!(s.solve(&[], None), SatVerdict::Sat(_));
-                let again = matches!(s.solve(&[assumption], None), SatVerdict::Sat(_));
-                (under, free, again)
-            })
-            .collect();
-        prop_assert_eq!(verdicts[0], verdicts[1], "GC diverged from reference");
-        // Probes are repeatable: learning (and GC'ing) between calls
-        // must not flip a verdict.
-        prop_assert_eq!(verdicts[0].0, verdicts[0].2);
+                SatVerdict::Unknown => prop_assert!(false, "unbudgeted solve returned Unknown"),
+            }
+        }
     }
 }
 
